@@ -40,6 +40,7 @@ from .evolver import (
     ConvergenceReport,
     NormDriftError,
     Trajectory,
+    TrajectoryBatch,
     block_hamiltonian,
     convergence_probe,
     evolve,
@@ -88,6 +89,7 @@ __all__ = [
     "ConvergenceReport",
     "NormDriftError",
     "Trajectory",
+    "TrajectoryBatch",
     "block_hamiltonian",
     "convergence_probe",
     "evolve",

@@ -13,11 +13,17 @@ drift or comparison tolerance breach).
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
+import importlib.metadata
 import json
 import math
+import numbers
+import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +37,7 @@ from .phases import (
     series_from_trajectory,
     unwrap_with_gaps,
 )
-from .system import Motion, SystemConfig, default_dt_internal, initial_state
+from .system import Motion, SystemConfig, initial_state
 
 __all__ = [
     "ConfigError",
@@ -39,6 +45,7 @@ __all__ = [
     "RunResult",
     "run_scenario",
     "compare_engines",
+    "environment_fingerprint",
     "list_presets",
     "main",
     "CSV_COLUMNS",
@@ -64,6 +71,26 @@ CSV_COLUMNS = (
 
 _ENGINES = ("analytic", "numeric", "both")
 _MOTIONS = ("moving", "neglected")
+
+# ScenarioConfig field -> (accepted type, what the message asks for); the
+# fields in _OPTIONAL may also be None.  bool is never taken as a number.
+_FIELD_TYPES = {
+    "alpha": (numbers.Real, "a number"),
+    "delta": (numbers.Real, "a number"),
+    "theta": (numbers.Real, "a number"),
+    "r": (numbers.Real, "a number"),
+    "p": (numbers.Integral, "an integer"),
+    "motion": (str, "a string"),
+    "tau_max": (numbers.Real, "a number"),
+    "steps": (numbers.Integral, "an integer"),
+    "dt": (numbers.Real, "a number"),
+    "engine": (str, "a string"),
+    "out": (str, "a string"),
+    "emit_unwrapped": (bool, "true or false"),
+    "preset": (str, "a string"),
+    "curve": (str, "a string"),
+}
+_OPTIONAL = ("dt", "out", "preset", "curve")
 
 
 class ConfigError(ValueError):
@@ -110,6 +137,12 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
 
     def validate(self) -> None:
+        for key, (kind, wanted) in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if value is None and key in _OPTIONAL:
+                continue
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ConfigError(f"{key} must be {wanted}, got {value!r}")
         if self.engine not in _ENGINES:
             raise ConfigError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if self.motion not in _MOTIONS:
@@ -124,7 +157,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Series per engine plus the files written."""
+    """Series per engine plus the files written.
+
+    For a batch of scenarios, ``series`` is keyed by ``<curve>/<engine>``
+    (the curve label, or the scenario's index when it has none) and
+    ``metadata`` holds every curve's sidecar under ``curves``.
+    """
 
     series: dict[str, PhaseTimeSeries]
     paths: tuple[Path, ...]
@@ -229,90 +267,159 @@ def _derived_path(out: Path, tag: str) -> Path:
     return out.with_name(out.stem + "." + tag + out.suffix)
 
 
-def run_scenario(scenario: ScenarioConfig) -> RunResult:
-    """Run one scenario and write CSV plus metadata sidecar.
+def environment_fingerprint() -> dict:
+    """What CSV bytes depend on besides the code and its inputs.
+
+    Python, numpy and scipy versions, machine, libc and the SIMD targets
+    numpy dispatches to at run time (these follow ``NPY_DISABLE_CPU_FEATURES``
+    as well as the CPU).  scipy's version comes from its installed metadata,
+    so scipy is not imported.
+    """
+    return copy.deepcopy(_environment())
+
+
+@functools.lru_cache(maxsize=1)
+def _environment() -> dict:
+    # fixed for the life of the process; reading package metadata takes
+    # milliseconds, which a sweep of short runs would pay on every call
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy_version,
+        "machine": platform.machine(),
+        "libc": list(platform.libc_ver()),
+        "simd": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+    }
+
+
+def _write_outputs(scenario: ScenarioConfig, series: dict[str, PhaseTimeSeries]):
+    """Write a scenario's CSV files; return their paths and the engine deviation."""
+    out = Path(scenario.out)
+    if scenario.engine != "both":
+        write_series_csv(out, series[scenario.engine], scenario.emit_unwrapped)
+        return [out], {}
+    num_path = _derived_path(out, "numeric")
+    ana_path = _derived_path(out, "analytic")
+    write_series_csv(num_path, series["numeric"], scenario.emit_unwrapped)
+    write_series_csv(ana_path, series["analytic"], scenario.emit_unwrapped)
+    cmp_path = _derived_path(out, "compare")
+    dev_x = series["numeric"].x - series["analytic"].x
+    dev_y = series["numeric"].y - series["analytic"].y
+    lines = ["tau,dev_x,dev_y"]
+    for i in range(len(series["numeric"].tau)):
+        lines.append(
+            ",".join(
+                _fmt(v)
+                for v in (float(series["numeric"].tau[i]), float(dev_x[i]), float(dev_y[i]))
+            )
+        )
+    cmp_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    deviation = {
+        "max_abs_dev_x": float(np.max(np.abs(dev_x))),
+        "max_abs_dev_y": float(np.max(np.abs(dev_y))),
+    }
+    return [num_path, ana_path, cmp_path], deviation
+
+
+def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunResult:
+    """Run one scenario, or several as a batch, and write CSV plus sidecars.
 
     ``engine=both`` writes one CSV per engine plus a per-point deviation
-    file ``<stem>.compare.csv``.
+    file ``<stem>.compare.csv``.  Numerical curves whose configurations
+    differ only in theta and the field's alpha and r, and whose photon
+    bases have the same size, evolve together through shared propagators;
+    each curve's CSV is byte-identical to running it alone.  A batch's
+    result sums ``substeps_total`` over its curves.
     """
-    scenario.validate()
-    if scenario.out is None:
-        raise ConfigError("an output path is required (--out)")
-    out = Path(scenario.out)
-    config = scenario.system_config()
+    batch = not isinstance(scenarios, ScenarioConfig)
+    scenarios = list(scenarios) if batch else [scenarios]
+    for scenario in scenarios:
+        scenario.validate()
+        if scenario.out is None:
+            raise ConfigError("an output path is required (--out)")
     t_start = time.perf_counter()
-    dist = superposed_distribution(config.field)
+    configs = [scenario.system_config() for scenario in scenarios]
+    dists = [superposed_distribution(config.field) for config in configs]
 
-    series: dict[str, PhaseTimeSeries] = {}
-    if scenario.engine in ("numeric", "both"):
-        trajectory = evolve(initial_state(config, dist), config)
-        series["numeric"] = series_from_trajectory(trajectory)
-        substeps = len(trajectory.fine_taus) - 1
-    else:
-        substeps = 0
-    if scenario.engine in ("analytic", "both"):
-        series["analytic"] = series_from_closed_form(config, dist)
+    # curves that share every propagator: same physics apart from the
+    # initial state, same basis
+    groups: dict[tuple, list[int]] = {}
+    for i, (scenario, config, dist) in enumerate(zip(scenarios, configs, dists)):
+        if scenario.engine != "analytic":
+            field = replace(config.field, alpha=0.0, r=0.0)
+            shared = replace(config, theta=0.0, field=field)
+            groups.setdefault((shared, dist.n_max), []).append(i)
+    trajectories, evolve_stats = {}, {}
+    for members in groups.values():
+        t_evolve = time.perf_counter()
+        evolved = evolve(
+            [initial_state(configs[i], dists[i]) for i in members], configs[members[0]]
+        )
+        stats = {"evolve_s": time.perf_counter() - t_evolve, "batch_size": len(members)}
+        for i, trajectory in zip(members, evolved.curves):
+            trajectories[i] = trajectory
+            evolve_stats[i] = stats
 
-    paths: list[Path] = []
-    deviation: dict[str, float] = {}
-    if scenario.engine == "both":
-        num_path = _derived_path(out, "numeric")
-        ana_path = _derived_path(out, "analytic")
-        write_series_csv(num_path, series["numeric"], scenario.emit_unwrapped)
-        write_series_csv(ana_path, series["analytic"], scenario.emit_unwrapped)
-        cmp_path = _derived_path(out, "compare")
-        dev_x = series["numeric"].x - series["analytic"].x
-        dev_y = series["numeric"].y - series["analytic"].y
-        lines = ["tau,dev_x,dev_y"]
-        for i in range(len(series["numeric"].tau)):
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (float(series["numeric"].tau[i]), float(dev_x[i]), float(dev_y[i]))
-                )
-            )
-        cmp_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        deviation = {
-            "max_abs_dev_x": float(np.max(np.abs(dev_x))),
-            "max_abs_dev_y": float(np.max(np.abs(dev_y))),
+    curves = []
+    for i, (scenario, config, dist) in enumerate(zip(scenarios, configs, dists)):
+        series: dict[str, PhaseTimeSeries] = {}
+        if i in trajectories:
+            series["numeric"] = series_from_trajectory(trajectories[i])
+        if scenario.engine in ("analytic", "both"):
+            series["analytic"] = series_from_closed_form(config, dist)
+        paths, deviation = _write_outputs(scenario, series)
+        substeps = len(trajectories[i].fine_taus) - 1 if i in trajectories else 0
+        integrator = {
+            "dt_internal": config.integrator_step(dist.n_max),
+            "substeps_total": substeps,
+            **evolve_stats.get(i, {"evolve_s": 0.0, "batch_size": 0}),
         }
-        paths += [num_path, ana_path, cmp_path]
-    else:
-        only = series[scenario.engine]
-        write_series_csv(out, only, scenario.emit_unwrapped)
-        paths.append(out)
+        metadata = {
+            "version": __version__,
+            "parameters": {k: v for k, v in asdict(scenario).items() if k != "out"},
+            "truncation": {
+                "n_max": dist.n_max,
+                "dropped_tail": dist.dropped_tail,
+                "epsilon_tail": config.field.epsilon_tail,
+                "norm_constant": dist.norm_constant,
+            },
+            "integrator": integrator,
+            "deviation": deviation,
+            "files": [str(p) for p in paths],
+        }
+        curves.append(RunResult(series=series, paths=tuple(paths), metadata=metadata))
 
     wall = time.perf_counter() - t_start
-    effective_dt = config.dt_internal
-    if effective_dt is None:
-        effective_dt = default_dt_internal(
-            config.delta, dist.n_max, config.p if config.motion is Motion.MOVING else 1
-        )
-    metadata = {
-        "version": __version__,
-        "parameters": {
-            k: v
-            for k, v in asdict(scenario).items()
-            if k not in ("out",)
+    substeps_total = sum(c.metadata["integrator"]["substeps_total"] for c in curves)
+    environment = environment_fingerprint()
+    for curve in curves:
+        curve.metadata.update(wall_time_s=wall, environment=environment)
+        for p in curve.paths:
+            if not p.name.endswith(".compare.csv"):
+                _write_meta(p, curve.metadata)
+    if not batch:
+        return curves[0]
+    return RunResult(
+        series={
+            f"{scenario.curve or i}/{engine}": s
+            for i, (scenario, curve) in enumerate(zip(scenarios, curves))
+            for engine, s in curve.series.items()
         },
-        "truncation": {
-            "n_max": dist.n_max,
-            "dropped_tail": dist.dropped_tail,
-            "epsilon_tail": config.field.epsilon_tail,
-            "norm_constant": dist.norm_constant,
+        paths=tuple(p for curve in curves for p in curve.paths),
+        metadata={
+            "curves": [curve.metadata for curve in curves],
+            "integrator": {"substeps_total": substeps_total},
+            "wall_time_s": wall,
         },
-        "integrator": {
-            "dt_internal": effective_dt,
-            "substeps_total": substeps,
-        },
-        "deviation": deviation,
-        "files": [str(p) for p in paths],
-        "wall_time_s": wall,
-    }
-    for p in paths:
-        if p.suffix == ".csv" and not p.name.endswith(".compare.csv"):
-            _write_meta(p, metadata)
-    return RunResult(series=series, paths=tuple(paths), metadata=metadata)
+    )
 
 
 def compare_engines(scenario: ScenarioConfig, tolerance: float = 1e-6) -> dict:
@@ -320,6 +427,7 @@ def compare_engines(scenario: ScenarioConfig, tolerance: float = 1e-6) -> dict:
 
     Raises ToleranceBreach when the deviation exceeds ``tolerance``.
     """
+    scenario.validate()
     if scenario.delta != 0.0:
         raise ConfigError("engine comparison requires delta=0")
     config = scenario.system_config()
@@ -432,24 +540,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    curves = PRESETS[args.name]
     out = Path(args.out) if args.out else Path(f"{args.name}.csv")
-    written: list[Path] = []
-    for label, params in curves:
-        curve_out = out if label == "" else out.with_name(
-            f"{out.stem}_{label}{out.suffix}"
-        )
-        scenario = ScenarioConfig(
+    scenarios = [
+        ScenarioConfig(
             **params,
             engine="numeric",
-            out=str(curve_out),
+            out=str(out.with_name(f"{out.stem}_{label}{out.suffix}") if label else out),
             emit_unwrapped=bool(args.emit_unwrapped),
             preset=args.name,
             curve=label or None,
         )
-        result = run_scenario(scenario)
-        written.extend(result.paths)
-    for p in written:
+        for label, params in PRESETS[args.name]
+    ]
+    for p in run_scenario(scenarios).paths:
         print(p)
     return EXIT_OK
 

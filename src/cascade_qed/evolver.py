@@ -19,16 +19,20 @@ Hamiltonian with its oscillating phases directly.
 
 Blocks evolve independently and are written to disjoint array regions, so
 processing order cannot change any amplitude; all reductions use a fixed
-deterministic order.
+deterministic order.  The two truncation-edge pairs are triples with one
+coupling zero, so one vectorized update advances every block at once, and
+curves that differ only in their initial state advance together as a batch
+that shares each propagator.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .field_states import superposed_distribution
 from .system import (
@@ -37,7 +41,6 @@ from .system import (
     Motion,
     SystemConfig,
     coupling_expectation,
-    default_dt_internal,
     initial_state,
     mode_shape,
 )
@@ -45,6 +48,7 @@ from .system import (
 __all__ = [
     "NormDriftError",
     "Trajectory",
+    "TrajectoryBatch",
     "ConvergenceReport",
     "block_hamiltonian",
     "step_propagator",
@@ -90,6 +94,19 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class TrajectoryBatch:
+    """Curves evolved together through shared propagators.
+
+    ``states`` stacks the curves' stored states, shape
+    (n_curves, n_out, 3, n_ph + 1); ``curves`` holds one ``Trajectory`` per
+    curve, in input order, whose arrays are views into the batch's.
+    """
+
+    states: np.ndarray
+    curves: tuple[Trajectory, ...]
+
+
+@dataclass(frozen=True)
 class ConvergenceReport:
     """Self-convergence probe: deviations under step halving."""
 
@@ -119,64 +136,54 @@ def block_hamiltonian(
     return h
 
 
-def _split_eigenvalues(delta: float, r2):
-    """Nonzero roots of E^2 - delta E - R^2 = 0, in cancellation-safe form.
+def _triple_step(u, v, w, r, xi, eta, delta: float, dtau: float) -> None:
+    """Advance coupling-triple lanes (u, v, w) in place by exp(-i dtau M),
 
-    Valid for r2 > 0; returns (E_plus, E_minus) with E_plus > 0 > E_minus.
+        M = [[0, r xi, 0], [r xi, delta, r eta], [0, r eta, 0]],  xi^2 + eta^2 = 1.
+
+    The dark combination eta u - xi w is stationary; the bright one
+    b = xi u + eta w and v mix through [[S0, r S1], [r S1, S2]], the
+    spectral sums over the roots E+- of E^2 - delta E - r^2 with
+    s = sqrt(delta^2 / 4 + r^2) and w+- = exp(-i dtau E+-):
+
+        S0 = (w- E+ - w+ E-) / 2s,  S1 = (w+ - w-) / 2s,  S2 = (w+ E+ - w- E-) / 2s.
+
+    The root of smaller magnitude is formed as -r^2 over the larger, so no
+    subtraction cancels for either sign of delta.  A lane with xi = 0 or
+    eta = 0 is a two-level block.  ``r``, ``xi`` and ``eta`` broadcast
+    against the lanes, which may carry leading curve axes; every lane needs
+    r != 0 or delta != 0.
     """
-    if delta == 0.0:
-        s = np.sqrt(r2)
-        return s, -s
-    s = np.sqrt(0.25 * delta * delta + r2)
-    if delta > 0.0:
-        e_plus = 0.5 * delta + s
-        return e_plus, -r2 / e_plus
-    e_minus = 0.5 * delta - s
-    return -r2 / e_minus, e_minus
+    r2 = r * r
+    s = np.sqrt(r2 + 0.25 * delta * delta)
+    if delta >= 0.0:
+        e_p = s + 0.5 * delta
+        e_m = -r2 / e_p
+    else:
+        e_m = 0.5 * delta - s
+        e_p = -r2 / e_m
+    half_inv_s = 0.5 / s
+    w_p = np.exp(e_p * (-1j * dtau))
+    w_m = np.exp(e_m * (-1j * dtau))
+    s0_minus_1 = (w_m * e_p - w_p * e_m) * half_inv_s - 1.0
+    rs1 = (w_p - w_m) * (r * half_inv_s)
+    s2 = (w_p * e_p - w_m * e_m) * half_inv_s
 
-
-def _triple_propagator_entries(x, y, delta: float, dtau: float):
-    """Entries of exp(-i dtau M) for M = [[0, x, 0], [x, delta, y], [0, y, 0]].
-
-    Spectral form over the exact eigenpairs: E = 0 with vector (y, 0, -x)
-    and E+- with vectors (x, E+-, y).  Vectorized over x, y lanes; requires
-    x^2 + y^2 > 0 (the caller short-circuits a vanishing mode shape).
-    Returns the six distinct entries of the symmetric result.
-    """
-    r2 = x * x + y * y
-    e_p, e_m = _split_eigenvalues(delta, r2)
-    w_p = np.exp(-1j * dtau * e_p)
-    w_m = np.exp(-1j * dtau * e_m)
-    n_p = r2 + e_p * e_p
-    n_m = r2 + e_m * e_m
-    u11 = y * y / r2 + w_p * (x * x) / n_p + w_m * (x * x) / n_m
-    u12 = w_p * (x * e_p) / n_p + w_m * (x * e_m) / n_m
-    u13 = -x * y / r2 + w_p * (x * y) / n_p + w_m * (x * y) / n_m
-    u22 = w_p * (e_p * e_p) / n_p + w_m * (e_m * e_m) / n_m
-    u23 = w_p * (y * e_p) / n_p + w_m * (y * e_m) / n_m
-    u33 = x * x / r2 + w_p * (y * y) / n_p + w_m * (y * y) / n_m
-    return u11, u12, u13, u22, u23, u33
-
-
-def _pair_propagator_entries(d1: float, d2: float, c, dtau: float):
-    """Entries of exp(-i dtau M) for the 2x2 block M = [[d1, c], [c, d2]]."""
-    mu = 0.5 * (d1 + d2)
-    half_gap = 0.5 * (d1 - d2)
-    s = np.sqrt(half_gap * half_gap + c * c)
-    cos_s = np.cos(dtau * s)
-    sinc_s = np.where(s > 0.0, np.divide(np.sin(dtau * s), np.where(s > 0.0, s, 1.0)), dtau)
-    g = np.exp(-1j * dtau * mu)
-    p00 = g * (cos_s - 1j * sinc_s * half_gap)
-    p01 = g * (-1j * sinc_s * c)
-    p11 = g * (cos_s + 1j * sinc_s * half_gap)
-    return p00, p01, p11
+    bright = xi * u + eta * w
+    shift = s0_minus_1 * bright + rs1 * v
+    np.add(rs1 * bright, s2 * v, out=v)
+    u += xi * shift
+    w += eta * shift
 
 
 def step_propagator(h: np.ndarray, dtau: float) -> np.ndarray:
     """Exact unitary exp(-i h dtau) for a frozen block Hamiltonian.
 
-    Closed form for 1x1 and 2x2 blocks and for the coupling-triple
-    structure; any other Hermitian input falls back to an eigensolver.
+    Diagonal blocks are phases.  Real 2x2 blocks and the coupling-triple
+    structure go through ``_triple_step``, the update ``evolve`` applies,
+    propagating the unit vectors (a 2x2 block is a triple lane with one
+    coupling zero, once the phase of its second diagonal entry is taken
+    out).  Any other Hermitian input falls back to an eigensolver.
     """
     h = np.asarray(h)
     if dtau <= 0.0:
@@ -186,152 +193,155 @@ def step_propagator(h: np.ndarray, dtau: float) -> np.ndarray:
     if np.max(np.abs(h - h.conj().T)) > _HERMITICITY_TOL:
         raise ValueError("block Hamiltonian is not Hermitian within 1e-12")
     n = h.shape[0]
+    diagonal = np.diag(h).real
+    if not np.any(h - np.diag(np.diag(h))):
+        return np.diag(np.exp(-1j * dtau * diagonal))
     real_symmetric = np.isrealobj(h) or not np.any(h.imag)
-    if n == 1:
-        return np.array([[np.exp(-1j * dtau * complex(h[0, 0]).real)]])
+    columns = np.eye(3, dtype=complex)
+    u, v, w = columns
     if n == 2 and real_symmetric:
-        p00, p01, p11 = _pair_propagator_entries(
-            float(h[0, 0].real), float(h[1, 1].real), float(h[0, 1].real), dtau
-        )
-        return np.array([[p00, p01], [p01, p11]])
+        d1, d2 = diagonal
+        _triple_step(u[1:], v[1:], w[1:], float(h[0, 1].real), 0.0, 1.0, d1 - d2, dtau)
+        return np.exp(-1j * dtau * d2) * columns[1:, 1:]
     is_triple_shape = (
         n == 3
         and real_symmetric
         and h[0, 0] == 0.0
         and h[2, 2] == 0.0
         and h[0, 2] == 0.0
-        and (h[0, 1] != 0.0 or h[1, 2] != 0.0)
     )
     if is_triple_shape:
-        u11, u12, u13, u22, u23, u33 = _triple_propagator_entries(
-            float(h[0, 1].real), float(h[1, 2].real), float(h[1, 1].real), dtau
-        )
-        return np.array(
-            [[u11, u12, u13], [u12, u22, u23], [u13, u23, u33]]
-        )
+        x, y = float(h[0, 1].real), float(h[1, 2].real)
+        r = math.hypot(x, y)
+        _triple_step(u, v, w, r, x / r, y / r, float(diagonal[1]), dtau)
+        return columns
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * dtau * vals)) @ vecs.conj().T
 
 
-def evolve(initial: CompositeState, config: SystemConfig) -> Trajectory:
-    """Propagate the composite state over the configured output grid.
+def _norms(states: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each state in a stack of shape (n, 3, n_ph + 1)."""
+    flat = np.abs(states).reshape(len(states), -1)
+    return np.sqrt(np.add.reduce(np.square(flat), axis=1))
 
-    Each output interval is covered by equal substeps no longer than
-    ``dt_internal``; every substep applies the exact exponential of the
+
+def evolve(
+    initial: CompositeState | Sequence[CompositeState], config: SystemConfig
+) -> Trajectory | TrajectoryBatch:
+    """Propagate composite states over the configured output grid.
+
+    Each output interval is covered by equal substeps no longer than the
+    integrator step; every substep applies the exact exponential of the
     rotating-frame Hamiltonian frozen at the substep midpoint (observed
     global error is second order in the substep, and the step is exact
     whenever the mode shape is constant).  Aborts when the norm drifts
     beyond 1e-6.
+
+    A sequence of states on one basis evolves as a batch: they share every
+    propagator, and each curve's amplitudes equal those of evolving it
+    alone.  A single state returns its ``Trajectory``; a sequence returns a
+    ``TrajectoryBatch``.
     """
-    amps = np.array(initial.amplitudes, dtype=complex)
-    n_ph = amps.shape[1] - 1
-    flat = np.abs(amps.ravel())
-    norm0 = math.sqrt(float(np.add.reduce(flat * flat)))
-    if abs(norm0 - 1.0) > _NORM_DRIFT_LIMIT:
-        raise ValueError(f"initial state must be unit norm, got {norm0!r}")
+    batch = not isinstance(initial, CompositeState)
+    members = list(initial) if batch else [initial]
+    if not members or len({m.amplitudes.shape for m in members}) != 1:
+        raise ValueError("evolve needs at least one state, all on the same basis")
+    amps = np.array([m.amplitudes for m in members], dtype=complex)
+    n_curves, _, width = amps.shape
+    n_ph = width - 1
+    norm0 = _norms(amps)
+    if np.any(np.abs(norm0 - 1.0) > _NORM_DRIFT_LIMIT):
+        raise ValueError(f"initial states must be unit norm, got norms {norm0.tolist()}")
 
     delta = float(config.delta)
     moving = config.motion is Motion.MOVING
     p = config.p
     taus = np.linspace(0.0, config.tau_max, config.n_steps)
-    dt = config.dt_internal
-    if dt is None:
-        dt = default_dt_internal(delta, n_ph - 2, p if moving else 1)
+    dt = config.integrator_step(n_ph - 2)
+    grid = taus.tolist()
+    substeps = [
+        max(1, math.ceil((hi - lo) / dt - 1e-12)) for lo, hi in zip(grid, grid[1:])
+    ]
+    out_idx = np.concatenate(([0], np.cumsum(substeps))).astype(np.intp)
 
-    # coupling-triple lanes n = 0..n_ph-2 plus the two edge pairs
-    ladder = np.arange(n_ph - 1, dtype=float)
-    c_a = np.sqrt(ladder + 1.0)
-    c_b = np.sqrt(ladder + 2.0)
-    c_top = math.sqrt(float(n_ph))
+    # Lane j = 0..n_ph holds |1, j-1>, |2, j>, |3, j+1> with couplings
+    # lambda sqrt(j) and lambda sqrt(j+1): lanes 1..n_ph-1 are the full
+    # triples, lane 0 is the bottom pair (|2,0>, |3,1>) and lane n_ph the
+    # top pair (|1,n_ph-1>, |2,n_ph>); the singletons |3,0> and |1,n_ph> are
+    # stationary.  Each curve's state sits in a row of ``buffer`` padded
+    # with a zero before and two after, so that the lanes are a strided view
+    # of the same memory, with the missing partners of the edge pairs
+    # falling on the padding.
+    buffer = np.zeros((n_curves, 3 * (width + 1)), dtype=complex)
+    psi = buffer[:, 1 : 1 + 3 * width].reshape(n_curves, 3, width)
+    psi[...] = amps
+    u, v, w = np.moveaxis(buffer.reshape(n_curves, 3, width + 1)[:, :, :width], 1, 0)
+    lane = np.arange(width, dtype=float)
+    a2 = lane
+    b2 = np.where(lane < n_ph, lane + 1.0, 0.0)
+    sqrt_r = np.sqrt(a2 + b2)
+    # complex dtype, so that the lane updates multiply without a cast
+    xi = (np.sqrt(a2) / sqrt_r).astype(complex)
+    eta = (np.sqrt(b2) / sqrt_r).astype(complex)
 
-    n_out = len(taus)
-    states = np.empty((n_out, 3, n_ph + 1), dtype=complex)
-    exp_v = np.empty(n_out)
-    h_exp = np.empty(n_out)
-    norm_err = np.empty(n_out)
-    fine_taus = [0.0]
-    lam0 = math.sin(p * 0.0) if moving else 1.0
-    v_rot = coupling_expectation(amps)
-    fine_h = [lam0 * v_rot]
-    out_idx = np.empty(n_out, dtype=np.intp)
-    out_idx[0] = 0
+    n_out = len(grid)
+    states = np.empty((n_curves, n_out, 3, width), dtype=complex)
+    states[:, 0] = psi
+    norm_err = np.empty((n_curves, n_out))
+    norm_err[:, 0] = np.abs(norm0 - 1.0)
+    fine_taus = np.empty(out_idx[-1] + 1)
+    fine_lam = np.empty_like(fine_taus)
+    fine_v = np.empty((n_curves, len(fine_taus)))
+    fine_taus[0] = 0.0
+    fine_lam[0] = math.sin(p * 0.0) if moving else 1.0
+    fine_v[:, 0] = coupling_expectation(psi)
 
-    states[0] = amps
-    exp_v[0] = v_rot
-    h_exp[0] = fine_h[0]
-    norm_err[0] = abs(norm0 - 1.0)
-
-    psi = amps  # rotating-frame working state (owned copy)
-    for k in range(n_out - 1):
-        t_lo = taus[k]
-        t_hi = taus[k + 1]
-        span = t_hi - t_lo
-        m = max(1, int(math.ceil(span / dt - 1e-12)))
-        h_sub = span / m
+    node = 0
+    for k, m in enumerate(substeps):
+        t_lo = grid[k]
+        t_hi = grid[k + 1]
+        h_sub = (t_hi - t_lo) / m
         for j in range(m):
-            t_mid = t_lo + (j + 0.5) * h_sub
-            lam = math.sin(p * t_mid) if moving else 1.0
-            if lam == 0.0:
-                # mode node: the block couplings vanish and only the
-                # detuning diagonal advances level-2 phases
-                psi[1, :] *= np.exp(-1j * h_sub * delta)
-            else:
-                u11, u12, u13, u22, u23, u33 = _triple_propagator_entries(
-                    lam * c_a, lam * c_b, delta, h_sub
-                )
-                u = psi[0, : n_ph - 1]
-                v = psi[1, 1:n_ph]
-                w = psi[2, 2 : n_ph + 1]
-                nu = u11 * u + u12 * v + u13 * w
-                nv = u12 * u + u22 * v + u23 * w
-                nw = u13 * u + u23 * v + u33 * w
-                psi[0, : n_ph - 1] = nu
-                psi[1, 1:n_ph] = nv
-                psi[2, 2 : n_ph + 1] = nw
-                p00, p01, p11 = _pair_propagator_entries(delta, 0.0, lam, h_sub)
-                q0 = psi[1, 0]
-                q1 = psi[2, 1]
-                psi[1, 0] = p00 * q0 + p01 * q1
-                psi[2, 1] = p01 * q0 + p11 * q1
-                p00, p01, p11 = _pair_propagator_entries(
-                    0.0, delta, lam * c_top, h_sub
-                )
-                q0 = psi[0, n_ph - 1]
-                q1 = psi[1, n_ph]
-                psi[0, n_ph - 1] = p00 * q0 + p01 * q1
-                psi[1, n_ph] = p01 * q0 + p11 * q1
+            lam = math.sin(p * (t_lo + (j + 0.5) * h_sub)) if moving else 1.0
+            if lam != 0.0 or delta != 0.0:  # else H vanishes and nothing moves
+                _triple_step(u, v, w, lam * sqrt_r, xi, eta, delta, h_sub)
+            node += 1
             t_node = t_hi if j == m - 1 else t_lo + (j + 1) * h_sub
-            lam_node = math.sin(p * t_node) if moving else 1.0
-            fine_taus.append(t_node)
-            fine_h.append(lam_node * coupling_expectation(psi))
-        out_idx[k + 1] = len(fine_taus) - 1
+            fine_taus[node] = t_node
+            fine_lam[node] = math.sin(p * t_node) if moving else 1.0
+            fine_v[:, node] = coupling_expectation(psi)
 
-        stored = psi.copy()
+        stored = states[:, k + 1]
+        stored[...] = psi
         if delta != 0.0:
-            stored[1, :] *= np.exp(1j * delta * t_hi)
-        states[k + 1] = stored
-        exp_v[k + 1] = coupling_expectation(stored)
-        h_exp[k + 1] = fine_h[-1]
-        flat = np.abs(stored.ravel())
-        drift = abs(math.sqrt(float(np.add.reduce(flat * flat))) - 1.0)
-        norm_err[k + 1] = drift
-        if drift > _NORM_DRIFT_LIMIT:
+            stored[:, 1] *= cmath.exp(1j * delta * t_hi)
+        drift = np.abs(_norms(stored) - 1.0)
+        norm_err[:, k + 1] = drift
+        worst = int(np.argmax(drift))
+        if drift[worst] > _NORM_DRIFT_LIMIT:
             raise NormDriftError(
-                f"norm drifted by {drift:.3e} at tau = {t_hi:.6f} "
-                f"(dt_internal = {dt}, n_ph = {n_ph})"
+                f"norm drifted by {drift[worst]:.3e} at tau = {t_hi:.6f} "
+                f"(curve {worst}, dt_internal = {dt}, n_ph = {n_ph})"
             )
 
     states.setflags(write=False)
-    return Trajectory(
-        taus=taus,
-        states=states,
-        expectation_V=exp_v,
-        h_expectation=h_exp,
-        norm_error=norm_err,
-        fine_taus=np.asarray(fine_taus),
-        fine_h_expectation=np.asarray(fine_h),
-        output_indices=out_idx,
+    exp_v = coupling_expectation(states)
+    fine_h = fine_v * fine_lam
+    h_exp = fine_h[:, out_idx]
+    curves = tuple(
+        Trajectory(
+            taus=taus,
+            states=states[c],
+            expectation_V=exp_v[c],
+            h_expectation=h_exp[c],
+            norm_error=norm_err[c],
+            fine_taus=fine_taus,
+            fine_h_expectation=fine_h[c],
+            output_indices=out_idx,
+        )
+        for c in range(n_curves)
     )
+    return TrajectoryBatch(states=states, curves=curves) if batch else curves[0]
 
 
 def convergence_probe(config: SystemConfig) -> ConvergenceReport:
@@ -344,13 +354,7 @@ def convergence_probe(config: SystemConfig) -> ConvergenceReport:
     """
     dist = superposed_distribution(config.field)
     psi0 = initial_state(config, dist)
-    dt0 = config.dt_internal
-    if dt0 is None:
-        dt0 = default_dt_internal(
-            config.delta,
-            dist.n_max,
-            config.p if config.motion is Motion.MOVING else 1,
-        )
+    dt0 = config.integrator_step(dist.n_max)
     runs = [
         evolve(psi0, replace(config, dt_internal=dt0 / 2.0**i)).states
         for i in range(3)
@@ -380,6 +384,8 @@ def lab_frame_reference(
     Intended for small toy bases; returns states of shape
     (len(taus), 3, n_ph + 1) in the same picture as ``evolve`` output.
     """
+    from scipy.integrate import solve_ivp  # only this oracle needs scipy
+
     taus = np.asarray(taus, dtype=float)
     amps = np.asarray(initial.amplitudes, dtype=complex)
     n_ph = amps.shape[1] - 1

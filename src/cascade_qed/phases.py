@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .field_states import PhotonDistribution
 from .resonant import dynamical_phase_resonant, overlap_series
@@ -92,9 +91,9 @@ def dynamical_phase(trajectory: Trajectory) -> np.ndarray:
     oscillates at the ladder frequencies, which the coarser output grid
     would alias) and is sampled back at the output nodes.
     """
-    fine = -cumulative_trapezoid(
-        trajectory.fine_h_expectation, trajectory.fine_taus, initial=0.0
-    )
+    x = trajectory.fine_taus
+    y = trajectory.fine_h_expectation
+    fine = -np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
     return fine[trajectory.output_indices]
 
 

@@ -12,6 +12,7 @@ closed form (1 - cos(p tau)) / p.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,6 +79,14 @@ class SystemConfig:
             math.isfinite(self.dt_internal) and self.dt_internal > 0.0
         ):
             raise ValueError(f"dt_internal must be > 0, got {self.dt_internal!r}")
+
+    def integrator_step(self, n_max: int) -> float:
+        """``dt_internal``, or the automatic step for a field cut at n_max."""
+        if self.dt_internal is not None:
+            return self.dt_internal
+        return default_dt_internal(
+            self.delta, n_max, self.p if self.motion is Motion.MOVING else 1
+        )
 
 
 @dataclass(frozen=True)
@@ -203,18 +212,35 @@ def build_blocks(n_ph: int) -> tuple[ManifoldBlock, ...]:
     return tuple(blocks)
 
 
-def coupling_expectation(state: CompositeState | np.ndarray) -> float:
+@functools.lru_cache(maxsize=64)
+def _coupling_weights(n_ph: int) -> np.ndarray:
+    """2 sqrt(n + 1) for n = 0..n_ph-1, each twice: the ladder couplings of
+    a basis cut at n_ph, laid out against interleaved (re, im) pairs."""
+    weights = np.repeat(2.0 * np.sqrt(np.arange(1.0, n_ph + 1.0)), 2)
+    weights.setflags(write=False)
+    return weights
+
+
+def coupling_expectation(state: CompositeState | np.ndarray) -> float | np.ndarray:
     """Expectation of the coupling operator V (H = g lambda(tau) V on resonance).
 
     V connects |1,n> <-> |2,n+1> with sqrt(n+1) and |2,m> <-> |3,m+1> with
-    sqrt(m+1); its expectation is conserved under resonant evolution.
+    sqrt(m+1); its expectation is conserved under resonant evolution.  An
+    array of shape (..., 3, n_ph + 1) gives one value per leading index (a
+    float for a single state).
     """
-    a = state.amplitudes if isinstance(state, CompositeState) else np.asarray(state)
-    n_ph = a.shape[1] - 1
-    roots = np.sqrt(np.arange(1.0, n_ph + 1.0))
-    upper_mid = (np.conj(a[1, 1:]) * a[0, :-1]).real * roots
-    mid_ground = (np.conj(a[2, 1:]) * a[1, :-1]).real * roots
-    return 2.0 * float(np.add.reduce(upper_mid) + np.add.reduce(mid_ground))
+    if isinstance(state, CompositeState):
+        a = state.amplitudes
+    else:
+        a = np.asarray(state, dtype=complex)
+    if a.strides[-1] != a.itemsize:
+        a = a.copy()
+    # Re(conj(p) q) = Re p Re q + Im p Im q: products of the float view,
+    # whose last axis interleaves the real and imaginary parts
+    f = a.view(float)
+    terms = f[..., 1, 2:] * f[..., 0, :-2] + f[..., 2, 2:] * f[..., 1, :-2]
+    total = np.add.reduce(terms * _coupling_weights(a.shape[-1] - 1), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def default_dt_internal(delta: float, n_max: int, p: int = 1) -> float:

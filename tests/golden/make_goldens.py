@@ -12,7 +12,7 @@ write anything unless both independent cross-checks pass:
 On success it writes ``<curve>.npz`` (every CSV column at full float64
 precision) and ``preset_hashes.json`` (the CSV sha256 values with the
 environment fingerprint they hold for), and prints both measured
-deviations.  Run from the repository root (about fifteen seconds):
+deviations.  Run from the repository root (about four seconds):
 
     python3 tests/golden/make_goldens.py
 """

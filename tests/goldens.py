@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import platform
 from pathlib import Path
 
 import numpy as np
+
+# the fingerprint every run sidecar records
+from cascade_qed.cli import environment_fingerprint  # noqa: F401
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HASHES_PATH = GOLDEN_DIR / "preset_hashes.json"
@@ -62,31 +64,6 @@ def load_golden(name: str) -> dict[str, np.ndarray]:
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def environment_fingerprint() -> dict:
-    """What CSV bytes depend on besides the code: versions, libc, SIMD level.
-
-    ``simd`` lists numpy's dispatch targets that are enabled at run time, so
-    it follows ``NPY_DISABLE_CPU_FEATURES`` as well as the CPU.
-    """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    try:
-        import scipy
-        scipy_version = scipy.__version__
-    except ImportError:
-        scipy_version = None
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy_version,
-        "machine": platform.machine(),
-        "libc": list(platform.libc_ver()),
-        "simd": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
-    }
 
 
 def _deviation(column: str, got: np.ndarray, want: np.ndarray) -> np.ndarray:

@@ -9,6 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from cascade_qed.cli import (
+    ScenarioConfig, environment_fingerprint, list_presets, main, run_scenario,
+)
+
 EXPECTED_HEADER = (
     "tau,x,y,phi_pancharatnam,phi_dynamical,phi_geometric,phi_eq5,"
     "rho11,rho22,rho33,norm_error"
@@ -73,7 +77,11 @@ class TestRun:
         assert meta["parameters"]["alpha"] == 1.5
         assert meta["truncation"]["n_max"] >= 2
         assert meta["integrator"]["substeps_total"] > 0
+        assert meta["integrator"]["batch_size"] == 1
+        assert meta["integrator"]["evolve_s"] > 0.0
         assert "wall_time_s" in meta
+        assert meta["environment"] == environment_fingerprint()
+        assert set(meta["environment"]) == {"python", "numpy", "scipy", "machine", "libc", "simd"}
 
     def test_seventeen_digit_roundtrip(self, tmp_path: Path):
         out = tmp_path / "run.csv"
@@ -174,6 +182,21 @@ class TestConfigFile:
         assert cp.returncode == 2
         assert "bogus" in cp.stderr
 
+    @pytest.mark.parametrize("key, value", [
+        ("steps", 20.0), ("alpha", "5"), ("p", 1.5), ("emit_unwrapped", "no"),
+    ])
+    def test_mistyped_config_value_rejected(self, tmp_path: Path, key, value):
+        cfg = dict(alpha=1.5, theta=0.6, tau_max=3.0, steps=25, dt=0.005,
+                   engine="numeric", out=str(tmp_path / "t.csv"))
+        cfg[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        cp = run_cli("run", "--config", str(cfg_path))
+        assert cp.returncode == 2, cp.stderr
+        assert cp.stderr.startswith(f"error: {key} must be ")
+        assert "Traceback" not in cp.stderr
+        assert not (tmp_path / "t.csv").exists()
+
     def test_missing_config_file_rejected(self, tmp_path: Path):
         cp = run_cli("run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv"))
@@ -204,6 +227,54 @@ class TestCompare:
     def test_detuned_compare_is_config_error(self):
         cp = run_cli("compare", "--delta", "5", "--steps", "50")
         assert cp.returncode == 2
+
+
+class TestBatchedCurves:
+    def test_preset_curves_match_single_runs(self, tmp_path: Path, capsys):
+        assert main(["preset", "fig4b", "--out", str(tmp_path / "fig4b.csv")]) == 0
+        for label, params in list_presets()["fig4b"]:
+            argv = ["run", "--engine", "numeric", "--out", str(tmp_path / f"{label}.csv")]
+            for key, value in params.items():
+                argv += [f"--{key.replace('_', '-')}", str(value)]
+            assert main(argv) == 0
+            batched = tmp_path / f"fig4b_{label}.csv"
+            assert batched.read_bytes() == (tmp_path / f"{label}.csv").read_bytes()
+            meta = json.loads((tmp_path / f"fig4b_{label}.csv.meta.json").read_text())
+            assert meta["integrator"]["batch_size"] == 2
+            assert meta["truncation"]["n_max"] == 70
+        capsys.readouterr()
+
+    def test_bases_of_different_size_evolve_apart(self, tmp_path: Path):
+        # at alpha = 2 the even cat (r = 1) keeps one photon fewer than the
+        # coherent state and the odd cat
+        base = dict(alpha=2.0, delta=5.0, p=2, tau_max=2.0, steps=21, dt=0.005,
+                    engine="numeric")
+        curves = [("coherent", 0.0, 0.3), ("even", 1.0, 0.9), ("odd", -1.0, 1.2)]
+        batch = [ScenarioConfig(**base, r=r, theta=theta, curve=label,
+                                out=str(tmp_path / f"b_{label}.csv"))
+                 for label, r, theta in curves]
+        result = run_scenario(batch)
+        sizes, substeps = {}, 0
+        for label, r, theta in curves:
+            alone = run_scenario(ScenarioConfig(**base, r=r, theta=theta,
+                                                out=str(tmp_path / f"s_{label}.csv")))
+            assert (tmp_path / f"b_{label}.csv").read_bytes() == (
+                tmp_path / f"s_{label}.csv").read_bytes()
+            meta = json.loads((tmp_path / f"b_{label}.csv.meta.json").read_text())
+            sizes[label] = (meta["truncation"]["n_max"], meta["integrator"]["batch_size"])
+            substeps += alone.metadata["integrator"]["substeps_total"]
+        assert sizes["coherent"][0] == sizes["odd"][0] != sizes["even"][0]
+        assert [size for _, size in sizes.values()] == [2, 1, 2]
+        assert result.metadata["integrator"]["substeps_total"] == substeps
+        assert sorted(result.series) == ["coherent/numeric", "even/numeric", "odd/numeric"]
+
+
+def test_import_loads_numpy_only():
+    code = ("import sys, cascade_qed; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[]"
 
 
 class TestDeterminism:

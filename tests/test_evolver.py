@@ -20,6 +20,7 @@ from cascade_qed import (
     step_propagator,
     superposed_distribution,
 )
+from cascade_qed.evolver import TrajectoryBatch, _triple_step
 
 
 def make_config(**kwargs):
@@ -109,7 +110,8 @@ class TestStepPropagator:
         assert np.max(np.abs(u - expm(-1j * dtau * h))) < 1e-12
 
     def test_pair_unitary_and_matches_expm(self):
-        for d1, d2, c in [(20.0, 0.0, 0.3), (0.0, 20.0, 1.4), (0.0, 0.0, 2.0)]:
+        for d1, d2, c in [(20.0, 0.0, 0.3), (0.0, 20.0, 1.4), (0.0, 0.0, 2.0),
+                          (3.0, -1.5, -0.8), (2.5, 2.5, 0.0)]:
             h = np.array([[d1, c], [c, d2]])
             u = step_propagator(h, 0.11)
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
@@ -213,6 +215,50 @@ class TestEvolve:
         traj = evolve(initial_state(cfg, dist), cfg)
         with pytest.raises(ValueError):
             traj.states[0, 0, 0] = 1.0
+
+
+class TestBatch:
+    """Curves evolved together equal the same curves evolved alone."""
+
+    @pytest.mark.parametrize("delta", [7.0, -9.0, 0.0])
+    def test_group_matches_single_runs(self, delta):
+        cfg = make_config(delta=delta, p=2, tau_max=2.0, n_steps=21, dt_internal=0.01)
+        group = [random_state(5, seed=s) for s in (1, 2, 3)]
+        batch = evolve(group, cfg)
+        assert isinstance(batch, TrajectoryBatch)
+        assert batch.states.shape == (3, 21, 3, 6)
+        for state, curve in zip(group, batch.curves):
+            alone = evolve(state, cfg)
+            for field in ("states", "expectation_V", "h_expectation", "norm_error",
+                          "fine_h_expectation"):
+                assert np.max(np.abs(getattr(curve, field) - getattr(alone, field))) <= 1e-13
+            assert np.array_equal(curve.fine_taus, alone.fine_taus)
+        with pytest.raises(ValueError):
+            batch.states[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("delta", [6.0, -6.0])
+    def test_mode_node_step_matches_single_lanes(self, delta):
+        # at a node (coupling r = 0) only the level-2 detuning phase advances
+        rng = np.random.default_rng(9)
+        lanes = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+        xi = np.array([0.0, 0.6, 0.8, 1.0], dtype=complex)
+        eta = np.sqrt(1.0 - np.abs(xi) ** 2).astype(complex)
+        r = np.zeros(4)
+        together = lanes.copy()
+        _triple_step(*together, r, xi, eta, delta, 0.02)
+        for c in range(2):
+            alone = lanes[:, c].copy()
+            _triple_step(*alone, r, xi, eta, delta, 0.02)
+            assert np.max(np.abs(together[:, c] - alone)) <= 1e-13
+        expected = lanes * np.array([1.0, np.exp(-0.02j * delta), 1.0])[:, None, None]
+        assert np.max(np.abs(together - expected)) < 1e-15
+
+    def test_group_needs_one_basis(self):
+        cfg = make_config(tau_max=1.0, n_steps=5)
+        with pytest.raises(ValueError):
+            evolve([random_state(4), random_state(5)], cfg)
+        with pytest.raises(ValueError):
+            evolve([], cfg)
 
 
 class TestBlockIndependence:
