@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolver import NormDriftError, evolve
+from .evolver import NormDriftError, Trajectory, evolve
 from .field_states import FieldSpec, FieldSpecError, superposed_distribution
 from .phases import (
     PhaseTimeSeries,
@@ -329,6 +329,21 @@ def _write_outputs(scenario: ScenarioConfig, series: dict[str, PhaseTimeSeries])
     return [num_path, ana_path, cmp_path], deviation
 
 
+def _integrator_diagnostics(trajectory: Trajectory, config: SystemConfig) -> dict:
+    """Substep count and how far the monitored invariants moved: the norm
+    always, the conserved <V> on resonance."""
+    worst = int(np.argmax(trajectory.norm_error))
+    drifts = {
+        "substeps_total": trajectory.substeps,
+        "max_norm_drift": float(trajectory.norm_error[worst]),
+        "max_norm_drift_tau": float(trajectory.taus[worst]),
+    }
+    if config.delta == 0.0:
+        v = trajectory.expectation_V
+        drifts["max_v_drift"] = float(np.max(np.abs(v - v[0])))
+    return drifts
+
+
 def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunResult:
     """Run one scenario, or several as a batch, and write CSV plus sidecars.
 
@@ -376,12 +391,14 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
         if scenario.engine in ("analytic", "both"):
             series["analytic"] = series_from_closed_form(config, dist)
         paths, deviation = _write_outputs(scenario, series)
-        substeps = len(trajectories[i].fine_taus) - 1 if i in trajectories else 0
         integrator = {
+            "scheme": "cf4",
             "dt_internal": config.integrator_step(dist.n_max),
-            "substeps_total": substeps,
+            "substeps_total": 0,
             **evolve_stats.get(i, {"evolve_s": 0.0, "batch_size": 0}),
         }
+        if i in trajectories:
+            integrator.update(_integrator_diagnostics(trajectories[i], config))
         metadata = {
             "version": __version__,
             "parameters": {k: v for k, v in asdict(scenario).items() if k != "out"},

@@ -7,15 +7,23 @@ which turns each invariant block into a real symmetric matrix
 
     H'(tau) = lambda(tau) * couplings  +  delta on level-2 diagonal entries
 
-whose only time dependence is the smooth mode shape.  Propagation freezes
-H' at each step midpoint and applies its exact exponential, built in closed
-form from the block spectrum (the characteristic polynomial of a coupling
-triple factors as E (E^2 - delta E - R^2), so no iterative eigensolver is
-needed on the hot path).  The frame is undone before states are stored, so
-stored amplitudes, overlaps and phases all live in the same interaction
-picture as the closed-form resonant route; the sign convention of the frame
-map is pinned by ``lab_frame_reference``, which integrates the original
-Hamiltonian with its oscillating phases directly.
+whose only time dependence is the smooth mode shape.  Propagation uses the
+fourth-order commutator-free Magnus scheme CF4 (Blanes & Moan, Appl. Numer.
+Math. 56 (2006) 1519): over a step [t, t + h] it samples lambda at the two
+Gauss nodes and applies two exact exponentials of H' with effective mode
+amplitudes, each over h/2.  Both have the coupling-triple form, whose
+exponential is built in closed form from the block spectrum (the
+characteristic polynomial of a triple factors as E (E^2 - delta E - R^2),
+so no iterative eigensolver is needed on the hot path).  The frame is
+undone before states are stored, so stored amplitudes, overlaps and phases
+all live in the same interaction picture as the closed-form resonant route;
+the sign convention of the frame map is pinned by ``lab_frame_reference``,
+which integrates the original Hamiltonian with its oscillating phases
+directly.
+
+The dynamical phase is integrated on the same step grid, to the same
+order: the trapezoid sum of <H> with the Euler-Maclaurin endpoint
+correction, which takes the exact derivative d<H>/dtau at every node.
 
 Blocks evolve independently and are written to disjoint array regions, so
 processing order cannot change any amplitude; all reductions use a fixed
@@ -27,7 +35,6 @@ that shares each propagator.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -40,8 +47,8 @@ from .system import (
     ManifoldBlock,
     Motion,
     SystemConfig,
-    coupling_expectation,
     initial_state,
+    ladder_expectation,
     mode_shape,
 )
 
@@ -60,6 +67,16 @@ __all__ = [
 _NORM_DRIFT_LIMIT = 1e-6
 _HERMITICITY_TOL = 1e-12
 
+# CF4: lambda is sampled at the Gauss nodes t + (1/2 -+ sqrt(3)/6) h, and the
+# two exponentials carry 2 (a2 lam1 + a1 lam2) and 2 (a1 lam1 + a2 lam2) with
+# a1,2 = (3 -+ 2 sqrt(3)) / 12, that is mean(lam) +- (lam1 - lam2) / sqrt(3)
+# (exactly 1 for a constant mode shape).
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+_CF4_SKEW = 1.0 / math.sqrt(3.0)
+# steps whose plane maps are built together: enough to amortize the build's
+# numpy calls, few enough that its temporaries stay small
+_CHUNK = 128
+
 
 class NormDriftError(RuntimeError):
     """State norm drifted beyond tolerance (broken propagator or input)."""
@@ -70,10 +87,10 @@ class Trajectory:
     """Stored evolution: states on the output grid plus diagnostics.
 
     ``expectation_V`` is the coupling-operator expectation (conserved on
-    resonance); ``h_expectation`` is <H(tau)>/g in the interaction picture.
-    The fine internal-grid samples of <H>/g are kept separately so that the
-    dynamical-phase quadrature does not alias the fast oscillations;
-    ``output_indices`` locates the output nodes inside the fine grid.
+    resonance); ``h_expectation`` is <H(tau)>/g in the interaction picture
+    and ``phi_dynamical`` the accumulated dynamical phase, minus the
+    integral of <H>/g from 0, both on the output grid.  ``substeps`` counts
+    the integrator steps taken.
     """
 
     taus: np.ndarray
@@ -81,9 +98,8 @@ class Trajectory:
     expectation_V: np.ndarray
     h_expectation: np.ndarray
     norm_error: np.ndarray
-    fine_taus: np.ndarray
-    fine_h_expectation: np.ndarray
-    output_indices: np.ndarray
+    phi_dynamical: np.ndarray
+    substeps: int
 
     @property
     def n_ph(self) -> int:
@@ -136,52 +152,93 @@ def block_hamiltonian(
     return h
 
 
-def _triple_step(u, v, w, r, xi, eta, delta: float, dtau: float) -> None:
-    """Advance coupling-triple lanes (u, v, w) in place by exp(-i dtau M),
+def _plane_sums(r, delta: float, dtau):
+    """Action of exp(-i dtau M) on the (bright, middle) plane of triple lanes,
 
         M = [[0, r xi, 0], [r xi, delta, r eta], [0, r eta, 0]],  xi^2 + eta^2 = 1.
 
-    The dark combination eta u - xi w is stationary; the bright one
-    b = xi u + eta w and v mix through [[S0, r S1], [r S1, S2]], the
-    spectral sums over the roots E+- of E^2 - delta E - r^2 with
+    The dark combination eta u - xi w of a lane (u, v, w) is stationary; the
+    bright one b = xi u + eta w and v mix through [[S0, r S1], [r S1, S2]],
+    the spectral sums over the roots E+- of E^2 - delta E - r^2 with
     s = sqrt(delta^2 / 4 + r^2) and w+- = exp(-i dtau E+-):
 
         S0 = (w- E+ - w+ E-) / 2s,  S1 = (w+ - w-) / 2s,  S2 = (w+ E+ - w- E-) / 2s.
 
-    The root of smaller magnitude is formed as -r^2 over the larger, so no
-    subtraction cancels for either sign of delta.  A lane with xi = 0 or
-    eta = 0 is a two-level block.  ``r``, ``xi`` and ``eta`` broadcast
-    against the lanes, which may carry leading curve axes; every lane needs
-    r != 0 or delta != 0.
+    Returns (S0 - 1, r S1, S2).  The root of smaller magnitude is formed as
+    -r^2 over the larger, so no subtraction cancels for either sign of
+    delta; at delta = 0 the sums are cos(r dtau) and -i sin(r dtau), which
+    stay defined where r = 0.  ``r`` and ``dtau`` broadcast.
     """
+    if delta == 0.0:
+        x = r * dtau
+        half = np.sin(0.5 * x)
+        return -2.0 * half * half, -1j * np.sin(x), np.cos(x)
     r2 = r * r
     s = np.sqrt(r2 + 0.25 * delta * delta)
-    if delta >= 0.0:
+    if delta > 0.0:
         e_p = s + 0.5 * delta
         e_m = -r2 / e_p
     else:
         e_m = 0.5 * delta - s
         e_p = -r2 / e_m
     half_inv_s = 0.5 / s
-    w_p = np.exp(e_p * (-1j * dtau))
-    w_m = np.exp(e_m * (-1j * dtau))
+    phase = -1j * dtau
+    w_p = np.exp(e_p * phase)
+    w_m = np.exp(e_m * phase)
     s0_minus_1 = (w_m * e_p - w_p * e_m) * half_inv_s - 1.0
     rs1 = (w_p - w_m) * (r * half_inv_s)
     s2 = (w_p * e_p - w_m * e_m) * half_inv_s
+    return s0_minus_1, rs1, s2
 
+
+def _rotate_planes(u, v, w, m, xi, eta) -> None:
+    """Apply [[1 + m[0], m[1]], [m[2], m[3]]] to the (bright, middle) plane of
+    the lanes (u, v, w) in place; the dark combination is untouched.  The
+    entries, ``xi`` and ``eta`` broadcast against the lanes, which may carry
+    leading curve axes."""
     bright = xi * u + eta * w
-    shift = s0_minus_1 * bright + rs1 * v
-    np.add(rs1 * bright, s2 * v, out=v)
+    shift = m[0] * bright + m[1] * v
+    np.add(m[2] * bright, m[3] * v, out=v)
     u += xi * shift
     w += eta * shift
+
+
+def _triple_step(u, v, w, r, xi, eta, delta: float, dtau: float) -> None:
+    """Advance coupling-triple lanes (u, v, w) in place by exp(-i dtau M),
+    M as in ``_plane_sums``.  A lane with xi = 0 or eta = 0 is a two-level
+    block."""
+    s0_minus_1, rs1, s2 = _plane_sums(r, delta, dtau)
+    _rotate_planes(u, v, w, (s0_minus_1, rs1, rs1, s2), xi, eta)
+
+
+def _cf4_planes(lam, sqrt_r, delta: float, half_h):
+    """Plane maps of CF4 steps: the product of the two exponentials.
+
+    ``lam`` has shape (n, 2), the effective mode amplitudes of n steps with
+    the factor applied first in column 0; ``half_h`` has shape (n,), half
+    of each step.  Both factors act on the same plane of every lane, so a
+    step is one 2x2 map, returned as the four entries of ``_rotate_planes``,
+    each of shape (n, lanes).
+    """
+    sums = _plane_sums(lam[:, :, None] * sqrt_r, delta, half_h[:, None, None])
+    a0, a1, a2 = (x[:, 0] for x in sums)
+    b0, b1, b2 = (x[:, 1] for x in sums)
+    # [[1 + b0, b1], [b1, b2]] @ [[1 + a0, a1], [a1, a2]], less 1 in the corner
+    return (
+        a0 + b0 + b0 * a0 + b1 * a1,
+        a1 + b0 * a1 + b1 * a2,
+        b1 + b1 * a0 + b2 * a1,
+        b1 * a1 + b2 * a2,
+    )
 
 
 def step_propagator(h: np.ndarray, dtau: float) -> np.ndarray:
     """Exact unitary exp(-i h dtau) for a frozen block Hamiltonian.
 
     Diagonal blocks are phases.  Real 2x2 blocks and the coupling-triple
-    structure go through ``_triple_step``, the update ``evolve`` applies,
-    propagating the unit vectors (a 2x2 block is a triple lane with one
+    structure go through ``_triple_step``, made of the plane sums and the
+    plane rotation that every ``evolve`` step is built from, propagating
+    the unit vectors (a 2x2 block is a triple lane with one
     coupling zero, once the phase of its second diagonal entry is taken
     out).  Any other Hermitian input falls back to an eigensolver.
     """
@@ -220,9 +277,10 @@ def step_propagator(h: np.ndarray, dtau: float) -> np.ndarray:
 
 
 def _norms(states: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each state in a stack of shape (n, 3, n_ph + 1)."""
-    flat = np.abs(states).reshape(len(states), -1)
-    return np.sqrt(np.add.reduce(np.square(flat), axis=1))
+    """Euclidean norm of each state in a stack of shape (..., 3, n_ph + 1)."""
+    *lead, levels, width = states.shape
+    flat = np.abs(states).reshape(*lead, levels * width)
+    return np.sqrt(np.add.reduce(np.square(flat), axis=-1))
 
 
 def evolve(
@@ -231,10 +289,13 @@ def evolve(
     """Propagate composite states over the configured output grid.
 
     Each output interval is covered by equal substeps no longer than the
-    integrator step; every substep applies the exact exponential of the
-    rotating-frame Hamiltonian frozen at the substep midpoint (observed
-    global error is second order in the substep, and the step is exact
-    whenever the mode shape is constant).  Aborts when the norm drifts
+    integrator step, and every substep is one CF4 step: two exact
+    exponentials of the rotating-frame Hamiltonian, with the mode shape
+    sampled at the substep's Gauss nodes.  The observed global error is
+    fourth order in the substep, and the stepping is exact whenever the
+    mode shape is constant.  The dynamical phase is the Euler-Maclaurin
+    corrected trapezoid sum of <H> over the substep nodes, also fourth
+    order.  Raises ``NormDriftError`` when a stored state's norm drifts
     beyond 1e-6.
 
     A sequence of states on one basis evolves as a batch: they share every
@@ -257,12 +318,26 @@ def evolve(
     moving = config.motion is Motion.MOVING
     p = config.p
     taus = np.linspace(0.0, config.tau_max, config.n_steps)
+    n_out = len(taus)
     dt = config.integrator_step(n_ph - 2)
-    grid = taus.tolist()
-    substeps = [
-        max(1, math.ceil((hi - lo) / dt - 1e-12)) for lo, hi in zip(grid, grid[1:])
-    ]
-    out_idx = np.concatenate(([0], np.cumsum(substeps))).astype(np.intp)
+    widths = np.diff(taus)
+    substeps = np.maximum(1, np.ceil(widths / dt - 1e-12)).astype(np.intp)
+    out_idx = np.concatenate(([0], np.cumsum(substeps)))
+    n_sub = int(out_idx[-1])
+    # substep k starts at t[k] and is h[k] wide; the nodes are t and tau_max
+    h = np.repeat(widths / substeps, substeps)
+    within = np.arange(n_sub) - np.repeat(out_idx[:-1], substeps)
+    t = np.repeat(taus[:-1], substeps) + within * h
+    node_taus = np.append(t, taus[-1])
+    if moving:
+        lam1 = np.sin(p * (t + (0.5 - _GAUSS_OFFSET) * h))
+        lam2 = np.sin(p * (t + (0.5 + _GAUSS_OFFSET) * h))
+    else:
+        lam1 = lam2 = np.ones(n_sub)
+    mean = 0.5 * (lam1 + lam2)
+    skew = _CF4_SKEW * (lam1 - lam2)
+    # the factor weighted towards the earlier node acts first
+    cf4_lam = np.stack((mean + skew, mean - skew), axis=1)
 
     # Lane j = 0..n_ph holds |1, j-1>, |2, j>, |3, j+1> with couplings
     # lambda sqrt(j) and lambda sqrt(j+1): lanes 1..n_ph-1 are the full
@@ -284,50 +359,56 @@ def evolve(
     xi = (np.sqrt(a2) / sqrt_r).astype(complex)
     eta = (np.sqrt(b2) / sqrt_r).astype(complex)
 
-    n_out = len(grid)
     states = np.empty((n_curves, n_out, 3, width), dtype=complex)
     states[:, 0] = psi
     norm_err = np.empty((n_curves, n_out))
     norm_err[:, 0] = np.abs(norm0 - 1.0)
-    fine_taus = np.empty(out_idx[-1] + 1)
-    fine_lam = np.empty_like(fine_taus)
-    fine_v = np.empty((n_curves, len(fine_taus)))
-    fine_taus[0] = 0.0
-    fine_lam[0] = math.sin(p * 0.0) if moving else 1.0
-    fine_v[:, 0] = coupling_expectation(psi)
-
-    node = 0
-    for k, m in enumerate(substeps):
-        t_lo = grid[k]
-        t_hi = grid[k + 1]
-        h_sub = (t_hi - t_lo) / m
-        for j in range(m):
-            lam = math.sin(p * (t_lo + (j + 0.5) * h_sub)) if moving else 1.0
-            if lam != 0.0 or delta != 0.0:  # else H vanishes and nothing moves
-                _triple_step(u, v, w, lam * sqrt_r, xi, eta, delta, h_sub)
-            node += 1
-            t_node = t_hi if j == m - 1 else t_lo + (j + 1) * h_sub
-            fine_taus[node] = t_node
-            fine_lam[node] = math.sin(p * t_node) if moving else 1.0
-            fine_v[:, node] = coupling_expectation(psi)
-
-        stored = states[:, k + 1]
-        stored[...] = psi
-        if delta != 0.0:
-            stored[:, 1] *= cmath.exp(1j * delta * t_hi)
+    node_a = np.empty((n_sub + 1, n_curves), dtype=complex)  # <A>, rotating frame
+    node_a[0] = ladder_expectation(psi)
+    node_psi = np.empty((min(_CHUNK, n_sub), n_curves, 3, width), dtype=complex)
+    for lo in range(0, n_sub, _CHUNK):
+        hi = min(lo + _CHUNK, n_sub)
+        maps = _cf4_planes(cf4_lam[lo:hi], sqrt_r, delta, 0.5 * h[lo:hi])
+        for i, step in enumerate(zip(*maps)):
+            _rotate_planes(u, v, w, step, xi, eta)
+            node_psi[i] = psi
+        done = node_psi[: hi - lo]
+        node_a[lo + 1 : hi + 1] = ladder_expectation(done)
+        ks = np.arange(*np.searchsorted(out_idx, (lo + 1, hi + 1)))
+        stored = done[out_idx[ks] - lo - 1]
+        states[:, ks] = stored.swapaxes(0, 1)
         drift = np.abs(_norms(stored) - 1.0)
-        norm_err[:, k + 1] = drift
-        worst = int(np.argmax(drift))
-        if drift[worst] > _NORM_DRIFT_LIMIT:
+        norm_err[:, ks] = drift.T
+        if np.any(drift > _NORM_DRIFT_LIMIT):
+            k, worst = np.unravel_index(np.argmax(drift > _NORM_DRIFT_LIMIT), drift.shape)
             raise NormDriftError(
-                f"norm drifted by {drift[worst]:.3e} at tau = {t_hi:.6f} "
+                f"norm drifted by {drift[k, worst]:.3e} at tau = {taus[ks[k]]:.6f} "
                 f"(curve {worst}, dt_internal = {dt}, n_ph = {n_ph})"
             )
 
+    # the interaction picture: level-2 amplitudes carry exp(+i delta tau)
+    # relative to the rotating frame, so <A> there carries exp(-i delta tau)
+    frame = np.exp(1j * delta * taus)
+    states[:, :, 1] *= frame[:, None]
     states.setflags(write=False)
-    exp_v = coupling_expectation(states)
-    fine_h = fine_v * fine_lam
-    h_exp = fine_h[:, out_idx]
+    exp_v = 2.0 * (node_a[out_idx] * frame.conj()[:, None]).real.T
+
+    # f = <H>/g = lambda <V> and its exact derivative, with <V> = 2 Re<A> and,
+    # in the rotating frame, d<V>/dtau = -2 delta Im<A>; each substep adds
+    # the Euler-Maclaurin corrected trapezoid h (f0 + f1) / 2 - h^2 (f1' - f0') / 12
+    if moving:
+        lam = np.sin(p * node_taus)
+        dlam = p * np.cos(p * node_taus)
+    else:
+        lam = np.ones(n_sub + 1)
+        dlam = np.zeros(n_sub + 1)
+    v_node = 2.0 * node_a.real.T
+    f = lam * v_node
+    df = dlam * v_node - (2.0 * delta) * lam * node_a.imag.T
+    pieces = 0.5 * h * (f[:, 1:] + f[:, :-1]) - (h * h / 12.0) * (df[:, 1:] - df[:, :-1])
+    phi_dyn = np.zeros((n_curves, n_out))
+    phi_dyn[:, 1:] = -np.cumsum(pieces, axis=1)[:, out_idx[1:] - 1]
+    h_exp = f[:, out_idx]
     curves = tuple(
         Trajectory(
             taus=taus,
@@ -335,9 +416,8 @@ def evolve(
             expectation_V=exp_v[c],
             h_expectation=h_exp[c],
             norm_error=norm_err[c],
-            fine_taus=fine_taus,
-            fine_h_expectation=fine_h[c],
-            output_indices=out_idx,
+            phi_dynamical=phi_dyn[c],
+            substeps=n_sub,
         )
         for c in range(n_curves)
     )
@@ -348,9 +428,10 @@ def convergence_probe(config: SystemConfig) -> ConvergenceReport:
     """Evolve at dt, dt/2 and dt/4 and report the empirical step order.
 
     The deviations are max-abs differences between stored amplitudes on the
-    shared output grid.  When both deviations sit at the rounding floor
-    (time-independent Hamiltonian, where the stepping is exact) the order
-    is reported as nan.
+    shared output grid; CF4 stepping shows order 4 until they reach the
+    rounding floor.  When both sit at that floor (a time-independent
+    Hamiltonian, where the stepping is exact, or a step so small that the
+    error is rounding) the order is reported as nan.
     """
     dist = superposed_distribution(config.field)
     psi0 = initial_state(config, dist)

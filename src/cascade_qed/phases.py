@@ -87,14 +87,11 @@ def pancharatnam_phase(z: complex) -> float:
 def dynamical_phase(trajectory: Trajectory) -> np.ndarray:
     """Accumulated dynamical phase -integral of <H>/g on the output grid.
 
-    The quadrature runs over the fine internal grid (the energy expectation
-    oscillates at the ladder frequencies, which the coarser output grid
-    would alias) and is sampled back at the output nodes.
+    ``evolve`` integrates it on its substep grid (the energy expectation
+    oscillates at the ladder frequencies, which a coarser output grid would
+    alias), to the integrator's fourth order.
     """
-    x = trajectory.fine_taus
-    y = trajectory.fine_h_expectation
-    fine = -np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
-    return fine[trajectory.output_indices]
+    return trajectory.phi_dynamical
 
 
 def geometric_phase(total: np.ndarray, dynamical: np.ndarray) -> np.ndarray:

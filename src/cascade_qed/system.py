@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "initial_state",
     "build_blocks",
     "coupling_expectation",
+    "ladder_expectation",
     "default_dt_internal",
 ]
 
@@ -69,6 +71,10 @@ class SystemConfig:
             raise ValueError(f"delta must be finite, got {self.delta!r}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
+        for key in ("p", "n_steps"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.motion is Motion.MOVING and self.p < 1:
             raise ValueError(f"p must be >= 1 for a moving atom, got {self.p!r}")
         if not (math.isfinite(self.tau_max) and self.tau_max > 0.0):
@@ -213,12 +219,33 @@ def build_blocks(n_ph: int) -> tuple[ManifoldBlock, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _coupling_weights(n_ph: int) -> np.ndarray:
-    """2 sqrt(n + 1) for n = 0..n_ph-1, each twice: the ladder couplings of
-    a basis cut at n_ph, laid out against interleaved (re, im) pairs."""
-    weights = np.repeat(2.0 * np.sqrt(np.arange(1.0, n_ph + 1.0)), 2)
-    weights.setflags(write=False)
-    return weights
+def _ladder_roots(n_ph: int) -> np.ndarray:
+    """sqrt(n + 1) for n = 0..n_ph-1, the ladder couplings of a basis cut at
+    n_ph; complex, so that the amplitudes multiply them without a cast."""
+    roots = np.sqrt(np.arange(1.0, n_ph + 1.0)).astype(complex)
+    roots.setflags(write=False)
+    return roots
+
+
+def ladder_expectation(state: CompositeState | np.ndarray) -> complex | np.ndarray:
+    """Expectation of the raising half A of the coupling operator V = A + A^dagger,
+
+        A = sum_n sqrt(n+1) (|2,n+1><1,n| + |2,n><3,n+1|).
+
+    2 Re<A> is <V>; under H' = lambda V + delta P2 (the rotating frame,
+    P2 the level-2 projector) d<V>/dtau = i delta <[P2, V]> = -2 delta Im<A>.
+    An array of shape (..., 3, n_ph + 1) gives one value per leading index
+    (a complex for a single state).
+    """
+    if isinstance(state, CompositeState):
+        a = state.amplitudes
+    else:
+        a = np.asarray(state, dtype=complex)
+    mid = a[..., 1, :].conj()
+    terms = mid[..., 1:] * a[..., 0, :-1]
+    terms += mid[..., :-1] * a[..., 2, 1:]
+    total = np.add.reduce(terms * _ladder_roots(a.shape[-1] - 1), axis=-1)
+    return complex(total) if total.ndim == 0 else total
 
 
 def coupling_expectation(state: CompositeState | np.ndarray) -> float | np.ndarray:
@@ -229,26 +256,16 @@ def coupling_expectation(state: CompositeState | np.ndarray) -> float | np.ndarr
     array of shape (..., 3, n_ph + 1) gives one value per leading index (a
     float for a single state).
     """
-    if isinstance(state, CompositeState):
-        a = state.amplitudes
-    else:
-        a = np.asarray(state, dtype=complex)
-    if a.strides[-1] != a.itemsize:
-        a = a.copy()
-    # Re(conj(p) q) = Re p Re q + Im p Im q: products of the float view,
-    # whose last axis interleaves the real and imaginary parts
-    f = a.view(float)
-    terms = f[..., 1, 2:] * f[..., 0, :-2] + f[..., 2, 2:] * f[..., 1, :-2]
-    total = np.add.reduce(terms * _coupling_weights(a.shape[-1] - 1), axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return 2.0 * ladder_expectation(state).real
 
 
 def default_dt_internal(delta: float, n_max: int, p: int = 1) -> float:
-    """Automatic integrator step.
+    """Automatic integrator step for the fourth-order (CF4) stepping.
 
-    Keeps the phase advanced per step small against both the detuning and
-    the largest ladder frequency, and shrinks with the mode curvature
-    (the midpoint quadrature error of the accumulated area grows with p).
+    0.3 over the fastest rate in the problem (the detuning, the largest
+    ladder frequency sqrt(2 n_max + 3) and the mode's p), shrunk by sqrt(p)
+    for the mode curvature: at fixed step the CF4 error grows about as p^2.
+    On the 2000-point presets this is one step per output interval at p = 1
+    and two at p = 2 with delta = 20.
     """
-    fastest = max(abs(delta), math.sqrt(2.0 * n_max + 3.0))
-    return min(0.001 / math.sqrt(max(1, p)), 0.1 / fastest)
+    return 0.3 / (max(abs(delta), math.sqrt(2.0 * n_max + 3.0), p) * math.sqrt(p))

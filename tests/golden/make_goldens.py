@@ -1,18 +1,20 @@
 """Regenerate criterion 9's value goldens and fingerprinted sha256 pins.
 
 Runs the pinned presets (fig5a, fig4b) through the CLI, then refuses to
-write anything unless both independent cross-checks pass:
+write anything unless all three independent cross-checks pass:
 
 * fig5a ``x`` and ``y`` against the resonant closed form, within 1e-6
   (the criterion-1 bound);
 * fig4b ``x``, ``y`` and ``rho*`` against the fine-step (dt = 2.5e-4)
   reference in ``bench/reference/``, each column within the reference's
-  gate multiple (2x) of its recorded seed deviation.
+  gate multiple (2x) of its recorded seed deviation;
+* fig4b ``phi_dynamical``, which the reference does not hold, against the
+  same preset evolved at an eighth of its default step, within 1e-5.
 
 On success it writes ``<curve>.npz`` (every CSV column at full float64
 precision) and ``preset_hashes.json`` (the CSV sha256 values with the
-environment fingerprint they hold for), and prints both measured
-deviations.  Run from the repository root (about four seconds):
+environment fingerprint they hold for), and prints every measured
+deviation.  Run from the repository root (about five seconds):
 
     python3 tests/golden/make_goldens.py
 """
@@ -39,10 +41,20 @@ from goldens import (  # noqa: E402
     sha256,
 )
 
-from cascade_qed import series_from_closed_form, superposed_distribution  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+from cascade_qed import (  # noqa: E402
+    evolve,
+    initial_state,
+    series_from_closed_form,
+    series_from_trajectory,
+    superposed_distribution,
+)
 from cascade_qed.cli import ScenarioConfig, list_presets, main as cli_main  # noqa: E402
 
 CLOSED_FORM_BOUND = 1e-6
+DYNAMICAL_PHASE_BOUND = 1e-5
+FINE_STEP_DIVISOR = 8
 REFERENCE_DIR = REPO / "bench" / "reference"
 
 
@@ -76,6 +88,24 @@ def reference_failures(curves: dict[str, dict[str, np.ndarray]]) -> list[str]:
     return failures
 
 
+def dynamical_phase_failures(curves: dict[str, dict[str, np.ndarray]]) -> list[str]:
+    """Print each fig4b curve's phi_dynamical deviation from the same preset
+    at an eighth of the default step and return the curves beyond the bound."""
+    failures = []
+    for label, params in list_presets()["fig4b"]:
+        config = ScenarioConfig(**params).system_config()
+        dist = superposed_distribution(config.field)
+        fine = replace(config, dt_internal=config.integrator_step(dist.n_max) / FINE_STEP_DIVISOR)
+        want = series_from_trajectory(evolve(initial_state(fine, dist), fine)).phi_dynamical
+        got = curves[f"fig4b_{label}.csv"]["phi_dynamical"]
+        dev = float(np.max(np.abs(got - want))) if len(got) == len(want) else np.inf
+        print(f"fig4b {label} phi_dynamical vs dt/{FINE_STEP_DIVISOR}: max |dev| {dev:.3e} "
+              f"(bound {DYNAMICAL_PHASE_BOUND:.0e})")
+        if not dev <= DYNAMICAL_PHASE_BOUND:
+            failures.append(f"fig4b {label} phi_dynamical: {dev:.3e} > {DYNAMICAL_PHASE_BOUND:.0e}")
+    return failures
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -89,7 +119,7 @@ def main() -> int:
 
     closed = closed_form_deviation(curves["fig5a.csv"])
     print(f"fig5a x/y vs closed form: max |dev| {closed:.3e} (bound {CLOSED_FORM_BOUND:.0e})")
-    failures = reference_failures(curves)
+    failures = reference_failures(curves) + dynamical_phase_failures(curves)
     if not closed <= CLOSED_FORM_BOUND:
         failures.append(f"fig5a vs closed form: {closed:.3e} > {CLOSED_FORM_BOUND:.0e}")
     if failures:

@@ -30,13 +30,15 @@ PINNED_PRESETS = {
 }
 
 # Absolute tolerance per column.  Rounding alone moves the pinned curves by
-# about 1e-13 at most: 1-ulp perturbations of all initial amplitudes move
-# every column of fig5a and fig4b by at most 8.9e-14 (the phase columns;
-# x, y and rho* by under 6e-15), and switching numpy's AVX-512 dispatch
-# off moves only the fig4b phase columns, by at most 8.9e-16.  The smallest
-# genuine numerical change, halving the fig4b substep (1e-3 -> 5e-4), moves
-# x by 2.1e-7 and its least sensitive columns (r1 y and rho22) by 5.6e-8.
-# 1e-10 sits ~1000x above the rounding spread and ~500x below that change.
+# about 1e-13 at most: 1-ulp perturbations of the initial amplitudes move
+# every column of fig5a and fig4b by at most 4.1e-14 (the phase columns;
+# x, y and rho* by under 3e-15), and switching numpy's AVX-512 dispatch
+# off moves only the fig4b phase columns, by at most 8.9e-16.  Halving the
+# fig4b CF4 step (0.0125 -> 0.00625) moves x by 1.1e-8 and the least
+# sensitive column (r1 y) by 3.1e-9, so 1e-10 sits ~1000x above the
+# rounding spread and ~30x below that change.  On resonance the stepping
+# is closer to exact than the tolerance: halving the fig5a step moves x by
+# 1.7e-11, and both steps lie within 2e-11 of the converged curve.
 VALUE_TOLERANCE = 1e-10
 
 # norm_error is pure rounding noise (at most 1.1e-14 on the pinned curves),

@@ -78,6 +78,15 @@ class TestRun:
         assert meta["truncation"]["n_max"] >= 2
         assert meta["integrator"]["substeps_total"] > 0
         assert meta["integrator"]["batch_size"] == 1
+        assert meta["integrator"]["scheme"] == "cf4"
+        drift = meta["integrator"]["max_norm_drift"]
+        assert 0.0 <= drift < 1e-9
+        norm_column = [float(line.split(",")[10]) for line in lines[1:]]
+        assert drift == max(norm_column)
+        assert float(lines[1 + norm_column.index(drift)].split(",")[0]) == (
+            meta["integrator"]["max_norm_drift_tau"]
+        )
+        assert 0.0 <= meta["integrator"]["max_v_drift"] < 1e-9  # QUICK is resonant
         assert meta["integrator"]["evolve_s"] > 0.0
         assert "wall_time_s" in meta
         assert meta["environment"] == environment_fingerprint()
@@ -242,6 +251,8 @@ class TestBatchedCurves:
             meta = json.loads((tmp_path / f"fig4b_{label}.csv.meta.json").read_text())
             assert meta["integrator"]["batch_size"] == 2
             assert meta["truncation"]["n_max"] == 70
+            assert meta["integrator"]["substeps_total"] == 1999  # one per interval
+            assert "max_v_drift" not in meta["integrator"]  # <V> moves off resonance
         capsys.readouterr()
 
     def test_bases_of_different_size_evolve_apart(self, tmp_path: Path):

@@ -1,6 +1,7 @@
-"""Block Hamiltonians, step propagators and the midpoint-spectral evolver."""
+"""Block Hamiltonians, step propagators and the CF4 evolver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from cascade_qed import (
     step_propagator,
     superposed_distribution,
 )
-from cascade_qed.evolver import TrajectoryBatch, _triple_step
+from cascade_qed import evolver
+from cascade_qed.evolver import NormDriftError, TrajectoryBatch, _triple_step
 
 
 def make_config(**kwargs):
@@ -201,13 +203,35 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(bad, cfg)
 
-    def test_output_grid_and_fine_grid_consistent(self):
+    def test_output_grid_and_substep_count(self):
+        # each 0.1-wide output interval splits into ten equal 0.01 substeps;
+        # at the default step a 2000-point preset grid takes one per interval
         cfg = make_config(tau_max=3.0, n_steps=31, dt_internal=0.01)
         dist = superposed_distribution(cfg.field)
         traj = evolve(initial_state(cfg, dist), cfg)
         assert traj.taus.shape == (31,)
-        assert np.allclose(traj.fine_taus[traj.output_indices], traj.taus, atol=1e-12)
-        assert traj.h_expectation[0] == traj.fine_h_expectation[0]
+        assert traj.substeps == 300
+        assert traj.h_expectation[0] == 0.0  # the mode shape vanishes at tau = 0
+        assert traj.phi_dynamical[0] == 0.0
+        preset = make_config(delta=20.0, tau_max=25.0, n_steps=2000)
+        assert evolve(initial_state(preset, dist), preset).substeps == 1999
+
+    def test_norm_drift_aborts_at_first_breach(self, monkeypatch):
+        # a propagator that leaks norm: each step scales level 2 by 1 + 1e-7
+        rotate = evolver._rotate_planes
+
+        def leaky(u, v, w, m, xi, eta):
+            rotate(u, v, w, m, xi, eta)
+            v *= 1.0 + 1e-7
+
+        monkeypatch.setattr(evolver, "_rotate_planes", leaky)
+        cfg = make_config(theta=math.pi / 2, tau_max=2.0, n_steps=401, dt_internal=0.005)
+        with pytest.raises(NormDriftError) as caught:
+            evolve(initial_state(cfg, superposed_distribution(cfg.field)), cfg)
+        # all weight starts on level 2 and some leaves it, so ten steps (one
+        # per output interval) grow the norm by a little under 1e-6 and the
+        # eleventh crosses the limit: the abort names that node and no later one
+        assert "at tau = 0.055000 (curve 0," in str(caught.value)
 
     def test_states_read_only(self):
         cfg = make_config(tau_max=1.0, n_steps=5)
@@ -230,9 +254,9 @@ class TestBatch:
         for state, curve in zip(group, batch.curves):
             alone = evolve(state, cfg)
             for field in ("states", "expectation_V", "h_expectation", "norm_error",
-                          "fine_h_expectation"):
+                          "phi_dynamical"):
                 assert np.max(np.abs(getattr(curve, field) - getattr(alone, field))) <= 1e-13
-            assert np.array_equal(curve.fine_taus, alone.fine_taus)
+            assert curve.substeps == alone.substeps
         with pytest.raises(ValueError):
             batch.states[0, 0, 0, 0] = 1.0
 
@@ -303,18 +327,35 @@ class TestConvergence:
         assert report.deviation_coarse < 1e-12
         assert report.deviation_fine < 1e-12
 
-    def test_second_order_at_detuning(self):
+    @pytest.mark.parametrize("dt", [2e-3, 1e-2, 2e-2])
+    def test_fourth_order_at_detuning(self, dt):
         cfg = make_config(
             delta=20.0, theta=math.pi / 4, p=1, tau_max=4.0, n_steps=41,
-            dt_internal=2e-3,
+            dt_internal=dt,
         )
         report = convergence_probe(cfg)
         assert report.order is not None
-        assert 1.7 <= report.order <= 2.6
-        # halving the step divides the deviation by roughly four
+        assert 3.5 <= report.order <= 4.6
+        # halving the step divides the deviation by roughly sixteen
         assert report.deviation_coarse / report.deviation_fine == pytest.approx(
-            4.0, rel=0.5
+            16.0, rel=0.3
         )
+
+    def test_dynamical_phase_fourth_order(self):
+        # the Euler-Maclaurin corrected sum keeps pace with the stepping; a
+        # plain trapezoid sum over the same nodes would show order 2
+        cfg = make_config(
+            delta=20.0, theta=math.pi / 4, p=1, tau_max=4.0, n_steps=41,
+            dt_internal=1e-2,
+        )
+        psi0 = initial_state(cfg, superposed_distribution(cfg.field))
+        phis = [
+            evolve(psi0, replace(cfg, dt_internal=1e-2 / 2**i)).phi_dynamical
+            for i in range(3)
+        ]
+        coarse = np.max(np.abs(phis[0] - phis[1]))
+        fine = np.max(np.abs(phis[1] - phis[2]))
+        assert 3.5 <= math.log2(coarse / fine) <= 4.6
 
 
 class TestFrameCorrectness:
@@ -329,6 +370,17 @@ class TestFrameCorrectness:
         traj = evolve(state, cfg)
         ref = lab_frame_reference(state, cfg, traj.taus)
         assert np.max(np.abs(traj.states - ref)) < 1e-6
+
+    def test_default_step_matches_lab_frame(self):
+        # one CF4 step of 0.015 per substep at delta = 20 (h delta = 0.3);
+        # midpoint stepping, or the two CF4 factors swapped, miss by ~1e-4
+        n_ph = 3
+        state = random_state(n_ph, seed=2024)
+        cfg = make_config(delta=20.0, p=1, tau_max=5.0, n_steps=26)
+        traj = evolve(state, cfg)
+        assert traj.substeps == 25 * 14
+        ref = lab_frame_reference(state, cfg, traj.taus)
+        assert np.max(np.abs(traj.states - ref)) < 1e-8
 
     def test_neglected_motion_is_exact(self):
         n_ph = 2

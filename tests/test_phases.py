@@ -229,9 +229,8 @@ class TestSeriesAssembly:
             expectation_V=np.zeros(2),
             h_expectation=np.zeros(2),
             norm_error=np.zeros(2),
-            fine_taus=np.array([0.0, 1.0]),
-            fine_h_expectation=np.zeros(2),
-            output_indices=np.array([0, 1]),
+            phi_dynamical=np.zeros(2),
+            substeps=1,
         )
         series = series_from_trajectory(traj)
         assert math.isnan(series.phi_pancharatnam[1])

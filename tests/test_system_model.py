@@ -195,6 +195,9 @@ class TestValidation:
             dict(dt_internal=0.0),
             dict(p=0),
             dict(delta=math.nan),
+            dict(n_steps=20.5),
+            dict(p=1.5),
+            dict(p=True),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
