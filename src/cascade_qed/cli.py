@@ -71,6 +71,7 @@ CSV_COLUMNS = (
 
 _ENGINES = ("analytic", "numeric", "both")
 _MOTIONS = ("moving", "neglected")
+_CSV_ROWS = 256  # rows formatted per write
 
 # ScenarioConfig field -> (accepted type, what the message asks for); the
 # fields in _OPTIONAL may also be None.  bool is never taken as a number.
@@ -215,26 +216,19 @@ def list_presets() -> dict[str, tuple[tuple[str, dict], ...]]:
 # ---------------------------------------------------------------------------
 # CSV / metadata emission
 
-def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return ""
-    return format(value + 0.0, ".17g")  # +0.0 folds negative zero
+def _format_column(col: np.ndarray) -> list[str]:
+    """17 significant digits per value, "" for NaN; +0.0 folds negative zero."""
+    return ["" if v != v else "%.17g" % v for v in (col + 0.0).tolist()]
 
 
-def _series_columns(series: PhaseTimeSeries) -> list[np.ndarray]:
-    return [
-        series.tau,
-        series.x,
-        series.y,
-        series.phi_pancharatnam,
-        series.phi_dynamical,
-        series.phi_geometric,
-        series.phi_arcsin,
-        series.rho11,
-        series.rho22,
-        series.rho33,
-        series.norm_error,
-    ]
+def _write_csv(path: Path, header: Sequence[str], cols: Sequence[np.ndarray]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        # a block of rows at a time, so that few formatted strings are alive at once
+        for lo in range(0, len(cols[0]), _CSV_ROWS):
+            rows = zip(*(_format_column(col[lo : lo + _CSV_ROWS]) for col in cols))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_series_csv(
@@ -242,18 +236,15 @@ def write_series_csv(
 ) -> None:
     """Write one series with the fixed schema, 17 significant digits."""
     header = list(CSV_COLUMNS)
-    cols = _series_columns(series)
+    # each column is the series field of its name, except phi_eq5 (phi_arcsin)
+    cols = [getattr(series, "phi_arcsin" if c == "phi_eq5" else c) for c in CSV_COLUMNS]
     if emit_unwrapped:
         header += ["phi_pancharatnam_unwrapped", "phi_geometric_unwrapped"]
         cols += [
             unwrap_with_gaps(series.phi_pancharatnam),
             unwrap_with_gaps(series.phi_geometric),
         ]
-    lines = [",".join(header)]
-    for i in range(len(series.tau)):
-        lines.append(",".join(_fmt(float(col[i])) for col in cols))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(path, header, cols)
 
 
 def _write_meta(path: Path, payload: dict) -> None:
@@ -313,15 +304,7 @@ def _write_outputs(scenario: ScenarioConfig, series: dict[str, PhaseTimeSeries])
     cmp_path = _derived_path(out, "compare")
     dev_x = series["numeric"].x - series["analytic"].x
     dev_y = series["numeric"].y - series["analytic"].y
-    lines = ["tau,dev_x,dev_y"]
-    for i in range(len(series["numeric"].tau)):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (float(series["numeric"].tau[i]), float(dev_x[i]), float(dev_y[i]))
-            )
-        )
-    cmp_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(cmp_path, ("tau", "dev_x", "dev_y"), (series["numeric"].tau, dev_x, dev_y))
     deviation = {
         "max_abs_dev_x": float(np.max(np.abs(dev_x))),
         "max_abs_dev_y": float(np.max(np.abs(dev_y))),
@@ -330,10 +313,12 @@ def _write_outputs(scenario: ScenarioConfig, series: dict[str, PhaseTimeSeries])
 
 
 def _integrator_diagnostics(trajectory: Trajectory, config: SystemConfig) -> dict:
-    """Substep count and how far the monitored invariants moved: the norm
-    always, the conserved <V> on resonance."""
+    """Step taken, substep count and how far the monitored invariants moved:
+    the norm always, the conserved <V> on resonance."""
     worst = int(np.argmax(trajectory.norm_error))
     drifts = {
+        # every output interval takes the same number of equal substeps
+        "dt_internal": float(trajectory.taus[-1] / trajectory.substeps),
         "substeps_total": trajectory.substeps,
         "max_norm_drift": float(trajectory.norm_error[worst]),
         "max_norm_drift_tau": float(trajectory.taus[worst]),
@@ -393,7 +378,7 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
         paths, deviation = _write_outputs(scenario, series)
         integrator = {
             "scheme": "cf4",
-            "dt_internal": config.integrator_step(dist.n_max),
+            "dt_internal": None,
             "substeps_total": 0,
             **evolve_stats.get(i, {"evolve_s": 0.0, "batch_size": 0}),
         }

@@ -137,27 +137,19 @@ def normalization_constant(alpha: float, r: float) -> float:
     return B
 
 
-def _superposition_weights_squared(alpha: float, r: float, n_hi: int) -> np.ndarray:
-    """Unnormalized probabilities q_n^2 (1 + r(-1)^n)^2 / B for n = 0..n_hi."""
-    B = normalization_constant(alpha, r)
-    q = coherent_coefficients(alpha, n_hi)
-    parity = np.where(np.arange(n_hi + 1) % 2 == 0, 1.0 + r, 1.0 - r)
-    w = q * parity
-    return w * w / B
-
-
-def choose_truncation(alpha: float, r: float, epsilon_tail: float = 1e-12) -> int:
-    """Photon-number cutoff: smallest n with tail mass < epsilon_tail, plus 2.
-
-    The +2 margin keeps the top retained amplitudes far below the tolerance
-    once the distribution is embedded in the composite atom-field basis.
-    """
+def _truncation(alpha: float, r: float, epsilon_tail: float) -> tuple[int, np.ndarray]:
+    """``choose_truncation``'s cutoff n_max and the coherent amplitudes
+    q_0..q_n_max from its scan (the recurrence fixes every prefix, so they
+    equal ``coherent_coefficients(alpha, n_max)``)."""
     if not (0.0 < epsilon_tail <= 1e-3):
         raise ValueError(f"epsilon_tail must lie in (0, 1e-3], got {epsilon_tail!r}")
+    B = normalization_constant(alpha, r)
     nbar = alpha * alpha
     n_hi = max(32, int(2.0 * nbar) + 16)
     while True:
-        w = _superposition_weights_squared(alpha, r, n_hi)
+        q = coherent_coefficients(alpha, n_hi)
+        w = q * np.where(np.arange(n_hi + 1) % 2 == 0, 1.0 + r, 1.0 - r)
+        w = w * w / B  # unnormalized probabilities
         # window is wide enough once the top weights have underflowed
         if np.max(w[-4:]) == 0.0 or n_hi >= _TRUNCATION_HARD_CAP:
             break
@@ -168,7 +160,17 @@ def choose_truncation(alpha: float, r: float, epsilon_tail: float = 1e-12) -> in
         raise RuntimeError(
             f"no truncation below epsilon_tail={epsilon_tail} within {n_hi} states"
         )
-    return int(below[0]) + 2
+    n_max = int(below[0]) + 2
+    return n_max, q[: n_max + 1]
+
+
+def choose_truncation(alpha: float, r: float, epsilon_tail: float = 1e-12) -> int:
+    """Photon-number cutoff: smallest n with tail mass < epsilon_tail, plus 2.
+
+    The +2 margin keeps the top retained amplitudes far below the tolerance
+    once the distribution is embedded in the composite atom-field basis.
+    """
+    return _truncation(alpha, r, epsilon_tail)[0]
 
 
 def superposed_distribution(
@@ -182,10 +184,9 @@ def superposed_distribution(
     """
     B = normalization_constant(spec.alpha, spec.r)
     if n_max is None:
-        n_max = choose_truncation(spec.alpha, spec.r, spec.epsilon_tail)
-    elif n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    q = coherent_coefficients(spec.alpha, n_max)
+        n_max, q = _truncation(spec.alpha, spec.r, spec.epsilon_tail)
+    else:
+        q = coherent_coefficients(spec.alpha, n_max)
     parity = np.where(np.arange(n_max + 1) % 2 == 0, 1.0 + spec.r, 1.0 - spec.r)
     raw = q * parity / math.sqrt(B)
     kept = float(np.add.reduce(raw * raw))

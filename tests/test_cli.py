@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cascade_qed.cli import (
-    ScenarioConfig, environment_fingerprint, list_presets, main, run_scenario,
+    ScenarioConfig, _format_column, environment_fingerprint, list_presets, main,
+    run_scenario,
 )
 
 EXPECTED_HEADER = (
@@ -106,6 +108,8 @@ class TestRun:
         row = out.read_text().splitlines()[3].split(",")
         assert row[7] == "" and row[8] == "" and row[9] == "" and row[10] == ""
         assert row[1] != ""
+        meta = json.loads((tmp_path / "ana.csv.meta.json").read_text())
+        assert meta["integrator"]["dt_internal"] is None  # no numeric route
 
     def test_both_engine_writes_three_files(self, tmp_path: Path):
         out = tmp_path / "b.csv"
@@ -252,6 +256,9 @@ class TestBatchedCurves:
             assert meta["integrator"]["batch_size"] == 2
             assert meta["truncation"]["n_max"] == 70
             assert meta["integrator"]["substeps_total"] == 1999  # one per interval
+            # the step taken, not the largest one allowed
+            taken = meta["integrator"]["dt_internal"] * meta["integrator"]["substeps_total"]
+            assert abs(taken - params["tau_max"]) <= 1e-12
             assert "max_v_drift" not in meta["integrator"]  # <V> moves off resonance
         capsys.readouterr()
 
@@ -299,6 +306,32 @@ class TestDeterminism:
         assert cp.returncode == 0, cp.stderr
         golden = Path(__file__).parent / "golden" / "run_small.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+    # analytic at alpha = 40 (~600 kept rungs, 400 rows over several row
+    # blocks) is the largest sum the sweeps run
+    @pytest.mark.parametrize("engine,extra", [
+        ("analytic", ["--alpha", "40", "--steps", "400"]), ("both", []),
+    ])
+    def test_closed_form_bytes_identical_across_thread_counts(
+        self, tmp_path: Path, engine, extra
+    ):
+        written = []
+        for threads in ("1", "4"):
+            out = tmp_path / threads / "run.csv"
+            cp = run_cli(
+                "run", *QUICK, *extra, "--engine", engine, "--out", str(out),
+                env_extra={"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert cp.returncode == 0, cp.stderr
+            written.append({p.name: p.read_bytes() for p in sorted(out.parent.glob("*.csv"))})
+        assert len(written[0]) == (1 if engine == "analytic" else 3)
+        assert written[0] == written[1]
+
+    def test_column_formatter_matches_per_value_format(self):
+        col = np.array([math.nan, -0.0, 5e-324, -1e-300, 1e300, 0.1, -2.5, math.pi])
+        expected = ["" if math.isnan(v) else format(v + 0.0, ".17g") for v in col.tolist()]
+        assert _format_column(col) == expected
+        assert expected[:2] == ["", "0"]
 
     def test_byte_identical_across_thread_counts(self, tmp_path: Path):
         outs = []

@@ -152,6 +152,18 @@ class TestSuperposedDistribution:
         with pytest.raises(ZeroFieldError):
             superposed_distribution(FieldSpec(alpha=0.0, r=-1.0))
 
+    # alpha = 37 still takes the recurrence, alpha = 40 the log-space branch
+    @pytest.mark.parametrize("alpha", [1.0, 5.0, 37.0, 40.0])
+    @pytest.mark.parametrize("r", [0.0, 1.0, -1.0])
+    def test_automatic_cutoff_reuses_scan_amplitudes_exactly(self, alpha, r):
+        spec = FieldSpec(alpha=alpha, r=r)
+        auto = superposed_distribution(spec)
+        n_max = choose_truncation(alpha, r, spec.epsilon_tail)
+        explicit = superposed_distribution(spec, n_max=n_max)
+        assert auto.n_max == n_max
+        assert np.all(auto.weights == explicit.weights)
+        assert auto.dropped_tail == explicit.dropped_tail
+
     def test_truncation_monotone_before_renormalization(self):
         spec = FieldSpec(alpha=2.0, r=0.5)
         small = superposed_distribution(spec)

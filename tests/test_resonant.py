@@ -120,6 +120,43 @@ class TestOverlapAgainstBruteForce:
         assert val.y == pytest.approx(y_raw, abs=1e-10)
 
 
+class TestPairwiseSums:
+    """The whole-array sums against exactly rounded sums of the same terms."""
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_fsum_of_kept_terms_at_alpha40(self, r, p):
+        # alpha = 40 takes the log-space weight branch, n_max ~ 1,890
+        theta = 0.6
+        config = make_config(40.0, r, theta, p=p)
+        dist = superposed_distribution(config.field)
+        assert dist.n_max > 1800
+        taus = np.linspace(0.0, 2.0 * math.pi / p, 23)
+        x, y = overlap_series(taus, config, dist)
+        c = [float(v) for v in dist.weights]
+        cos2, sin2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+        for k, tau in enumerate(taus):
+            area = float(pulse_area(tau, config))
+            xs, ys = [], []
+            for n in range(dist.n_max + 1):
+                w_n = math.sqrt(2.0 * n + 3.0)
+                w1 = c[n] * c[n] * cos2
+                if w1 >= 1e-18:
+                    xs.append(w1 * (n + 2.0 + (n + 1.0) * math.cos(area * w_n)) / (2 * n + 3))
+                if n == dist.n_max:
+                    continue
+                w2 = c[n + 1] * c[n + 1] * sin2
+                if w2 >= 1e-18:
+                    xs.append(w2 * math.cos(area * w_n))
+                wy = c[n] * c[n + 1] * math.sin(2.0 * theta) * math.sqrt((n + 1.0) / (2 * n + 3))
+                if abs(wy) >= 1e-18:
+                    ys.append(wy * math.sin(area * w_n))
+            assert abs(x[k] - math.fsum(xs)) <= 1e-14
+            assert abs(y[k] - math.fsum(ys)) <= 1e-14
+        if r != 0.0:
+            assert np.all(y == 0.0)  # cat states: no cross terms at all
+
+
 class TestOverlapSpecialValues:
     def test_initial_value_deficit_alpha5(self):
         config = make_config(5.0, 0.0, math.pi / 4)
