@@ -19,10 +19,8 @@ from .field_states import (
 )
 from .system import (
     CompositeState,
-    ManifoldBlock,
     Motion,
     SystemConfig,
-    build_blocks,
     coupling_expectation,
     default_dt_internal,
     initial_state,
@@ -30,31 +28,19 @@ from .system import (
     pulse_area,
 )
 from .resonant import (
-    OverlapValue,
-    arcsin_phase,
     dynamical_phase_resonant,
     overlap_series,
-    overlap_xy,
 )
 from .evolver import (
     ConvergenceReport,
     NormDriftError,
     Trajectory,
     TrajectoryBatch,
-    block_hamiltonian,
     convergence_probe,
     evolve,
-    lab_frame_reference,
-    step_propagator,
 )
 from .phases import (
     PhaseTimeSeries,
-    UndefinedPhaseError,
-    dynamical_phase,
-    geometric_phase,
-    overlap,
-    pancharatnam_phase,
-    populations,
     series_from_closed_form,
     series_from_trajectory,
     unwrap_with_gaps,
@@ -72,36 +58,22 @@ __all__ = [
     "normalization_constant",
     "superposed_distribution",
     "CompositeState",
-    "ManifoldBlock",
     "Motion",
     "SystemConfig",
-    "build_blocks",
     "coupling_expectation",
     "default_dt_internal",
     "initial_state",
     "mode_shape",
     "pulse_area",
-    "OverlapValue",
-    "arcsin_phase",
     "dynamical_phase_resonant",
     "overlap_series",
-    "overlap_xy",
     "ConvergenceReport",
     "NormDriftError",
     "Trajectory",
     "TrajectoryBatch",
-    "block_hamiltonian",
     "convergence_probe",
     "evolve",
-    "lab_frame_reference",
-    "step_propagator",
     "PhaseTimeSeries",
-    "UndefinedPhaseError",
-    "dynamical_phase",
-    "geometric_phase",
-    "overlap",
-    "pancharatnam_phase",
-    "populations",
     "series_from_closed_form",
     "series_from_trajectory",
     "unwrap_with_gaps",

@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (one scenario to CSV), ``preset <name>`` (frozen
 parameter sets, one CSV per curve), ``compare`` (closed-form vs numerical
-overlap deviation report) and ``list-presets``.  Scenarios are fully
+overlap deviation report, no files written) and ``list-presets``.  All
+three compute through ``_compute``.  Scenarios are fully
 deterministic: identical configuration yields byte-identical CSV; wall
 times and other environment facts go to the ``.meta.json`` sidecar only.
 
@@ -44,7 +45,6 @@ __all__ = [
     "ScenarioConfig",
     "RunResult",
     "run_scenario",
-    "compare_engines",
     "environment_fingerprint",
     "list_presets",
     "main",
@@ -291,6 +291,17 @@ def _environment() -> dict:
     }
 
 
+def _engine_deviation(series: dict[str, PhaseTimeSeries]):
+    """Numeric minus closed-form x and y per grid point, and their largest
+    magnitudes under the report keys."""
+    dev_x = series["numeric"].x - series["analytic"].x
+    dev_y = series["numeric"].y - series["analytic"].y
+    return (dev_x, dev_y), {
+        "max_abs_dev_x": float(np.max(np.abs(dev_x))),
+        "max_abs_dev_y": float(np.max(np.abs(dev_y))),
+    }
+
+
 def _write_outputs(scenario: ScenarioConfig, series: dict[str, PhaseTimeSeries]):
     """Write a scenario's CSV files; return their paths and the engine deviation."""
     out = Path(scenario.out)
@@ -302,13 +313,8 @@ def _write_outputs(scenario: ScenarioConfig, series: dict[str, PhaseTimeSeries])
     write_series_csv(num_path, series["numeric"], scenario.emit_unwrapped)
     write_series_csv(ana_path, series["analytic"], scenario.emit_unwrapped)
     cmp_path = _derived_path(out, "compare")
-    dev_x = series["numeric"].x - series["analytic"].x
-    dev_y = series["numeric"].y - series["analytic"].y
+    (dev_x, dev_y), deviation = _engine_deviation(series)
     _write_csv(cmp_path, ("tau", "dev_x", "dev_y"), (series["numeric"].tau, dev_x, dev_y))
-    deviation = {
-        "max_abs_dev_x": float(np.max(np.abs(dev_x))),
-        "max_abs_dev_y": float(np.max(np.abs(dev_y))),
-    }
     return [num_path, ana_path, cmp_path], deviation
 
 
@@ -329,23 +335,14 @@ def _integrator_diagnostics(trajectory: Trajectory, config: SystemConfig) -> dic
     return drifts
 
 
-def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunResult:
-    """Run one scenario, or several as a batch, and write CSV plus sidecars.
-
-    ``engine=both`` writes one CSV per engine plus a per-point deviation
-    file ``<stem>.compare.csv``.  Numerical curves whose configurations
-    differ only in theta and the field's alpha and r, and whose photon
-    bases have the same size, evolve together through shared propagators;
-    each curve's CSV is byte-identical to running it alone.  A batch's
-    result sums ``substeps_total`` over its curves.
-    """
-    batch = not isinstance(scenarios, ScenarioConfig)
-    scenarios = list(scenarios) if batch else [scenarios]
-    for scenario in scenarios:
-        scenario.validate()
-        if scenario.out is None:
-            raise ConfigError("an output path is required (--out)")
-    t_start = time.perf_counter()
+def _compute(
+    scenarios: Sequence[ScenarioConfig],
+) -> list[tuple[dict[str, PhaseTimeSeries], dict]]:
+    """Evolve and assemble validated scenarios, writing nothing: per scenario,
+    its series by engine and its sidecar metadata (less files, wall time and
+    environment).  Numerical curves whose configurations differ only in
+    theta and the field's alpha and r, and whose photon bases have the same
+    size, evolve together through shared propagators."""
     configs = [scenario.system_config() for scenario in scenarios]
     dists = [superposed_distribution(config.field) for config in configs]
 
@@ -375,7 +372,6 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
             series["numeric"] = series_from_trajectory(trajectories[i])
         if scenario.engine in ("analytic", "both"):
             series["analytic"] = series_from_closed_form(config, dist)
-        paths, deviation = _write_outputs(scenario, series)
         integrator = {
             "scheme": "cf4",
             "dt_internal": None,
@@ -394,9 +390,31 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
                 "norm_constant": dist.norm_constant,
             },
             "integrator": integrator,
-            "deviation": deviation,
-            "files": [str(p) for p in paths],
         }
+        curves.append((series, metadata))
+    return curves
+
+
+def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunResult:
+    """Run one scenario, or several as a batch, and write CSV plus sidecars.
+
+    ``engine=both`` writes one CSV per engine plus a per-point deviation
+    file ``<stem>.compare.csv``.  Curves that share a basis and differ only
+    in their initial state evolve as one batch (see ``_compute``); each
+    curve's CSV is byte-identical to running it alone.  A batch's result
+    sums ``substeps_total`` over its curves.
+    """
+    batch = not isinstance(scenarios, ScenarioConfig)
+    scenarios = list(scenarios) if batch else [scenarios]
+    for scenario in scenarios:
+        scenario.validate()
+        if scenario.out is None:
+            raise ConfigError("an output path is required (--out)")
+    t_start = time.perf_counter()
+    curves = []
+    for scenario, (series, metadata) in zip(scenarios, _compute(scenarios)):
+        paths, deviation = _write_outputs(scenario, series)
+        metadata.update(deviation=deviation, files=[str(p) for p in paths])
         curves.append(RunResult(series=series, paths=tuple(paths), metadata=metadata))
 
     wall = time.perf_counter() - t_start
@@ -422,35 +440,6 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
             "wall_time_s": wall,
         },
     )
-
-
-def compare_engines(scenario: ScenarioConfig, tolerance: float = 1e-6) -> dict:
-    """Max-abs deviation between closed-form and numerical overlap.
-
-    Raises ToleranceBreach when the deviation exceeds ``tolerance``.
-    """
-    scenario.validate()
-    if scenario.delta != 0.0:
-        raise ConfigError("engine comparison requires delta=0")
-    config = scenario.system_config()
-    dist = superposed_distribution(config.field)
-    trajectory = evolve(initial_state(config, dist), config)
-    numeric = series_from_trajectory(trajectory)
-    analytic = series_from_closed_form(config, dist)
-    dev_x = float(np.max(np.abs(numeric.x - analytic.x)))
-    dev_y = float(np.max(np.abs(numeric.y - analytic.y)))
-    report = {
-        "max_abs_dev_x": dev_x,
-        "max_abs_dev_y": dev_y,
-        "max_abs_dev": max(dev_x, dev_y),
-        "tolerance": tolerance,
-        "within_tolerance": max(dev_x, dev_y) <= tolerance,
-        "grid_points": int(len(numeric.tau)),
-        "tau_max": scenario.tau_max,
-    }
-    if not report["within_tolerance"]:
-        raise ToleranceBreach(json.dumps(report, sort_keys=True))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +549,20 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
-    report = compare_engines(scenario, tolerance=args.tolerance)
+    tolerance = args.tolerance
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    scenario = replace(_scenario_from_args(args), engine="both")
+    scenario.validate()
+    if scenario.delta != 0.0:
+        raise ConfigError("engine comparison requires delta=0")
+    ((series, _),) = _compute([scenario])
+    report = _engine_deviation(series)[1]
+    worst = max(report.values())
+    report.update(max_abs_dev=worst, tolerance=tolerance, within_tolerance=worst <= tolerance,
+                  grid_points=len(series["numeric"].tau), tau_max=scenario.tau_max)
+    if not report["within_tolerance"]:
+        raise ToleranceBreach(json.dumps(report, sort_keys=True))
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

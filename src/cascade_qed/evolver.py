@@ -17,20 +17,19 @@ characteristic polynomial of a triple factors as E (E^2 - delta E - R^2),
 so no iterative eigensolver is needed on the hot path).  The frame is
 undone before states are stored, so stored amplitudes, overlaps and phases
 all live in the same interaction picture as the closed-form resonant route;
-the sign convention of the frame map is pinned by ``lab_frame_reference``,
-which integrates the original Hamiltonian with its oscillating phases
-directly.
+the tests pin the sign convention of the frame map against a direct
+integration of the original Hamiltonian with its oscillating phases.
 
 The dynamical phase is integrated on the same step grid, to the same
 order: the trapezoid sum of <H> with the Euler-Maclaurin endpoint
 correction, which takes the exact derivative d<H>/dtau at every node.
 
-Blocks evolve independently and are written to disjoint array regions, so
-processing order cannot change any amplitude; all reductions use a fixed
-deterministic order.  The two truncation-edge pairs are triples with one
-coupling zero, so one vectorized update advances every block at once, and
-curves that differ only in their initial state advance together as a batch
-that shares each propagator.
+Each block is a lane (``_lanes``): the two truncation-edge pairs are
+triples with one coupling zero, so one elementwise update advances every
+block at once, and no lane's amplitudes depend on another's.  All
+reductions use a fixed deterministic order.  Curves that differ only in
+their initial state advance together as a batch that shares each
+propagator.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import numpy as np
 from .field_states import superposed_distribution
 from .system import (
     CompositeState,
-    ManifoldBlock,
     Motion,
     SystemConfig,
     initial_state,
@@ -57,15 +55,11 @@ __all__ = [
     "Trajectory",
     "TrajectoryBatch",
     "ConvergenceReport",
-    "block_hamiltonian",
-    "step_propagator",
     "evolve",
     "convergence_probe",
-    "lab_frame_reference",
 ]
 
 _NORM_DRIFT_LIMIT = 1e-6
-_HERMITICITY_TOL = 1e-12
 
 # CF4: lambda is sampled at the Gauss nodes t + (1/2 -+ sqrt(3)/6) h, and the
 # two exponentials carry 2 (a2 lam1 + a1 lam2) and 2 (a1 lam1 + a2 lam2) with
@@ -101,13 +95,6 @@ class Trajectory:
     phi_dynamical: np.ndarray
     substeps: int
 
-    @property
-    def n_ph(self) -> int:
-        return self.states.shape[2] - 1
-
-    def state_at(self, k: int) -> CompositeState:
-        return CompositeState(self.states[k])
-
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
@@ -130,26 +117,6 @@ class ConvergenceReport:
     deviation_coarse: float  # max state deviation between dt and dt/2
     deviation_fine: float  # max state deviation between dt/2 and dt/4
     order: float  # log2(coarse/fine); nan at the noise floor
-
-
-def block_hamiltonian(
-    block: ManifoldBlock, tau: float, config: SystemConfig
-) -> np.ndarray:
-    """Rotating-frame block of H(tau)/g.
-
-    Off-diagonals are the mode shape times the ladder couplings; the
-    detuning sits on every level-2 basis state (the frame multiplies
-    level-2 amplitudes by exp(-i delta tau) and is undone at output).
-    """
-    lam = mode_shape(tau, config)
-    dim = block.dim
-    h = np.zeros((dim, dim))
-    for i, c in enumerate(block.couplings):
-        h[i, i + 1] = h[i + 1, i] = lam * c
-    for i, (level, _photon) in enumerate(block.basis):
-        if level == 2:
-            h[i, i] = config.delta
-    return h
 
 
 def _plane_sums(r, delta: float, dtau):
@@ -203,12 +170,33 @@ def _rotate_planes(u, v, w, m, xi, eta) -> None:
     w += eta * shift
 
 
-def _triple_step(u, v, w, r, xi, eta, delta: float, dtau: float) -> None:
-    """Advance coupling-triple lanes (u, v, w) in place by exp(-i dtau M),
-    M as in ``_plane_sums``.  A lane with xi = 0 or eta = 0 is a two-level
-    block."""
-    s0_minus_1, rs1, s2 = _plane_sums(r, delta, dtau)
-    _rotate_planes(u, v, w, (s0_minus_1, rs1, rs1, s2), xi, eta)
+def _lanes(n_ph: int):
+    """(sqrt_r, xi, eta) of the lanes j = 0..n_ph of a basis cut at n_ph.
+
+    Lane j holds |1, j-1>, |2, j>, |3, j+1> with couplings lambda sqrt(j) and
+    lambda sqrt(j+1), that is lambda sqrt_r (xi, eta): lanes 1..n_ph-1 are
+    the full triples, lane 0 is the bottom pair (|2,0>, |3,1>) and lane n_ph
+    the top pair (|1,n_ph-1>, |2,n_ph>); the singletons |3,0> and |1,n_ph>
+    are stationary and in no lane.
+    """
+    a2 = np.arange(n_ph + 1, dtype=float)
+    b2 = np.where(a2 < n_ph, a2 + 1.0, 0.0)
+    sqrt_r = np.sqrt(a2 + b2)
+    xi = np.sqrt(a2) / sqrt_r
+    eta = np.sqrt(b2) / sqrt_r
+    # complex dtype, so that the lane updates multiply without a cast
+    return sqrt_r, xi.astype(complex), eta.astype(complex)
+
+
+def _cf4_amplitudes(t, h, config: SystemConfig) -> np.ndarray:
+    """Effective mode amplitudes of the CF4 steps [t, t + h], shape (n, 2),
+    with the factor applied first in column 0."""
+    lam1 = mode_shape(t + (0.5 - _GAUSS_OFFSET) * h, config)
+    lam2 = mode_shape(t + (0.5 + _GAUSS_OFFSET) * h, config)
+    mean = 0.5 * (lam1 + lam2)
+    skew = _CF4_SKEW * (lam1 - lam2)
+    # the factor weighted towards the earlier node acts first
+    return np.stack((mean + skew, mean - skew), axis=1)
 
 
 def _cf4_planes(lam, sqrt_r, delta: float, half_h):
@@ -230,50 +218,6 @@ def _cf4_planes(lam, sqrt_r, delta: float, half_h):
         b1 + b1 * a0 + b2 * a1,
         b1 * a1 + b2 * a2,
     )
-
-
-def step_propagator(h: np.ndarray, dtau: float) -> np.ndarray:
-    """Exact unitary exp(-i h dtau) for a frozen block Hamiltonian.
-
-    Diagonal blocks are phases.  Real 2x2 blocks and the coupling-triple
-    structure go through ``_triple_step``, made of the plane sums and the
-    plane rotation that every ``evolve`` step is built from, propagating
-    the unit vectors (a 2x2 block is a triple lane with one
-    coupling zero, once the phase of its second diagonal entry is taken
-    out).  Any other Hermitian input falls back to an eigensolver.
-    """
-    h = np.asarray(h)
-    if dtau <= 0.0:
-        raise ValueError(f"dtau must be > 0, got {dtau!r}")
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > _HERMITICITY_TOL:
-        raise ValueError("block Hamiltonian is not Hermitian within 1e-12")
-    n = h.shape[0]
-    diagonal = np.diag(h).real
-    if not np.any(h - np.diag(np.diag(h))):
-        return np.diag(np.exp(-1j * dtau * diagonal))
-    real_symmetric = np.isrealobj(h) or not np.any(h.imag)
-    columns = np.eye(3, dtype=complex)
-    u, v, w = columns
-    if n == 2 and real_symmetric:
-        d1, d2 = diagonal
-        _triple_step(u[1:], v[1:], w[1:], float(h[0, 1].real), 0.0, 1.0, d1 - d2, dtau)
-        return np.exp(-1j * dtau * d2) * columns[1:, 1:]
-    is_triple_shape = (
-        n == 3
-        and real_symmetric
-        and h[0, 0] == 0.0
-        and h[2, 2] == 0.0
-        and h[0, 2] == 0.0
-    )
-    if is_triple_shape:
-        x, y = float(h[0, 1].real), float(h[1, 2].real)
-        r = math.hypot(x, y)
-        _triple_step(u, v, w, r, x / r, y / r, float(diagonal[1]), dtau)
-        return columns
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * dtau * vals)) @ vecs.conj().T
 
 
 def _norms(states: np.ndarray) -> np.ndarray:
@@ -329,35 +273,17 @@ def evolve(
     within = np.arange(n_sub) - np.repeat(out_idx[:-1], substeps)
     t = np.repeat(taus[:-1], substeps) + within * h
     node_taus = np.append(t, taus[-1])
-    if moving:
-        lam1 = np.sin(p * (t + (0.5 - _GAUSS_OFFSET) * h))
-        lam2 = np.sin(p * (t + (0.5 + _GAUSS_OFFSET) * h))
-    else:
-        lam1 = lam2 = np.ones(n_sub)
-    mean = 0.5 * (lam1 + lam2)
-    skew = _CF4_SKEW * (lam1 - lam2)
-    # the factor weighted towards the earlier node acts first
-    cf4_lam = np.stack((mean + skew, mean - skew), axis=1)
+    cf4_lam = _cf4_amplitudes(t, h, config)
 
-    # Lane j = 0..n_ph holds |1, j-1>, |2, j>, |3, j+1> with couplings
-    # lambda sqrt(j) and lambda sqrt(j+1): lanes 1..n_ph-1 are the full
-    # triples, lane 0 is the bottom pair (|2,0>, |3,1>) and lane n_ph the
-    # top pair (|1,n_ph-1>, |2,n_ph>); the singletons |3,0> and |1,n_ph> are
-    # stationary.  Each curve's state sits in a row of ``buffer`` padded
-    # with a zero before and two after, so that the lanes are a strided view
-    # of the same memory, with the missing partners of the edge pairs
+    # Each curve's state sits in a row of ``buffer`` padded with a zero
+    # before and two after, so that the lanes of ``_lanes`` are a strided
+    # view of the same memory, with the missing partners of the edge pairs
     # falling on the padding.
     buffer = np.zeros((n_curves, 3 * (width + 1)), dtype=complex)
     psi = buffer[:, 1 : 1 + 3 * width].reshape(n_curves, 3, width)
     psi[...] = amps
     u, v, w = np.moveaxis(buffer.reshape(n_curves, 3, width + 1)[:, :, :width], 1, 0)
-    lane = np.arange(width, dtype=float)
-    a2 = lane
-    b2 = np.where(lane < n_ph, lane + 1.0, 0.0)
-    sqrt_r = np.sqrt(a2 + b2)
-    # complex dtype, so that the lane updates multiply without a cast
-    xi = (np.sqrt(a2) / sqrt_r).astype(complex)
-    eta = (np.sqrt(b2) / sqrt_r).astype(complex)
+    sqrt_r, xi, eta = _lanes(n_ph)
 
     states = np.empty((n_curves, n_out, 3, width), dtype=complex)
     states[:, 0] = psi
@@ -396,12 +322,8 @@ def evolve(
     # f = <H>/g = lambda <V> and its exact derivative, with <V> = 2 Re<A> and,
     # in the rotating frame, d<V>/dtau = -2 delta Im<A>; each substep adds
     # the Euler-Maclaurin corrected trapezoid h (f0 + f1) / 2 - h^2 (f1' - f0') / 12
-    if moving:
-        lam = np.sin(p * node_taus)
-        dlam = p * np.cos(p * node_taus)
-    else:
-        lam = np.ones(n_sub + 1)
-        dlam = np.zeros(n_sub + 1)
+    lam = mode_shape(node_taus, config)
+    dlam = p * np.cos(p * node_taus) if moving else np.zeros(n_sub + 1)
     v_node = 2.0 * node_a.real.T
     f = lam * v_node
     df = dlam * v_node - (2.0 * delta) * lam * node_a.imag.T
@@ -453,58 +375,3 @@ def convergence_probe(config: SystemConfig) -> ConvergenceReport:
         order=order,
     )
 
-
-def lab_frame_reference(
-    initial: CompositeState, config: SystemConfig, taus
-) -> np.ndarray:
-    """Independent oracle: integrate with the oscillating phases kept.
-
-    Builds the dense interaction Hamiltonian with its explicit
-    exp(+-i delta tau) factors (no rotating frame, no block splitting) and
-    integrates the Schroedinger equation adaptively to ~1e-11 tolerance.
-    Intended for small toy bases; returns states of shape
-    (len(taus), 3, n_ph + 1) in the same picture as ``evolve`` output.
-    """
-    from scipy.integrate import solve_ivp  # only this oracle needs scipy
-
-    taus = np.asarray(taus, dtype=float)
-    amps = np.asarray(initial.amplitudes, dtype=complex)
-    n_ph = amps.shape[1] - 1
-    dim = 3 * (n_ph + 1)
-    delta = float(config.delta)
-    moving = config.motion is Motion.MOVING
-    p = config.p
-    roots = np.sqrt(np.arange(1.0, n_ph + 1.0))
-
-    def hamiltonian(t: float) -> np.ndarray:
-        lam = math.sin(p * t) if moving else 1.0
-        ph = complex(math.cos(delta * t), math.sin(delta * t))
-        h = np.zeros((dim, dim), dtype=complex)
-        for n in range(n_ph):
-            # <2, n+1| H |1, n> = lam sqrt(n+1) exp(+i delta t)
-            i_up = n
-            i_mid = (n_ph + 1) + n + 1
-            h[i_mid, i_up] = lam * roots[n] * ph
-            h[i_up, i_mid] = np.conj(h[i_mid, i_up])
-            # <3, n+1| H |2, n> = lam sqrt(n+1) exp(-i delta t)
-            j_mid = (n_ph + 1) + n
-            j_gnd = 2 * (n_ph + 1) + n + 1
-            h[j_gnd, j_mid] = lam * roots[n] * np.conj(ph)
-            h[j_mid, j_gnd] = np.conj(h[j_gnd, j_mid])
-        return h
-
-    def rhs(t, psi):
-        return -1j * (hamiltonian(t) @ psi)
-
-    sol = solve_ivp(
-        rhs,
-        (float(taus[0]), float(taus[-1])),
-        amps.ravel(),
-        t_eval=taus,
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-11,
-    )
-    if not sol.success:
-        raise RuntimeError(f"reference integration failed: {sol.message}")
-    return sol.y.T.reshape(len(taus), 3, n_ph + 1)

@@ -1,4 +1,4 @@
-"""Overlaps, Pancharatnam/dynamical/geometric phases and populations.
+"""Observable series: overlap, Pancharatnam/dynamical/geometric phases, populations.
 
 The total (Pancharatnam) phase of an evolution is the principal argument of
 the survival amplitude <psi(0)|psi(tau)>; subtracting the accumulated
@@ -20,16 +20,10 @@ import numpy as np
 from .field_states import PhotonDistribution
 from .resonant import dynamical_phase_resonant, overlap_series
 from .evolver import Trajectory
-from .system import CompositeState, SystemConfig
+from .system import SystemConfig
 
 __all__ = [
-    "UndefinedPhaseError",
     "PhaseTimeSeries",
-    "overlap",
-    "pancharatnam_phase",
-    "dynamical_phase",
-    "geometric_phase",
-    "populations",
     "wrap_angle",
     "unwrap_with_gaps",
     "series_from_trajectory",
@@ -37,10 +31,6 @@ __all__ = [
 ]
 
 _OVERLAP_FLOOR = 1e-12  # below this the phase of <psi(0)|psi(t)> is noise
-
-
-class UndefinedPhaseError(ValueError):
-    """Phase requested for an overlap too small to carry one."""
 
 
 @dataclass(frozen=True)
@@ -64,52 +54,6 @@ class PhaseTimeSeries:
     rho22: np.ndarray
     rho33: np.ndarray
     norm_error: np.ndarray
-
-
-def overlap(psi0: CompositeState, psit: CompositeState) -> complex:
-    """Scalar product <psi0|psit> (conjugation on the first argument)."""
-    a = psi0.amplitudes
-    b = psit.amplitudes
-    if a.shape != b.shape:
-        raise ValueError(f"state shapes differ: {a.shape} vs {b.shape}")
-    return complex(np.add.reduce((np.conj(a) * b).ravel()))
-
-
-def pancharatnam_phase(z: complex) -> float:
-    """Principal argument of the overlap, in (-pi, pi]."""
-    if abs(z) <= _OVERLAP_FLOOR:
-        raise UndefinedPhaseError(
-            f"overlap modulus {abs(z):.3e} is below the definable floor"
-        )
-    return math.atan2(z.imag, z.real)
-
-
-def dynamical_phase(trajectory: Trajectory) -> np.ndarray:
-    """Accumulated dynamical phase -integral of <H>/g on the output grid.
-
-    ``evolve`` integrates it on its substep grid (the energy expectation
-    oscillates at the ladder frequencies, which a coarser output grid would
-    alias), to the integrator's fourth order.
-    """
-    return trajectory.phi_dynamical
-
-
-def geometric_phase(total: np.ndarray, dynamical: np.ndarray) -> np.ndarray:
-    """Elementwise total minus dynamical phase, wrapped to (-pi, pi]."""
-    total = np.asarray(total, dtype=float)
-    dynamical = np.asarray(dynamical, dtype=float)
-    if total.shape != dynamical.shape:
-        raise ValueError(
-            f"phase series lengths differ: {total.shape} vs {dynamical.shape}"
-        )
-    return wrap_angle(total - dynamical)
-
-
-def populations(state: CompositeState) -> tuple[float, float, float]:
-    """Level occupations (rho11, rho22, rho33): trace over the photon index."""
-    prob = np.abs(state.amplitudes) ** 2
-    sums = np.add.reduce(prob, axis=1)
-    return float(sums[0]), float(sums[1]), float(sums[2])
 
 
 def wrap_angle(phi):
@@ -152,7 +96,7 @@ def series_from_trajectory(trajectory: Trajectory) -> PhaseTimeSeries:
     z = np.add.reduce((ref[None, :, :] * trajectory.states).reshape(len(trajectory.taus), -1), axis=1)
     x = z.real.copy()
     y = z.imag.copy()
-    phi_dyn = dynamical_phase(trajectory)
+    phi_dyn = trajectory.phi_dynamical
     phi_total, phi_geo, phi_arc = _phase_columns(x, y, phi_dyn)
     prob = np.abs(trajectory.states) ** 2
     rho = np.add.reduce(prob, axis=2)

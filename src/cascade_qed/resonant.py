@@ -23,7 +23,6 @@ c_n^2 cos^2(theta) (n+1)/(2n+3) + c_{n+1}^2 sin^2(theta) per rung.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +30,12 @@ from .field_states import PhotonDistribution
 from .system import SystemConfig, coupling_expectation, initial_state, pulse_area
 
 __all__ = [
-    "OverlapValue",
     "overlap_series",
-    "overlap_xy",
-    "arcsin_phase",
     "dynamical_phase_resonant",
 ]
 
 _TERM_SKIP = 1e-18  # weights below this (relative to unit norm) are dropped
 _BLOCK = 1 << 15  # phases per block of rows: 256 KB, which stays in cache
-
-
-@dataclass(frozen=True)
-class OverlapValue:
-    """Real and imaginary parts of <psi(0)|psi(tau)> at scaled time tau."""
-
-    x: float
-    y: float
-    tau: float
 
 
 def _require_resonance(config: SystemConfig) -> None:
@@ -113,26 +100,6 @@ def overlap_series(
     wy *= np.sqrt((ns[:-1] + 1.0) / (2.0 * ns[:-1] + 3.0))
     wy[np.abs(wy) < _TERM_SKIP] = 0.0
     return x, _ladder_sum(area, omega[:-1], wy, np.sin)
-
-
-def overlap_xy(
-    tau: float, config: SystemConfig, dist: PhotonDistribution
-) -> OverlapValue:
-    """Closed-form overlap <psi(0)|psi(tau)> = x + i y at one scaled time."""
-    x, y = overlap_series(float(tau), config, dist)
-    return OverlapValue(x=float(x[0]), y=float(y[0]), tau=float(tau))
-
-
-def arcsin_phase(x: float, y: float) -> float:
-    """Phase in the arcsine convention, -asin(y / sqrt(x^2 + y^2)).
-
-    Always lands in [-pi/2, pi/2]; for x >= 0 it equals minus the principal
-    argument of x + i y, for x < 0 it differs from it by the branch fold.
-    """
-    h = math.hypot(x, y)
-    if h == 0.0:
-        raise ValueError("phase undefined for a zero overlap")
-    return -math.asin(max(-1.0, min(1.0, y / h)))
 
 
 def dynamical_phase_resonant(tau, config: SystemConfig, dist: PhotonDistribution):

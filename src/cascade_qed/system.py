@@ -1,4 +1,4 @@
-"""Physical configuration, mode shape, initial state and invariant blocks.
+"""Physical configuration, mode shape, initial state and ladder expectations.
 
 The cascade levels are ordered 1 (upper), 2 (middle), 3 (ground); composite
 amplitudes are indexed ``[level - 1, photon]``.  Time is the dimensionless
@@ -25,11 +25,9 @@ __all__ = [
     "Motion",
     "SystemConfig",
     "CompositeState",
-    "ManifoldBlock",
     "mode_shape",
     "pulse_area",
     "initial_state",
-    "build_blocks",
     "coupling_expectation",
     "ladder_expectation",
     "default_dt_internal",
@@ -59,14 +57,11 @@ class SystemConfig:
     theta: float = 0.0
     p: int = 1
     motion: Motion = Motion.MOVING
-    g: float = 1.0
     tau_max: float = 8.0 * math.pi
     n_steps: int = 2000
     dt_internal: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.g) and self.g > 0.0):
-            raise ValueError(f"g must be finite and > 0, got {self.g!r}")
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta!r}")
         if not math.isfinite(self.theta):
@@ -125,31 +120,6 @@ class CompositeState:
         return math.sqrt(float(np.add.reduce(flat * flat)))
 
 
-@dataclass(frozen=True)
-class ManifoldBlock:
-    """One invariant subspace of the coupling ladder.
-
-    ``basis`` lists (level, photon) indices in ladder order; ``couplings``
-    holds the strictly positive strengths between consecutive basis states.
-    """
-
-    kind: str  # "triple" | "pair" | "singleton"
-    basis: tuple[tuple[int, int], ...]
-    couplings: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("triple", "pair", "singleton"):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if len(self.couplings) != len(self.basis) - 1:
-            raise ValueError("couplings must have one entry per adjacent pair")
-        if any(c <= 0.0 for c in self.couplings):
-            raise ValueError("coupling entries must be strictly positive")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def mode_shape(tau, config: SystemConfig):
     """Mode amplitude seen by the atom: sin(p tau) when moving, 1 otherwise."""
     tau = np.asarray(tau, dtype=float)
@@ -186,36 +156,6 @@ def initial_state(config: SystemConfig, dist: PhotonDistribution) -> CompositeSt
     amps[0, : dist.n_max + 1] = math.cos(config.theta) * dist.weights
     amps[1, : dist.n_max + 1] = -math.sin(config.theta) * dist.weights
     return CompositeState(amps)
-
-
-def build_blocks(n_ph: int) -> tuple[ManifoldBlock, ...]:
-    """Decompose the truncated composite basis into invariant blocks.
-
-    The coupling ladder preserves {|1,n>, |2,n+1>, |3,n+2>}; on a basis cut
-    at photon number n_ph this yields the stationary singleton |3,0>, the
-    bottom pair (|2,0>, |3,1>), the full triples for n = 0..n_ph-2, and two
-    truncation-edge blocks, the pair (|1,n_ph-1>, |2,n_ph>) and the
-    singleton |1,n_ph>, which close the partition at the photon cutoff.
-    """
-    if n_ph < 2:
-        raise ValueError(f"n_ph must be >= 2, got {n_ph}")
-    blocks: list[ManifoldBlock] = [
-        ManifoldBlock("singleton", ((3, 0),), ()),
-        ManifoldBlock("pair", ((2, 0), (3, 1)), (1.0,)),
-    ]
-    for n in range(n_ph - 1):
-        blocks.append(
-            ManifoldBlock(
-                "triple",
-                ((1, n), (2, n + 1), (3, n + 2)),
-                (math.sqrt(n + 1.0), math.sqrt(n + 2.0)),
-            )
-        )
-    blocks.append(
-        ManifoldBlock("pair", ((1, n_ph - 1), (2, n_ph)), (math.sqrt(float(n_ph)),))
-    )
-    blocks.append(ManifoldBlock("singleton", ((1, n_ph),), ()))
-    return tuple(blocks)
 
 
 @functools.lru_cache(maxsize=64)

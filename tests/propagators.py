@@ -1,0 +1,114 @@
+"""The evolver's step maps as matrices, and the independent oracles the
+tests check them against.
+
+``cf4_lane_matrices`` runs the code ``evolve`` runs (``_lanes``,
+``_cf4_planes`` and ``_rotate_planes``) on unit-vector lanes.
+``dense_hamiltonian`` and ``lab_frame_reference`` share no code with the
+evolver: the first writes the rotating-frame Hamiltonian out as a dense
+matrix on the whole (level, photon) rectangle, the second integrates the
+interaction Hamiltonian with its oscillating phases kept.
+"""
+
+import math
+
+import numpy as np
+
+from cascade_qed import CompositeState, Motion, SystemConfig
+from cascade_qed import evolver
+
+
+def cf4_lane_matrices(lam, n_ph: int, delta: float, h: float) -> np.ndarray:
+    """The maps of one CF4 step of width h, shape (n_ph + 1, 3, 3): lane j's
+    matrix over (|1, j-1>, |2, j>, |3, j+1>).  ``lam`` is the pair of
+    effective mode amplitudes, the factor applied first in ``lam[0]``."""
+    sqrt_r, xi, eta = evolver._lanes(n_ph)
+    maps = evolver._cf4_planes(np.array([lam], dtype=float), sqrt_r, delta, np.array([0.5 * h]))
+    # columns[c, k, j]: component k of lane j, started from unit vector c
+    columns = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_ph + 1, axis=2)
+    evolver._rotate_planes(*columns.swapaxes(0, 1), [m[0] for m in maps], xi, eta)
+    return columns.transpose(2, 1, 0)
+
+
+def embed_lanes(matrices: np.ndarray) -> np.ndarray:
+    """The whole-state map of per-lane matrices, on amplitudes flattened
+    row-major from shape (3, n_ph + 1); the singletons |3,0> and |1,n_ph>
+    lie in no lane and map to themselves.  The edge lanes' missing partner
+    must neither give nor take amplitude."""
+    n_ph = len(matrices) - 1
+    width = n_ph + 1
+    full = np.eye(3 * width, dtype=complex)
+    for j, m in enumerate(matrices):
+        index = np.array([j - 1, width + j, 2 * width + j + 1])
+        inside = np.array([j >= 1, True, j < n_ph])
+        assert not np.any(m[np.ix_(inside, ~inside)]) and not np.any(m[np.ix_(~inside, inside)])
+        full[np.ix_(index[inside], index[inside])] = m[np.ix_(inside, inside)]
+    return full
+
+
+def dense_hamiltonian(n_ph: int, lam: float, delta: float) -> np.ndarray:
+    """Rotating-frame H'/g on the (level, photon) rectangle, row-major as
+    the amplitudes: lam sqrt(n+1) between |1,n> and |2,n+1> and between
+    |2,n> and |3,n+1>, and delta on every level-2 state."""
+    width = n_ph + 1
+    h = np.diag(np.repeat([0.0, delta, 0.0], width))
+    for n in range(n_ph):
+        for level in (0, 1):
+            i, k = level * width + n, (level + 1) * width + n + 1
+            h[i, k] = h[k, i] = lam * math.sqrt(n + 1.0)
+    return h
+
+
+def lab_frame_reference(
+    initial: CompositeState, config: SystemConfig, taus
+) -> np.ndarray:
+    """Independent oracle: integrate with the oscillating phases kept.
+
+    Builds the dense interaction Hamiltonian with its explicit
+    exp(+-i delta tau) factors (no rotating frame, no block splitting) and
+    integrates the Schroedinger equation adaptively to ~1e-11 tolerance.
+    Intended for small toy bases; returns states of shape
+    (len(taus), 3, n_ph + 1) in the same picture as ``evolve`` output.
+    """
+    from scipy.integrate import solve_ivp  # only this oracle needs scipy
+
+    taus = np.asarray(taus, dtype=float)
+    amps = np.asarray(initial.amplitudes, dtype=complex)
+    n_ph = amps.shape[1] - 1
+    dim = 3 * (n_ph + 1)
+    delta = float(config.delta)
+    moving = config.motion is Motion.MOVING
+    p = config.p
+    roots = np.sqrt(np.arange(1.0, n_ph + 1.0))
+
+    def hamiltonian(t: float) -> np.ndarray:
+        lam = math.sin(p * t) if moving else 1.0
+        ph = complex(math.cos(delta * t), math.sin(delta * t))
+        h = np.zeros((dim, dim), dtype=complex)
+        for n in range(n_ph):
+            # <2, n+1| H |1, n> = lam sqrt(n+1) exp(+i delta t)
+            i_up = n
+            i_mid = (n_ph + 1) + n + 1
+            h[i_mid, i_up] = lam * roots[n] * ph
+            h[i_up, i_mid] = np.conj(h[i_mid, i_up])
+            # <3, n+1| H |2, n> = lam sqrt(n+1) exp(-i delta t)
+            j_mid = (n_ph + 1) + n
+            j_gnd = 2 * (n_ph + 1) + n + 1
+            h[j_gnd, j_mid] = lam * roots[n] * np.conj(ph)
+            h[j_mid, j_gnd] = np.conj(h[j_gnd, j_mid])
+        return h
+
+    def rhs(t, psi):
+        return -1j * (hamiltonian(t) @ psi)
+
+    sol = solve_ivp(
+        rhs,
+        (float(taus[0]), float(taus[-1])),
+        amps.ravel(),
+        t_eval=taus,
+        method="DOP853",
+        rtol=1e-11,
+        atol=1e-11,
+    )
+    if not sol.success:
+        raise RuntimeError(f"reference integration failed: {sol.message}")
+    return sol.y.T.reshape(len(taus), 3, n_ph + 1)

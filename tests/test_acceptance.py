@@ -21,21 +21,19 @@ from cascade_qed import (
     FieldSpec,
     Motion,
     SystemConfig,
-    block_hamiltonian,
-    build_blocks,
     coherent_coefficients,
     convergence_probe,
     evolve,
     initial_state,
-    lab_frame_reference,
     series_from_closed_form,
     series_from_trajectory,
-    step_propagator,
     superposed_distribution,
 )
-from cascade_qed.cli import CSV_COLUMNS
+from cascade_qed.cli import CSV_COLUMNS, ScenarioConfig, list_presets
+from cascade_qed.evolver import _cf4_amplitudes
 
 import goldens
+from propagators import cf4_lane_matrices, lab_frame_reference
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
@@ -207,18 +205,18 @@ def test_criterion_6_numerical_hygiene(oracle_runs, detuned_run):
     )
     worst_norm = max(worst_norm, float(np.max(detuned_run[2].norm_error)))
 
+    # every lane map of the CF4 steps [tau, tau + h] on a basis cut at n_ph = 80
     worst_unitarity = 0.0
     cfg_sweep = SystemConfig(field=FieldSpec(alpha=5.0, r=0.0), delta=20.0, p=1)
     cfg_res = SystemConfig(field=FieldSpec(alpha=5.0, r=0.0), delta=0.0, p=1)
-    blocks = build_blocks(80)
     for config in (cfg_sweep, cfg_res):
-        for block in blocks[:: max(1, len(blocks) // 12)]:
-            for tau in (0.05, 0.9, 2.2, 4.7):
-                for h in (1e-3, 0.05):
-                    u = step_propagator(block_hamiltonian(block, tau, config), h)
-                    worst_unitarity = max(worst_unitarity, float(np.max(np.abs(
-                        u @ u.conj().T - np.eye(block.dim)
-                    ))))
+        for tau in (0.05, 0.9, 2.2, 4.7):
+            for h in (1e-3, 0.05):
+                lam = _cf4_amplitudes(np.array([tau]), np.array([h]), config)[0]
+                u = cf4_lane_matrices(lam, 80, config.delta, h)
+                worst_unitarity = max(worst_unitarity, float(np.max(np.abs(
+                    u @ u.conj().transpose(0, 2, 1) - np.eye(3)
+                ))))
 
     probe = convergence_probe(
         SystemConfig(
@@ -300,7 +298,8 @@ def test_criterion_9_determinism_and_golden_regression(tmp_path):
     # value goldens: the portable check
     values_ok, reports = True, []
     for name, path in outputs.items():
-        ok, text = goldens.compare_values(goldens.read_csv(path), goldens.load_golden(name))
+        ok, text = goldens.compare_values(goldens.read_csv(path), goldens.load_golden(name),
+                                          goldens.VALUE_TOLERANCE[name])
         values_ok = values_ok and ok
         reports.append(f"{name}:\n  " + text.replace("\n", "\n  "))
 
@@ -324,6 +323,9 @@ def golden_curve():
     return goldens.load_golden("fig4b_r0.csv")
 
 
+FIG4B_TOLERANCE = goldens.VALUE_TOLERANCE["fig4b_r0.csv"]
+
+
 def _copy(curve):
     return {column: values.copy() for column, values in curve.items()}
 
@@ -332,7 +334,7 @@ def _copy(curve):
 def test_golden_comparator_rejects_1e9_shift(golden_curve, column):
     shifted = _copy(golden_curve)
     shifted[column][1234] += 1e-9
-    ok, text = goldens.compare_values(shifted, golden_curve)
+    ok, text = goldens.compare_values(shifted, golden_curve, FIG4B_TOLERANCE)
     assert not ok
     assert f"{column}: max |dev| 1.00e-09 at row 1234" in text
 
@@ -341,7 +343,7 @@ def test_golden_comparator_accepts_rounding_shift(golden_curve):
     shifted = _copy(golden_curve)
     for column, values in shifted.items():
         values[1234] += 1e-14
-    ok, text = goldens.compare_values(shifted, golden_curve)
+    ok, text = goldens.compare_values(shifted, golden_curve, FIG4B_TOLERANCE)
     assert ok, text
 
 
@@ -351,25 +353,45 @@ def test_golden_comparator_wraps_only_wrapped_phases(golden_curve):
     for column in goldens.WRAPPED_COLUMNS:
         want[column][7] = -math.pi + eps
         got[column][7] = math.pi - eps
-    ok, text = goldens.compare_values(got, want)
+    ok, text = goldens.compare_values(got, want, FIG4B_TOLERANCE)
     assert ok, text
     # phi_dynamical is an accumulated integral, not an angle mod 2pi
     want["phi_dynamical"][7] = -math.pi + eps
     got["phi_dynamical"][7] = math.pi - eps
-    assert not goldens.compare_values(got, want)[0]
+    assert not goldens.compare_values(got, want, FIG4B_TOLERANCE)[0]
 
 
 def test_golden_comparator_gaps_and_norm_bound(golden_curve):
     gap = _copy(golden_curve)
     gap["phi_eq5"][40] = math.nan
-    ok, text = goldens.compare_values(gap, golden_curve)
+    ok, text = goldens.compare_values(gap, golden_curve, FIG4B_TOLERANCE)
     assert not ok and "phi_eq5: NaN gaps differ in 1 row(s), first at row 40" in text
 
     # norm_error is bounded, not compared: a different small value passes,
     # one above the bound fails
     noisy = _copy(golden_curve)
     noisy["norm_error"][:] = 9e-13
-    assert goldens.compare_values(noisy, golden_curve)[0]
+    assert goldens.compare_values(noisy, golden_curve, FIG4B_TOLERANCE)[0]
     noisy["norm_error"][3] = 2e-12
-    ok, text = goldens.compare_values(noisy, golden_curve)
+    ok, text = goldens.compare_values(noisy, golden_curve, FIG4B_TOLERANCE)
     assert not ok and "norm_error: 2.00e-12 at row 3 exceeds 1e-12" in text
+
+
+def test_golden_comparator_rejects_fig5a_at_half_step():
+    # a resonant step change moves fig5a by ~1e-11: inside a uniform 1e-10,
+    # outside the curve's own tolerance
+    ((_, params),) = list_presets()["fig5a"]
+    config = ScenarioConfig(**params).system_config()
+    state = initial_state(config, superposed_distribution(config.field))
+    golden = goldens.load_golden("fig5a.csv")
+    default = evolve(state, config)
+    half = replace(config, dt_internal=config.tau_max / default.substeps / 2.0)
+    verdicts = []
+    for trajectory in (default, evolve(state, half)):
+        series = series_from_trajectory(trajectory)
+        columns = {c: getattr(series, "phi_arcsin" if c == "phi_eq5" else c)
+                   for c in CSV_COLUMNS}
+        verdicts.append(goldens.compare_values(columns, golden,
+                                               goldens.VALUE_TOLERANCE["fig5a.csv"]))
+    assert verdicts[0][0], verdicts[0][1]
+    assert not verdicts[1][0] and "x: 1.7" in verdicts[1][1]

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cascade_qed
 from cascade_qed.cli import (
     ScenarioConfig, _format_column, environment_fingerprint, list_presets, main,
     run_scenario,
@@ -26,12 +27,18 @@ QUICK = [
 ]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    cmd = [sys.executable, "-m", "cascade_qed", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+# the package under test, importable from any working directory
+SRC = str(Path(cascade_qed.__file__).resolve().parents[1])
+
+
+def run_python(*args, env_extra=None, cwd=None):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, **(env_extra or {}))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def run_cli(*args, env_extra=None, cwd=None):
+    return run_python("-m", "cascade_qed", *args, env_extra=env_extra, cwd=cwd)
 
 
 def test_help():
@@ -241,6 +248,19 @@ class TestCompare:
         cp = run_cli("compare", "--delta", "5", "--steps", "50")
         assert cp.returncode == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_config_error(self, tolerance):
+        cp = run_cli("compare", *QUICK, "--tolerance", tolerance)
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("error: tolerance must be finite and >= 0")
+        assert cp.stdout == ""
+
+    def test_compare_writes_no_files(self, tmp_path: Path):
+        cp = run_cli("compare", *QUICK, "--tolerance", "1", cwd=tmp_path)
+        assert cp.returncode == 0, cp.stderr
+        assert json.loads(cp.stdout)["grid_points"] == 40
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBatchedCurves:
     def test_preset_curves_match_single_runs(self, tmp_path: Path, capsys):
@@ -287,12 +307,23 @@ class TestBatchedCurves:
         assert sorted(result.series) == ["coherent/numeric", "even/numeric", "odd/numeric"]
 
 
-def test_import_loads_numpy_only():
-    code = ("import sys, cascade_qed; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["compare", *QUICK, "--tolerance", "1"],
+    ["run", *QUICK, "--engine", "both", "--out", "b.csv"],
+])
+def test_import_loads_numpy_only(tmp_path: Path, argv):
+    # importing the package, a comparison and a both-engine run load no scipy
+    code = f"import sys, cascade_qed; print({SCIPY_MODULES})"
+    if argv is not None:
+        code = ("import sys; from cascade_qed.cli import main; "
+                f"code = main({argv!r}); print({SCIPY_MODULES}); sys.exit(code)")
+    cp = run_python("-c", code, cwd=tmp_path)
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == "[]"
+    assert cp.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Block Hamiltonians, step propagators and the CF4 evolver."""
+"""CF4 lane maps and the evolver built from them."""
 
 import math
 from dataclasses import replace
@@ -12,17 +12,19 @@ from cascade_qed import (
     FieldSpec,
     Motion,
     SystemConfig,
-    block_hamiltonian,
-    build_blocks,
     convergence_probe,
     evolve,
     initial_state,
-    lab_frame_reference,
-    step_propagator,
     superposed_distribution,
 )
 from cascade_qed import evolver
-from cascade_qed.evolver import NormDriftError, TrajectoryBatch, _triple_step
+from cascade_qed.evolver import NormDriftError, TrajectoryBatch
+from propagators import (
+    cf4_lane_matrices,
+    dense_hamiltonian,
+    embed_lanes,
+    lab_frame_reference,
+)
 
 
 def make_config(**kwargs):
@@ -38,112 +40,52 @@ def random_state(n_ph, seed=0):
     return CompositeState(amps)
 
 
-class TestBlockHamiltonian:
-    def test_first_triple_at_resonance(self):
-        cfg = make_config(motion=Motion.NEGLECTED)  # mode shape 1
-        triple = next(b for b in build_blocks(4) if b.kind == "triple")
-        h = block_hamiltonian(triple, 0.7, cfg)
-        assert h[0, 1] == pytest.approx(1.0)
-        assert h[1, 2] == pytest.approx(math.sqrt(2.0))
-        assert np.all(np.diag(h) == 0.0)
-        vals = np.sort(np.linalg.eigvalsh(h))
-        assert vals == pytest.approx([-math.sqrt(3.0), 0.0, math.sqrt(3.0)], abs=1e-12)
+class TestLaneMaps:
+    """One CF4 step as ``evolve`` applies it, against a dense Hamiltonian."""
 
     @pytest.mark.parametrize("n", range(11))
-    def test_triple_spectrum(self, n):
-        cfg = make_config(motion=Motion.NEGLECTED)
-        blocks = build_blocks(14)
-        triple = next(
-            b for b in blocks if b.kind == "triple" and b.basis[0] == (1, n)
-        )
-        vals = np.sort(np.linalg.eigvalsh(block_hamiltonian(triple, 0.0, cfg)))
+    def test_triple_spectrum_at_resonance(self, n):
+        # lane n + 1 is the triple |1,n>, |2,n+1>, |3,n+2>: frequencies 0, +-sqrt(2n+3)
+        h = 0.05
+        m = cf4_lane_matrices((1.0, 1.0), 14, 0.0, h)[n + 1]
+        energies = np.sort(-np.angle(np.linalg.eigvals(m)) / h)
         w = math.sqrt(2.0 * n + 3.0)
-        assert vals == pytest.approx([-w, 0.0, w], abs=1e-12)
+        assert energies == pytest.approx([-w, 0.0, w], abs=1e-12)
 
-    def test_singleton_is_stationary(self):
-        cfg = make_config()
-        singleton = build_blocks(3)[0]
-        assert singleton.basis == ((3, 0),)
-        h = block_hamiltonian(singleton, 1.0, cfg)
-        assert h.shape == (1, 1) and h[0, 0] == 0.0
-
-    def test_detuning_sits_on_middle_level(self):
-        cfg = make_config(delta=4.5, motion=Motion.NEGLECTED)
-        blocks = build_blocks(3)
-        triple = next(b for b in blocks if b.kind == "triple")
-        assert np.allclose(np.diag(block_hamiltonian(triple, 0.0, cfg)), [0, 4.5, 0])
-        bottom_pair = blocks[1]
-        assert bottom_pair.basis == ((2, 0), (3, 1))
-        assert np.allclose(np.diag(block_hamiltonian(bottom_pair, 0.0, cfg)), [4.5, 0])
-        top_pair = blocks[-2]
-        assert top_pair.basis == ((1, 2), (2, 3))
-        assert np.allclose(np.diag(block_hamiltonian(top_pair, 0.0, cfg)), [0, 4.5])
-
-    def test_mode_shape_scales_couplings(self):
-        cfg = make_config(p=2)
-        triple = next(b for b in build_blocks(3) if b.kind == "triple")
-        tau = 0.43
-        h = block_hamiltonian(triple, tau, cfg)
-        assert h[0, 1] == pytest.approx(math.sin(2 * tau) * 1.0, abs=1e-15)
-
-
-class TestStepPropagator:
-    def test_zero_hamiltonian_gives_identity(self):
-        u = step_propagator(np.zeros((1, 1)), 0.3)
-        assert u[0, 0] == pytest.approx(1.0)
-
-    def test_resonant_pair_rotation(self):
-        h = np.array([[0.0, 1.0], [1.0, 0.0]])
+    def test_bottom_pair_rotation(self):
+        # lane 0 is the pair (|2,0>, |3,1>) with coupling lambda
         dtau = 0.37
-        u = step_propagator(h, dtau)
-        assert u[0, 0] == pytest.approx(math.cos(dtau), abs=1e-14)
-        assert u[1, 1] == pytest.approx(math.cos(dtau), abs=1e-14)
-        assert u[0, 1] == pytest.approx(-1j * math.sin(dtau), abs=1e-14)
+        m = cf4_lane_matrices((1.0, 1.0), 4, 0.0, dtau)[0]
+        rotation = [[math.cos(dtau), -1j * math.sin(dtau)],
+                    [-1j * math.sin(dtau), math.cos(dtau)]]
+        assert np.max(np.abs(m[1:, 1:] - rotation)) < 1e-14
 
     @pytest.mark.parametrize("lam", [1.0, -0.6, 0.01])
     @pytest.mark.parametrize("delta", [0.0, 4.0, -20.0])
-    @pytest.mark.parametrize("n", [0, 3, 40])
-    def test_triple_unitary_and_matches_expm(self, lam, delta, n):
-        a, b = math.sqrt(n + 1.0), math.sqrt(n + 2.0)
-        h = np.array([[0.0, lam * a, 0.0], [lam * a, delta, lam * b], [0.0, lam * b, 0.0]])
+    def test_step_unitary_and_matches_expm(self, lam, delta):
+        # n_ph = 41: the triples n = 0..39, both edge pairs and both singletons
         dtau = 0.05
-        u = step_propagator(h, dtau)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-12
-        assert np.max(np.abs(u - expm(-1j * dtau * h))) < 1e-12
+        lanes = cf4_lane_matrices((lam, lam), 41, delta, dtau)
+        assert np.max(np.abs(lanes @ lanes.conj().transpose(0, 2, 1) - np.eye(3))) < 1e-12
+        exact = expm(-1j * dtau * dense_hamiltonian(41, lam, delta))
+        assert np.max(np.abs(embed_lanes(lanes) - exact)) < 1e-12
 
-    def test_pair_unitary_and_matches_expm(self):
-        for d1, d2, c in [(20.0, 0.0, 0.3), (0.0, 20.0, 1.4), (0.0, 0.0, 2.0),
-                          (3.0, -1.5, -0.8), (2.5, 2.5, 0.0)]:
-            h = np.array([[d1, c], [c, d2]])
-            u = step_propagator(h, 0.11)
-            assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
-            assert np.max(np.abs(u - expm(-1j * 0.11 * h))) < 1e-12
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_generic_hermitian_fallback(self, dim):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = 0.5 * (m + m.conj().T)
-        u = step_propagator(h, 0.2)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-12
-        assert np.max(np.abs(u - expm(-1j * 0.2 * h))) < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            step_propagator(np.array([[0.0, 1.0], [0.5, 0.0]]), 0.1)
-
-    def test_bad_dtau_rejected(self):
-        with pytest.raises(ValueError):
-            step_propagator(np.zeros((2, 2)), 0.0)
+    @pytest.mark.parametrize("delta", [0.0, 20.0, -7.0])
+    def test_factors_apply_in_order(self, delta):
+        # lam[0] acts first, over the first half step
+        lam, dtau, n_ph = (0.7, 0.2), 0.05, 10
+        first, second = (expm(-0.5j * dtau * dense_hamiltonian(n_ph, x, delta)) for x in lam)
+        step = embed_lanes(cf4_lane_matrices(lam, n_ph, delta, dtau))
+        assert np.max(np.abs(step - second @ first)) < 1e-12
 
     def test_unitarity_sweep(self):
         cfg = make_config(delta=20.0, p=1)
         worst = 0.0
-        for block in build_blocks(8):
-            for tau in (0.1, 0.9, 2.2):
-                h = block_hamiltonian(block, tau, cfg)
-                u = step_propagator(h, 0.003)
-                worst = max(worst, float(np.max(np.abs(u @ u.conj().T - np.eye(block.dim)))))
+        for tau in (0.1, 0.9, 2.2):
+            lam = evolver._cf4_amplitudes(np.array([tau]), np.array([0.003]), cfg)[0]
+            lanes = cf4_lane_matrices(lam, 8, cfg.delta, 0.003)
+            worst = max(worst, float(np.max(np.abs(
+                lanes @ lanes.conj().transpose(0, 2, 1) - np.eye(3)))))
         assert worst < 1e-12
 
 
@@ -196,6 +138,14 @@ class TestEvolve:
         dist = superposed_distribution(cfg.field)
         traj = evolve(initial_state(cfg, dist), cfg)
         assert np.max(np.abs(traj.expectation_V - traj.expectation_V[0])) < 1e-8
+
+    def test_singletons_are_stationary(self):
+        # |3,0> and |1,n_ph> lie in no lane: nothing couples them
+        amps = np.zeros((3, 5), dtype=complex)
+        amps[2, 0] = amps[0, 4] = math.sqrt(0.5)
+        cfg = make_config(delta=3.0, tau_max=2.0, n_steps=21)
+        traj = evolve(CompositeState(amps), cfg)
+        assert np.array_equal(traj.states, np.broadcast_to(amps, traj.states.shape))
 
     def test_non_unit_initial_rejected(self):
         cfg = make_config()
@@ -260,19 +210,20 @@ class TestBatch:
         with pytest.raises(ValueError):
             batch.states[0, 0, 0, 0] = 1.0
 
-    @pytest.mark.parametrize("delta", [6.0, -6.0])
+    @pytest.mark.parametrize("delta", [6.0, -6.0, 0.0])
     def test_mode_node_step_matches_single_lanes(self, delta):
-        # at a node (coupling r = 0) only the level-2 detuning phase advances
+        # at a node (lambda = 0) only the level-2 detuning phase advances
         rng = np.random.default_rng(9)
         lanes = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
         xi = np.array([0.0, 0.6, 0.8, 1.0], dtype=complex)
         eta = np.sqrt(1.0 - np.abs(xi) ** 2).astype(complex)
-        r = np.zeros(4)
+        maps = evolver._cf4_planes(np.zeros((1, 2)), np.arange(4.0), delta, np.array([0.01]))
+        step = [m[0] for m in maps]
         together = lanes.copy()
-        _triple_step(*together, r, xi, eta, delta, 0.02)
+        evolver._rotate_planes(*together, step, xi, eta)
         for c in range(2):
             alone = lanes[:, c].copy()
-            _triple_step(*alone, r, xi, eta, delta, 0.02)
+            evolver._rotate_planes(*alone, step, xi, eta)
             assert np.max(np.abs(together[:, c] - alone)) <= 1e-13
         expected = lanes * np.array([1.0, np.exp(-0.02j * delta), 1.0])[:, None, None]
         assert np.max(np.abs(together - expected)) < 1e-15
@@ -285,36 +236,31 @@ class TestBatch:
             evolve([], cfg)
 
 
-class TestBlockIndependence:
-    def test_processing_order_is_bitwise_irrelevant(self):
-        """Blocks write disjoint regions: any processing order gives the
-        same amplitudes bit for bit."""
+class TestLaneIndependence:
+    def test_each_lane_evolves_alone_bitwise(self):
+        """The update is elementwise over lanes: with every other lane zeroed,
+        a lane's amplitudes come out bit for bit the same."""
         cfg = make_config(delta=7.0, p=1)
         n_ph = 6
-        state = random_state(n_ph, seed=11)
-        blocks = build_blocks(n_ph)
-        dtau = 0.01
-        taus = [0.005, 0.015, 0.025]
+        sqrt_r, xi, eta = evolver._lanes(n_ph)
+        t = np.array([0.0, 0.01, 0.02])
+        h = np.full(3, 0.01)
+        maps = evolver._cf4_planes(evolver._cf4_amplitudes(t, h, cfg), sqrt_r, cfg.delta, 0.5 * h)
+        rng = np.random.default_rng(11)
+        start = rng.normal(size=(3, n_ph + 1)) + 1j * rng.normal(size=(3, n_ph + 1))
 
-        def run(order):
-            psi = np.array(state.amplitudes, dtype=complex)
-            for tau in taus:
-                out = psi.copy()
-                for block in order:
-                    idx = tuple(zip(*[(lvl - 1, n) for lvl, n in block.basis]))
-                    u = step_propagator(block_hamiltonian(block, tau, cfg), dtau)
-                    out[idx] = u @ psi[idx]
-                psi = out
-            return psi
+        def run(lanes):
+            for step in zip(*maps):
+                evolver._rotate_planes(*lanes, step, xi, eta)
+            return lanes
 
-        fwd = run(list(blocks))
-        rev = run(list(blocks)[::-1])
-        rng = np.random.default_rng(5)
-        shuffled = list(blocks)
-        rng.shuffle(shuffled)
-        shf = run(shuffled)
-        assert np.array_equal(fwd, rev)
-        assert np.array_equal(fwd, shf)
+        together = run(start.copy())
+        for k in range(n_ph + 1):
+            alone = np.zeros_like(start)
+            alone[:, k] = start[:, k]
+            alone = run(alone)
+            assert np.array_equal(alone[:, k], together[:, k])
+            assert not np.any(np.delete(alone, k, axis=1))
 
 
 class TestConvergence:

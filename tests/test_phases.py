@@ -9,21 +9,17 @@ from cascade_qed import (
     CompositeState,
     FieldSpec,
     SystemConfig,
-    UndefinedPhaseError,
-    dynamical_phase,
     dynamical_phase_resonant,
     evolve,
-    geometric_phase,
     initial_state,
-    overlap,
-    pancharatnam_phase,
-    populations,
     series_from_closed_form,
     series_from_trajectory,
     superposed_distribution,
     unwrap_with_gaps,
     wrap_angle,
 )
+from cascade_qed.evolver import Trajectory
+from cascade_qed.phases import _phase_columns
 
 
 def unit_state(seed=0, n_ph=4):
@@ -33,43 +29,60 @@ def unit_state(seed=0, n_ph=4):
     return CompositeState(amps)
 
 
+def stored(states, phi_dynamical=None):
+    """A trajectory holding the given states, so that series_from_trajectory
+    can be fed states chosen by hand."""
+    states = np.array(states, dtype=complex)
+    n = len(states)
+    zeros = np.zeros(n)
+    return Trajectory(
+        taus=np.arange(float(n)), states=states, expectation_V=zeros,
+        h_expectation=zeros, norm_error=zeros,
+        phi_dynamical=zeros if phi_dynamical is None else np.asarray(phi_dynamical),
+        substeps=max(1, n - 1),
+    )
+
+
+def phases(x, y, phi_dyn=0.0):
+    """(Pancharatnam, geometric, arcsine) columns for the given overlaps."""
+    x, y = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    return _phase_columns(x, y, np.broadcast_to(np.asarray(phi_dyn, dtype=float), x.shape))
+
+
 class TestOverlap:
     def test_self_overlap_is_one(self):
-        psi = unit_state()
-        z = overlap(psi, psi)
-        assert z == pytest.approx(1.0 + 0.0j, abs=1e-14)
+        psi = unit_state().amplitudes
+        series = series_from_trajectory(stored([psi, psi]))
+        assert series.x[1] == pytest.approx(1.0, abs=1e-14)
+        assert series.y[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_global_phase(self):
-        psi = unit_state()
-        rotated = CompositeState(1j * psi.amplitudes)
-        z = overlap(psi, rotated)
-        assert z == pytest.approx(1j, abs=1e-14)
+        psi = unit_state().amplitudes
+        series = series_from_trajectory(stored([psi, 1j * psi]))
+        assert series.x[1] == pytest.approx(0.0, abs=1e-14)
+        assert series.y[1] == pytest.approx(1.0, abs=1e-14)
+        assert series.phi_pancharatnam[1] == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_orthogonal_states(self):
         a = np.zeros((3, 5), dtype=complex)
         a[0, 0] = 1.0
         b = np.zeros((3, 5), dtype=complex)
         b[1, 1] = 1.0
-        z = overlap(CompositeState(a), CompositeState(b))
-        assert z == 0.0
-        with pytest.raises(UndefinedPhaseError):
-            pancharatnam_phase(z)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            overlap(unit_state(n_ph=4), unit_state(n_ph=5))
+        series = series_from_trajectory(stored([a, b]))
+        assert series.x[1] == 0.0 and series.y[1] == 0.0
+        assert math.isnan(series.phi_pancharatnam[1])
 
 
 class TestPancharatnamPhase:
     def test_examples(self):
-        assert pancharatnam_phase(1.0 + 0.0j) == 0.0
-        assert pancharatnam_phase(1j) == pytest.approx(math.pi / 2, abs=1e-15)
+        total, _, _ = phases([1.0, 0.0, -1.0], [0.0, 1.0, 0.0])
+        assert total[0] == 0.0
+        assert total[1] == pytest.approx(math.pi / 2, abs=1e-15)
         # branch edge pinned to +pi
-        assert pancharatnam_phase(-1.0 + 0.0j) == pytest.approx(math.pi, abs=1e-15)
+        assert total[2] == pytest.approx(math.pi, abs=1e-15)
 
-    def test_below_floor_rejected(self):
-        with pytest.raises(UndefinedPhaseError):
-            pancharatnam_phase(1e-13 + 0.0j)
+    def test_below_floor_is_a_gap(self):
+        assert all(math.isnan(col[0]) for col in phases(1e-13, 0.0))
 
 
 class TestWrapAndUnwrap:
@@ -97,32 +110,33 @@ class TestWrapAndUnwrap:
 
 
 class TestGeometricPhase:
+    """The geometric column: total minus dynamical phase, wrapped."""
+
     def test_zero_dynamical_returns_total(self):
         total = np.array([0.1, -0.2, 3.0])
-        assert np.allclose(geometric_phase(total, np.zeros(3)), total)
+        _, geometric, _ = phases(np.cos(total), np.sin(total))
+        assert np.allclose(geometric, total)
 
     def test_pure_dynamical_negates(self):
         dyn = np.array([0.4, 1.0])
-        out = geometric_phase(np.zeros(2), dyn)
-        assert np.allclose(out, -dyn)
+        _, geometric, _ = phases(np.ones(2), np.zeros(2), dyn)
+        assert np.allclose(geometric, -dyn)
 
     def test_pi_minus_pi_is_zero(self):
-        out = geometric_phase(np.array([math.pi]), np.array([math.pi]))
-        assert out[0] == 0.0
+        _, geometric, _ = phases(-1.0, 0.0, math.pi)
+        assert geometric[0] == 0.0
 
     def test_wraps_into_interval(self):
-        out = geometric_phase(np.array([3.0]), np.array([-3.0]))
-        assert -math.pi < out[0] <= math.pi
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_phase(np.zeros(3), np.zeros(4))
+        _, geometric, _ = phases(math.cos(3.0), math.sin(3.0), -3.0)
+        assert -math.pi < geometric[0] <= math.pi
 
 
 class TestPopulations:
     def test_sum_to_one(self):
-        rho = populations(unit_state(seed=2))
-        assert sum(rho) == pytest.approx(1.0, abs=1e-12)
+        psi = unit_state(seed=2).amplitudes
+        series = series_from_trajectory(stored([psi, psi]))
+        rho = series.rho11 + series.rho22 + series.rho33
+        assert np.max(np.abs(rho - 1.0)) < 1e-12
 
 
 class TestDynamicalPhase:
@@ -137,12 +151,12 @@ class TestDynamicalPhase:
 
     def test_theta_zero_identically_zero(self):
         _, _, traj = self.make_run(theta=0.0, dt=2e-3)
-        phi = dynamical_phase(traj)
+        phi = series_from_trajectory(traj).phi_dynamical
         assert np.max(np.abs(phi)) < 1e-12
 
     def test_quadrature_matches_resonant_closed_form(self):
         cfg, dist, traj = self.make_run(theta=math.pi / 4)
-        numeric = dynamical_phase(traj)
+        numeric = series_from_trajectory(traj).phi_dynamical
         closed = dynamical_phase_resonant(traj.taus, cfg, dist)
         assert np.max(np.abs(numeric - closed)) < 1e-6
 
@@ -155,7 +169,7 @@ class TestDynamicalPhase:
             tau_max=2.0, n_steps=21, dt_internal=1e-2,
         )
         traj = evolve(CompositeState(amps), cfg)
-        assert np.max(np.abs(dynamical_phase(traj))) == 0.0
+        assert np.max(np.abs(series_from_trajectory(traj).phi_dynamical)) == 0.0
         assert np.max(np.abs(traj.states[-1] - traj.states[0])) == 0.0
 
 
@@ -218,21 +232,10 @@ class TestSeriesAssembly:
         assert np.max(dev) < 2.0 * math.exp(-1.0)
 
     def test_gap_marking_on_synthetic_orthogonal_state(self):
-        from cascade_qed.evolver import Trajectory
-
         a = np.zeros((2, 3, 4), dtype=complex)
         a[0, 0, 0] = 1.0
         a[1, 1, 1] = 1.0  # orthogonal to the initial state
-        traj = Trajectory(
-            taus=np.array([0.0, 1.0]),
-            states=a,
-            expectation_V=np.zeros(2),
-            h_expectation=np.zeros(2),
-            norm_error=np.zeros(2),
-            phi_dynamical=np.zeros(2),
-            substeps=1,
-        )
-        series = series_from_trajectory(traj)
+        series = series_from_trajectory(stored(a))
         assert math.isnan(series.phi_pancharatnam[1])
         assert math.isnan(series.phi_geometric[1])
         assert math.isnan(series.phi_arcsin[1])

@@ -1,4 +1,4 @@
-"""Mode shape, pulse area, initial state and block decomposition."""
+"""Mode shape, pulse area, initial state and the coupling expectation."""
 
 import math
 
@@ -11,14 +11,17 @@ from cascade_qed import (
     FieldSpec,
     Motion,
     SystemConfig,
-    build_blocks,
     coupling_expectation,
     initial_state,
     mode_shape,
-    populations,
     pulse_area,
     superposed_distribution,
 )
+
+
+def populations(state):
+    """Level occupations (rho11, rho22, rho33): the photon index traced out."""
+    return tuple(float(rho) for rho in np.add.reduce(np.abs(state.amplitudes) ** 2, axis=1))
 
 
 def make_config(**kwargs):
@@ -123,39 +126,6 @@ class TestInitialState:
         assert np.all(state.amplitudes[:, dist.n_max + 1 :] == 0.0)
 
 
-class TestBuildBlocks:
-    def test_minimal_basis_contents(self):
-        blocks = build_blocks(2)
-        kinds = [b.kind for b in blocks]
-        assert kinds.count("triple") == 1
-        assert kinds.count("pair") == 2
-        assert kinds.count("singleton") == 2
-        triple = next(b for b in blocks if b.kind == "triple")
-        assert triple.basis == ((1, 0), (2, 1), (3, 2))
-        assert triple.couplings == (1.0, math.sqrt(2.0))
-
-    def test_triples_present(self):
-        blocks = build_blocks(4)
-        triples = [b for b in blocks if b.kind == "triple"]
-        assert [b.basis[0] for b in triples] == [(1, 0), (1, 1), (1, 2)]
-
-    @pytest.mark.parametrize("n_ph", [2, 3, 5, 10])
-    def test_partition_exact(self, n_ph):
-        blocks = build_blocks(n_ph)
-        seen = [idx for b in blocks for idx in b.basis]
-        expected = {(level, n) for level in (1, 2, 3) for n in range(n_ph + 1)}
-        assert len(seen) == len(set(seen)) == len(expected)
-        assert set(seen) == expected
-
-    def test_couplings_strictly_positive(self):
-        for block in build_blocks(6):
-            assert all(c > 0.0 for c in block.couplings)
-
-    def test_small_basis_rejected(self):
-        with pytest.raises(ValueError):
-            build_blocks(1)
-
-
 class TestCouplingExpectation:
     def test_theta_zero_vanishes(self):
         dist = superposed_distribution(FieldSpec(alpha=5.0, r=0.0))
@@ -189,7 +159,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(g=0.0),
             dict(tau_max=-1.0),
             dict(n_steps=1),
             dict(dt_internal=0.0),
