@@ -62,13 +62,24 @@ class TestLaneMaps:
 
     @pytest.mark.parametrize("lam", [1.0, -0.6, 0.01])
     @pytest.mark.parametrize("delta", [0.0, 4.0, -20.0])
-    def test_step_unitary_and_matches_expm(self, lam, delta):
-        # n_ph = 41: the triples n = 0..39, both edge pairs and both singletons
+    @pytest.mark.parametrize("n_ph", [2, 5, 41])
+    def test_step_unitary_and_matches_expm(self, n_ph, lam, delta):
+        # n_ph = 2 has a single full triple between the edge pairs; n_ph = 41
+        # the triples n = 0..39, both edge pairs and both singletons
         dtau = 0.05
-        lanes = cf4_lane_matrices((lam, lam), 41, delta, dtau)
+        lanes = cf4_lane_matrices((lam, lam), n_ph, delta, dtau)
         assert np.max(np.abs(lanes @ lanes.conj().transpose(0, 2, 1) - np.eye(3))) < 1e-12
-        exact = expm(-1j * dtau * dense_hamiltonian(41, lam, delta))
+        exact = expm(-1j * dtau * dense_hamiltonian(n_ph, lam, delta))
         assert np.max(np.abs(embed_lanes(lanes) - exact)) < 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, 4.0, -20.0])
+    def test_zero_coupling_leaves_only_detuning_phase(self, delta):
+        # lambda = 0 (a mode node): every level-2 amplitude turns by
+        # exp(-i delta dtau) and nothing moves between levels
+        dtau, n_ph = 0.3, 6
+        step = embed_lanes(cf4_lane_matrices((0.0, 0.0), n_ph, delta, dtau))
+        phases = np.repeat([1.0, np.exp(-1j * delta * dtau), 1.0], n_ph + 1)
+        assert np.max(np.abs(step - np.diag(phases))) < 1e-14
 
     @pytest.mark.parametrize("delta", [0.0, 20.0, -7.0])
     def test_factors_apply_in_order(self, delta):
@@ -87,6 +98,42 @@ class TestLaneMaps:
             worst = max(worst, float(np.max(np.abs(
                 lanes @ lanes.conj().transpose(0, 2, 1) - np.eye(3)))))
         assert worst < 1e-12
+
+
+class TestLanes:
+    """The lane decomposition of the (level, photon) rectangle."""
+
+    @staticmethod
+    def lane_members(n_ph):
+        # flat row-major indices of |1, j-1>, |2, j>, |3, j+1> that lane j
+        # holds: an edge lane's missing partner has a zero coupling
+        sqrt_r, xi, eta = evolver._lanes(n_ph)
+        width = n_ph + 1
+        for j in range(width):
+            members = [(width + j, None)]
+            if xi[j] != 0:
+                members.append((j - 1, sqrt_r[j] * xi[j].real))
+            if eta[j] != 0:
+                members.append((2 * width + j + 1, sqrt_r[j] * eta[j].real))
+            yield members
+
+    @pytest.mark.parametrize("n_ph", [2, 3, 5, 10])
+    def test_lanes_and_singletons_partition_basis(self, n_ph):
+        width = n_ph + 1
+        held = [k for lane in self.lane_members(n_ph) for k, _ in lane]
+        singletons = [2 * width, n_ph]  # |3,0> and |1,n_ph>
+        assert sorted(held + singletons) == list(range(3 * width))
+
+    @pytest.mark.parametrize("n_ph", [2, 3, 5, 10])
+    def test_lane_couplings_rebuild_dense_hamiltonian(self, n_ph):
+        delta = 2.5
+        h = np.zeros((3 * (n_ph + 1),) * 2)
+        for (mid, _), *partners in self.lane_members(n_ph):
+            h[mid, mid] = delta
+            for k, coupling in partners:
+                assert coupling > 0.0
+                h[mid, k] = h[k, mid] = coupling
+        assert np.max(np.abs(h - dense_hamiltonian(n_ph, 1.0, delta))) < 1e-14
 
 
 class TestEvolve:
