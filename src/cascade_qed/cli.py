@@ -7,8 +7,8 @@ three compute through ``_compute``.  Scenarios are fully
 deterministic: identical configuration yields byte-identical CSV; wall
 times and other environment facts go to the ``.meta.json`` sidecar only.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (norm
-drift or comparison tolerance breach).
+Exit codes: 0 success (also when stdout's reader has gone), 2 configuration
+error, 3 numerical failure (norm drift or comparison tolerance breach).
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ import importlib.metadata
 import json
 import math
 import numbers
+import os
 import platform
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,56 +56,55 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-CSV_COLUMNS = (
-    "tau",
-    "x",
-    "y",
-    "phi_pancharatnam",
-    "phi_dynamical",
-    "phi_geometric",
-    "phi_eq5",
-    "rho11",
-    "rho22",
-    "rho33",
-    "norm_error",
-)
+# each CSV column is the series field of the same name
+CSV_COLUMNS = tuple(f.name for f in fields(PhaseTimeSeries))
 
-_ENGINES = ("analytic", "numeric", "both")
-_MOTIONS = ("moving", "neglected")
 _CSV_ROWS = 256  # rows formatted per write
 
-# ScenarioConfig field -> (accepted type, what the message asks for); the
-# fields in _OPTIONAL may also be None.  bool is never taken as a number.
-_FIELD_TYPES = {
-    "alpha": (numbers.Real, "a number"),
-    "delta": (numbers.Real, "a number"),
-    "theta": (numbers.Real, "a number"),
-    "r": (numbers.Real, "a number"),
-    "p": (numbers.Integral, "an integer"),
-    "motion": (str, "a string"),
-    "tau_max": (numbers.Real, "a number"),
-    "steps": (numbers.Integral, "an integer"),
-    "dt": (numbers.Real, "a number"),
-    "engine": (str, "a string"),
-    "out": (str, "a string"),
-    "emit_unwrapped": (bool, "true or false"),
-    "preset": (str, "a string"),
-    "curve": (str, "a string"),
+# ScenarioConfig field -> (accepted type, or the tuple of accepted strings;
+# the subcommands that take it as a flag and in their --config file; the
+# flag's help).  A field whose default is None may also be None.
+_RUN_COMPARE = ("run", "compare")
+_SCENARIO_SCHEMA = {
+    "alpha": (numbers.Real, _RUN_COMPARE, "field amplitude (>= 0)"),
+    "delta": (numbers.Real, _RUN_COMPARE, "detuning in units of g"),
+    "theta": (numbers.Real, _RUN_COMPARE, "atomic superposition angle (rad)"),
+    "r": (numbers.Real, _RUN_COMPARE, "superposition constant (0, +1, -1, ...)"),
+    "p": (numbers.Integral, _RUN_COMPARE, "half-wavelength count of the mode"),
+    "motion": (("moving", "neglected"), _RUN_COMPARE, "atomic motion model"),
+    "tau_max": (numbers.Real, _RUN_COMPARE, "end of the scaled-time grid"),
+    "steps": (numbers.Integral, _RUN_COMPARE, "output grid size"),
+    "dt": (numbers.Real, _RUN_COMPARE, "integrator substep (scaled time)"),
+    "engine": (("analytic", "numeric", "both"), ("run",), "computation route"),
+    "out": (str, ("run",), "output CSV path"),
+    "emit_unwrapped": (bool, ("run",), "append unwrapped phase columns"),
+    "preset": (str, (), None),
+    "curve": (str, (), None),
 }
-_OPTIONAL = ("dt", "out", "preset", "curve")
+# accepted type -> (what a message asks for, how its flag parses); bool is
+# never taken as a number
+_KINDS = {
+    numbers.Real: ("a number", dict(type=float)),
+    numbers.Integral: ("an integer", dict(type=int)),
+    str: ("a string", dict(type=str)),
+    bool: ("true or false", dict(action="store_true")),
+}
 
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-class ToleranceBreach(RuntimeError):
-    """Engine comparison exceeded the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario: physics, grid, engine choice and output location."""
+    """One scenario: physics, grid, engine choice and output location.
+
+    Checked when built: a mistyped field, an unknown engine or motion, or a
+    closed-form engine off resonance raises ``ConfigError``.  Physical
+    ranges are checked by ``FieldSpec`` and ``SystemConfig`` when
+    ``system_config`` builds them, which ``run_scenario`` does for every
+    scenario before it computes or writes anything.
+    """
 
     alpha: float = 5.0
     delta: float = 0.0
@@ -121,6 +121,23 @@ class ScenarioConfig:
     preset: str | None = None
     curve: str | None = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            kind = _SCENARIO_SCHEMA[f.name][0]
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    raise ConfigError(f"{f.name} must be one of {kind}, got {value!r}")
+            elif isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {_KINDS[kind][0]}, got {value!r}")
+        if self.engine != "numeric" and self.delta != 0.0:
+            raise ConfigError(
+                f"engine={self.engine} requires delta=0 (the closed form is resonant "
+                f"only), got delta={self.delta!r}"
+            )
+
     def system_config(self) -> SystemConfig:
         try:
             field = FieldSpec(alpha=self.alpha, r=self.r)
@@ -136,24 +153,6 @@ class ScenarioConfig:
             )
         except (FieldSpecError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-
-    def validate(self) -> None:
-        for key, (kind, wanted) in _FIELD_TYPES.items():
-            value = getattr(self, key)
-            if value is None and key in _OPTIONAL:
-                continue
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-                raise ConfigError(f"{key} must be {wanted}, got {value!r}")
-        if self.engine not in _ENGINES:
-            raise ConfigError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
-        if self.motion not in _MOTIONS:
-            raise ConfigError(f"motion must be one of {_MOTIONS}, got {self.motion!r}")
-        if self.engine == "analytic" and self.delta != 0.0:
-            raise ConfigError(
-                "engine=analytic requires delta=0 (the closed form is resonant "
-                "only); use engine=numeric for detuned runs"
-            )
-        self.system_config()
 
 
 @dataclass(frozen=True)
@@ -236,8 +235,7 @@ def write_series_csv(
 ) -> None:
     """Write one series with the fixed schema, 17 significant digits."""
     header = list(CSV_COLUMNS)
-    # each column is the series field of its name, except phi_eq5 (phi_arcsin)
-    cols = [getattr(series, "phi_arcsin" if c == "phi_eq5" else c) for c in CSV_COLUMNS]
+    cols = [getattr(series, c) for c in CSV_COLUMNS]
     if emit_unwrapped:
         header += ["phi_pancharatnam_unwrapped", "phi_geometric_unwrapped"]
         cols += [
@@ -338,7 +336,7 @@ def _integrator_diagnostics(trajectory: Trajectory, config: SystemConfig) -> dic
 def _compute(
     scenarios: Sequence[ScenarioConfig],
 ) -> list[tuple[dict[str, PhaseTimeSeries], dict]]:
-    """Evolve and assemble validated scenarios, writing nothing: per scenario,
+    """Evolve and assemble scenarios, writing nothing: per scenario,
     its series by engine and its sidecar metadata (less files, wall time and
     environment).  Numerical curves whose configurations differ only in
     theta and the field's alpha and r, and whose photon bases have the same
@@ -406,10 +404,8 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
     """
     batch = not isinstance(scenarios, ScenarioConfig)
     scenarios = list(scenarios) if batch else [scenarios]
-    for scenario in scenarios:
-        scenario.validate()
-        if scenario.out is None:
-            raise ConfigError("an output path is required (--out)")
+    if any(scenario.out is None for scenario in scenarios):
+        raise ConfigError("an output path is required (--out)")
     t_start = time.perf_counter()
     curves = []
     for scenario, (series, metadata) in zip(scenarios, _compute(scenarios)):
@@ -445,21 +441,18 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=None, help="field amplitude (>= 0)")
-    sub.add_argument("--delta", type=float, default=None, help="detuning in units of g")
-    sub.add_argument("--theta", type=float, default=None, help="atomic superposition angle (rad)")
-    sub.add_argument("--r", type=float, default=None, help="superposition constant (0, +1, -1, ...)")
-    sub.add_argument("--p", type=int, default=None, help="half-wavelength count of the mode")
-    sub.add_argument("--motion", choices=_MOTIONS, default=None, help="atomic motion model")
-    sub.add_argument("--tau-max", type=float, default=None, help="end of the scaled-time grid")
-    sub.add_argument("--steps", type=int, default=None, help="output grid size")
-    sub.add_argument("--dt", type=float, default=None, help="integrator substep (scaled time)")
-    sub.add_argument("--engine", choices=_ENGINES, default=None, help="computation route")
-    sub.add_argument("--out", type=str, default=None, help="output CSV path")
-    sub.add_argument("--config", type=str, default=None, help="JSON config file (flags override it)")
-    sub.add_argument("--emit-unwrapped", action="store_true", default=None,
-                     help="append unwrapped phase columns")
+def _flag_keys(command: str) -> list[str]:
+    """The scenario keys ``command`` takes as flags and in its --config file."""
+    return [key for key, (_, commands, _) in _SCENARIO_SCHEMA.items() if command in commands]
+
+
+def _add_scenario_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    for key in _flag_keys(command):
+        kind, _, help_text = _SCENARIO_SCHEMA[key]
+        parse = dict(choices=kind) if isinstance(kind, tuple) else _KINDS[kind][1]
+        sub.add_argument("--" + key.replace("_", "-"), default=None, help=help_text, **parse)
+    sub.add_argument("--config", type=str, default=None,
+                     help="JSON config file of these flags' keys (flags override it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run_p = subs.add_parser("run", help="run one scenario and write CSV")
-    _add_scenario_flags(run_p)
+    _add_scenario_flags(run_p, "run")
 
     preset_p = subs.add_parser("preset", help="run a frozen figure preset")
     preset_p.add_argument("name", choices=sorted(PRESETS))
@@ -481,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     preset_p.add_argument("--emit-unwrapped", action="store_true", default=False)
 
     cmp_p = subs.add_parser("compare", help="closed-form vs numerical deviation report")
-    _add_scenario_flags(cmp_p)
+    _add_scenario_flags(cmp_p, "compare")
     cmp_p.add_argument("--tolerance", type=float, default=1e-6,
                        help="max allowed |deviation| before exit code 3")
 
@@ -489,16 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SCENARIO_KEYS = (
-    "alpha", "delta", "theta", "r", "p", "motion", "tau_max", "steps",
-    "dt", "engine", "out", "emit_unwrapped",
-)
-
-
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    """Defaults, then config-file values, then explicit CLI flags."""
+    """Defaults, then config-file values, then explicit CLI flags; the file
+    may hold only the keys of the subcommand's flags."""
+    keys = _flag_keys(args.command)
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         cfg_path = Path(args.config)
         if not cfg_path.exists():
             raise ConfigError(f"config file not found: {cfg_path}")
@@ -508,18 +497,15 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object of flat keys")
-        unknown = set(loaded) - set(_SCENARIO_KEYS)
+        unknown = set(loaded) - set(keys)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         merged.update(loaded)
-    for key in _SCENARIO_KEYS:
-        value = getattr(args, key, None)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    try:
-        return ScenarioConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**merged)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -553,16 +539,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     scenario = replace(_scenario_from_args(args), engine="both")
-    scenario.validate()
-    if scenario.delta != 0.0:
-        raise ConfigError("engine comparison requires delta=0")
     ((series, _),) = _compute([scenario])
     report = _engine_deviation(series)[1]
     worst = max(report.values())
     report.update(max_abs_dev=worst, tolerance=tolerance, within_tolerance=worst <= tolerance,
                   grid_points=len(series["numeric"].tau), tau_max=scenario.tau_max)
     if not report["within_tolerance"]:
-        raise ToleranceBreach(json.dumps(report, sort_keys=True))
+        print(f"tolerance breach: {json.dumps(report, sort_keys=True)}", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -585,13 +569,18 @@ def main(argv: list[str] | None = None) -> int:
         "list-presets": _cmd_list_presets,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone.  Every command prints only once its work
+        # is done, so the run succeeded; stdout goes to devnull so that the
+        # interpreter's last flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ConfigError, FieldSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ToleranceBreach as exc:
-        print(f"tolerance breach: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except NormDriftError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -81,16 +81,14 @@ class Trajectory:
     """Stored evolution: states on the output grid plus diagnostics.
 
     ``expectation_V`` is the coupling-operator expectation (conserved on
-    resonance); ``h_expectation`` is <H(tau)>/g in the interaction picture
-    and ``phi_dynamical`` the accumulated dynamical phase, minus the
-    integral of <H>/g from 0, both on the output grid.  ``substeps`` counts
-    the integrator steps taken.
+    resonance) and ``phi_dynamical`` the accumulated dynamical phase, minus
+    the integral of <H>/g from 0, both on the output grid.  ``substeps``
+    counts the integrator steps taken.
     """
 
     taus: np.ndarray
     states: np.ndarray  # complex, shape (n_out, 3, n_ph + 1)
     expectation_V: np.ndarray
-    h_expectation: np.ndarray
     norm_error: np.ndarray
     phi_dynamical: np.ndarray
     substeps: int
@@ -330,13 +328,11 @@ def evolve(
     pieces = 0.5 * h * (f[:, 1:] + f[:, :-1]) - (h * h / 12.0) * (df[:, 1:] - df[:, :-1])
     phi_dyn = np.zeros((n_curves, n_out))
     phi_dyn[:, 1:] = -np.cumsum(pieces, axis=1)[:, out_idx[1:] - 1]
-    h_exp = f[:, out_idx]
     curves = tuple(
         Trajectory(
             taus=taus,
             states=states[c],
             expectation_V=exp_v[c],
-            h_expectation=h_exp[c],
             norm_error=norm_err[c],
             phi_dynamical=phi_dyn[c],
             substeps=n_sub,

@@ -61,11 +61,6 @@ class FieldSpec:
                 f"epsilon_tail must lie in (0, 1e-3], got {self.epsilon_tail!r}"
             )
 
-    @property
-    def mean_photons(self) -> float:
-        """Mean photon number alpha^2 of the underlying coherent state."""
-        return self.alpha * self.alpha
-
 
 @dataclass(frozen=True)
 class PhotonDistribution:

@@ -5,9 +5,9 @@ the survival amplitude <psi(0)|psi(tau)>; subtracting the accumulated
 energy-expectation integral (the dynamical phase) leaves the geometric
 part.  Wherever the survival amplitude collapses to the rounding floor the
 phase is undefined and the series records an explicit gap (NaN) rather
-than a guess.  The arcsine-convention phase -asin(y/|z|) is carried
-alongside as its own column: for x > 0 it is exactly minus the
-Pancharatnam phase, for x < 0 the two differ by the branch fold.
+than a guess.  The arcsine-convention phase -asin(y/|z|) of the paper's
+Eq. 5 is carried alongside as its own column: for x > 0 it is exactly minus
+the Pancharatnam phase, for x < 0 the two differ by the branch fold.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ _OVERLAP_FLOOR = 1e-12  # below this the phase of <psi(0)|psi(t)> is noise
 class PhaseTimeSeries:
     """Per-time records of the overlap, phases and level populations.
 
-    Angles are radians; undefined phases are NaN (rendered as empty CSV
-    fields).  ``phi_arcsin`` is written to CSV under the column name
-    ``phi_eq5``.  Population and norm columns are NaN for series built from
-    the closed-form route, which does not produce them.
+    Each field is the CSV column of the same name, in column order.  Angles
+    are radians; undefined phases are NaN (rendered as empty CSV fields).
+    ``phi_eq5`` is the paper's Eq. 5 phase, -asin(y/|z|).  Population and
+    norm columns are NaN for series built from the closed-form route, which
+    does not produce them.
     """
 
     tau: np.ndarray
@@ -49,7 +50,7 @@ class PhaseTimeSeries:
     phi_pancharatnam: np.ndarray
     phi_dynamical: np.ndarray
     phi_geometric: np.ndarray
-    phi_arcsin: np.ndarray
+    phi_eq5: np.ndarray
     rho11: np.ndarray
     rho22: np.ndarray
     rho33: np.ndarray
@@ -79,15 +80,14 @@ def unwrap_with_gaps(phi: np.ndarray) -> np.ndarray:
 
 
 def _phase_columns(x: np.ndarray, y: np.ndarray, phi_dyn: np.ndarray):
-    """Pancharatnam, geometric and arcsine-convention series with gaps."""
+    """Pancharatnam, geometric and Eq. 5 (arcsine-convention) series with gaps."""
     mod = np.hypot(x, y)
     defined = mod > _OVERLAP_FLOOR
     phi_total = np.where(defined, np.arctan2(y, x), np.nan)
     phi_geo = np.where(defined, wrap_angle(phi_total - phi_dyn), np.nan)
     with np.errstate(invalid="ignore"):
         ratio = np.clip(np.where(defined, y / np.where(defined, mod, 1.0), np.nan), -1.0, 1.0)
-    phi_arc = -np.arcsin(ratio)
-    return phi_total, phi_geo, phi_arc
+    return phi_total, phi_geo, -np.arcsin(ratio)
 
 
 def series_from_trajectory(trajectory: Trajectory) -> PhaseTimeSeries:
@@ -97,7 +97,7 @@ def series_from_trajectory(trajectory: Trajectory) -> PhaseTimeSeries:
     x = z.real.copy()
     y = z.imag.copy()
     phi_dyn = trajectory.phi_dynamical
-    phi_total, phi_geo, phi_arc = _phase_columns(x, y, phi_dyn)
+    phi_total, phi_geo, phi_eq5 = _phase_columns(x, y, phi_dyn)
     prob = np.abs(trajectory.states) ** 2
     rho = np.add.reduce(prob, axis=2)
     return PhaseTimeSeries(
@@ -107,7 +107,7 @@ def series_from_trajectory(trajectory: Trajectory) -> PhaseTimeSeries:
         phi_pancharatnam=phi_total,
         phi_dynamical=phi_dyn,
         phi_geometric=phi_geo,
-        phi_arcsin=phi_arc,
+        phi_eq5=phi_eq5,
         rho11=rho[:, 0].copy(),
         rho22=rho[:, 1].copy(),
         rho33=rho[:, 2].copy(),
@@ -126,7 +126,7 @@ def series_from_closed_form(
     taus = np.linspace(0.0, config.tau_max, config.n_steps)
     x, y = overlap_series(taus, config, dist)
     phi_dyn = np.asarray(dynamical_phase_resonant(taus, config, dist), dtype=float)
-    phi_total, phi_geo, phi_arc = _phase_columns(x, y, phi_dyn)
+    phi_total, phi_geo, phi_eq5 = _phase_columns(x, y, phi_dyn)
     blank = np.full(len(taus), np.nan)
     return PhaseTimeSeries(
         tau=taus,
@@ -135,7 +135,7 @@ def series_from_closed_form(
         phi_pancharatnam=phi_total,
         phi_dynamical=phi_dyn,
         phi_geometric=phi_geo,
-        phi_arcsin=phi_arc,
+        phi_eq5=phi_eq5,
         rho11=blank.copy(),
         rho22=blank.copy(),
         rho33=blank.copy(),

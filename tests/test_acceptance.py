@@ -109,9 +109,9 @@ def test_criterion_1_oracle_equivalence(oracle_runs):
 def test_criterion_2_zero_phase_laws(oracle_runs):
     run = oracle_runs["theta0"]
     y_num = float(np.max(np.abs(run["numeric"].y)))
-    phi_num = float(np.nanmax(np.abs(run["numeric"].phi_arcsin)))
+    phi_num = float(np.nanmax(np.abs(run["numeric"].phi_eq5)))
     y_ana_exact = bool(np.all(run["analytic"].y == 0.0))
-    phi_ana_exact = bool(np.all(run["analytic"].phi_arcsin == 0.0))
+    phi_ana_exact = bool(np.all(run["analytic"].phi_eq5 == 0.0))
     y_cats = max(
         float(np.max(np.abs(oracle_runs["even-cat"]["numeric"].y))),
         float(np.max(np.abs(oracle_runs["odd-cat"]["numeric"].y))),
@@ -143,7 +143,7 @@ def test_criterion_3_revival_periodicity(p):
         )
         fidelity_dev = max(fidelity_dev, abs(abs(z) - 1.0))
 
-    phi = series.phi_arcsin
+    phi = series.phi_eq5
     both = np.isfinite(phi[:half + 1]) & np.isfinite(phi[half : 2 * half + 1])
     phi_dev = float(np.max(np.abs(
         phi[: half + 1][both] - phi[half : 2 * half + 1][both]
@@ -177,7 +177,7 @@ def test_criterion_4_population_bounds(p, bound):
 def test_criterion_5_detuned_phase_suppression(detuned_run):
     config, dist, trajectory, series = detuned_run
     tau = series.tau
-    phi = np.abs(series.phi_arcsin)
+    phi = np.abs(series.phi_eq5)
     early = float(np.nanmax(phi[(tau >= 0.0) & (tau <= 8.0)]))
     late = float(np.nanmax(phi[(tau >= 10.0) & (tau <= 25.0)]))
     ratio = late / early
@@ -188,7 +188,7 @@ def test_criterion_5_detuned_phase_suppression(detuned_run):
     fine = series_from_trajectory(
         evolve(initial_state(fine_config, dist), fine_config)
     )
-    step_dev = float(np.nanmax(np.abs(series.phi_arcsin - fine.phi_arcsin)))
+    step_dev = float(np.nanmax(np.abs(series.phi_eq5 - fine.phi_eq5)))
 
     # contrast: off resonance the overlap does acquire an imaginary part
     y_peak = float(np.max(np.abs(series.y)))
@@ -229,7 +229,7 @@ def test_criterion_6_numerical_hygiene(oracle_runs, detuned_run):
     doubled = superposed_distribution(base["config"].field,
                                       n_max=2 * base["dist"].n_max)
     ana2 = series_from_closed_form(base["config"], doubled)
-    nmax_dev = float(np.nanmax(np.abs(ana2.phi_arcsin - base["analytic"].phi_arcsin)))
+    nmax_dev = float(np.nanmax(np.abs(ana2.phi_eq5 - base["analytic"].phi_eq5)))
 
     ok = (
         worst_norm < 1e-9
@@ -389,8 +389,7 @@ def test_golden_comparator_rejects_fig5a_at_half_step():
     verdicts = []
     for trajectory in (default, evolve(state, half)):
         series = series_from_trajectory(trajectory)
-        columns = {c: getattr(series, "phi_arcsin" if c == "phi_eq5" else c)
-                   for c in CSV_COLUMNS}
+        columns = {c: getattr(series, c) for c in CSV_COLUMNS}
         verdicts.append(goldens.compare_values(columns, golden,
                                                goldens.VALUE_TOLERANCE["fig5a.csv"]))
     assert verdicts[0][0], verdicts[0][1]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ import pytest
 
 import cascade_qed
 from cascade_qed.cli import (
-    ScenarioConfig, _format_column, environment_fingerprint, list_presets, main,
-    run_scenario,
+    ConfigError, ScenarioConfig, _format_column, environment_fingerprint, list_presets,
+    main, run_scenario,
 )
 
 EXPECTED_HEADER = (
@@ -127,13 +128,14 @@ class TestRun:
         cmp_lines = (tmp_path / "b.compare.csv").read_text().splitlines()
         assert cmp_lines[0] == "tau,dev_x,dev_y"
         # at alpha = 1.5 the closed form visibly omits the middle-level
-        # vacuum rung: dev_x is bounded by sin^2(theta) c_0^2, dev_y is
-        # integrator noise only
+        # vacuum rung: dev_x is bounded by sin^2(theta) c_0^2.  The rung adds
+        # nothing to y, so dev_y is the engines' own disagreement, measured
+        # at 1.7e-13 at dt = 0.005
         dev_x = max(abs(float(r.split(",")[1])) for r in cmp_lines[1:])
         dev_y = max(abs(float(r.split(",")[2])) for r in cmp_lines[1:])
         edge_bound = math.sin(0.6) ** 2 * math.exp(-1.5**2)
         assert 1e-4 < dev_x <= edge_bound * 1.01
-        assert dev_y < 1e-4  # integrator noise at the coarse quick-run step
+        assert dev_y < 1e-10
 
     def test_emit_unwrapped_appends_columns(self, tmp_path: Path):
         out = tmp_path / "u.csv"
@@ -150,17 +152,30 @@ class TestRun:
         assert cp.returncode == 2
         assert "out" in cp.stderr
 
-    def test_analytic_with_detuning_is_config_error(self, tmp_path: Path):
+    @pytest.mark.parametrize("engine, delta", [("analytic", "20"), ("both", "5")])
+    def test_closed_form_with_detuning_is_config_error(self, tmp_path: Path, engine, delta):
         cp = run_cli(
-            "run", *QUICK, "--engine", "analytic", "--delta", "20",
+            "run", *QUICK, "--engine", engine, "--delta", delta,
             "--out", str(tmp_path / "x.csv"),
         )
         assert cp.returncode == 2
-        assert "analytic" in cp.stderr
+        assert cp.stderr.startswith(f"error: engine={engine} requires delta=0")
+        assert "Traceback" not in cp.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_alpha_is_config_error(self, tmp_path: Path):
         cp = run_cli("run", "--alpha", "-3", "--out", str(tmp_path / "x.csv"))
         assert cp.returncode == 2
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(alpha="5"), "alpha must be a number, got '5'"),
+        (dict(steps=True), "steps must be an integer, got True"),
+        (dict(motion="walking"), "motion must be one of ('moving', 'neglected')"),
+        (dict(engine="both", delta=5.0), "engine=both requires delta=0"),
+    ])
+    def test_scenario_checked_when_built(self, kwargs, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioConfig(**kwargs)
 
     def test_negative_r_parses(self, tmp_path: Path):
         out = tmp_path / "odd.csv"
@@ -195,12 +210,18 @@ class TestConfigFile:
         assert meta["parameters"]["steps"] == 12
         assert meta["parameters"]["alpha"] == 1.5
 
-    def test_unknown_config_key_rejected(self, tmp_path: Path):
+    # a config file holds exactly its subcommand's flag keys
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "bogus", 1), ("run", "preset", "fig1a"), ("compare", "out", "x.csv"),
+        ("compare", "engine", "both"), ("compare", "emit_unwrapped", True),
+    ])
+    def test_unknown_config_key_rejected(self, tmp_path: Path, command, key, value):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"alpha": 1.0, "bogus": 1}))
-        cp = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+        cfg_path.write_text(json.dumps({"alpha": 1.5, key: value}))
+        cp = run_cli(command, *QUICK, "--config", str(cfg_path), cwd=tmp_path)
         assert cp.returncode == 2
-        assert "bogus" in cp.stderr
+        assert cp.stderr == f"error: unknown config keys for {command}: [{key!r}]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("key, value", [
         ("steps", 20.0), ("alpha", "5"), ("p", 1.5), ("emit_unwrapped", "no"),
@@ -247,6 +268,16 @@ class TestCompare:
     def test_detuned_compare_is_config_error(self):
         cp = run_cli("compare", "--delta", "5", "--steps", "50")
         assert cp.returncode == 2
+        assert "delta" in cp.stderr and "Traceback" not in cp.stderr
+
+    @pytest.mark.parametrize("flag", [["--out", "x.csv"], ["--engine", "numeric"],
+                                      ["--emit-unwrapped"]])
+    def test_write_flags_rejected(self, tmp_path: Path, flag):
+        # compare writes nothing and always runs both engines
+        cp = run_cli("compare", *QUICK, *flag, cwd=tmp_path)
+        assert cp.returncode == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in cp.stderr
+        assert cp.stdout == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
     def test_bad_tolerance_is_config_error(self, tolerance):
@@ -260,6 +291,20 @@ class TestCompare:
         assert cp.returncode == 0, cp.stderr
         assert json.loads(cp.stdout)["grid_points"] == 40
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["list-presets"], ["preset", "fig1a", "--out", "f.csv"]])
+def test_closed_stdout_exits_0(tmp_path: Path, argv):
+    # the read end closes before the child writes, as under `| head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    cp = subprocess.run(
+        [sys.executable, "-m", "cascade_qed", *argv], stdout=write_end,
+        stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+    )
+    os.close(write_end)
+    assert (cp.returncode, cp.stderr) == (0, "")
 
 
 class TestBatchedCurves:

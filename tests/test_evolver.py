@@ -208,7 +208,6 @@ class TestEvolve:
         traj = evolve(initial_state(cfg, dist), cfg)
         assert traj.taus.shape == (31,)
         assert traj.substeps == 300
-        assert traj.h_expectation[0] == 0.0  # the mode shape vanishes at tau = 0
         assert traj.phi_dynamical[0] == 0.0
         preset = make_config(delta=20.0, tau_max=25.0, n_steps=2000)
         assert evolve(initial_state(preset, dist), preset).substeps == 1999
@@ -250,8 +249,7 @@ class TestBatch:
         assert batch.states.shape == (3, 21, 3, 6)
         for state, curve in zip(group, batch.curves):
             alone = evolve(state, cfg)
-            for field in ("states", "expectation_V", "h_expectation", "norm_error",
-                          "phi_dynamical"):
+            for field in ("states", "expectation_V", "norm_error", "phi_dynamical"):
                 assert np.max(np.abs(getattr(curve, field) - getattr(alone, field))) <= 1e-13
             assert curve.substeps == alone.substeps
         with pytest.raises(ValueError):

@@ -36,8 +36,7 @@ def stored(states, phi_dynamical=None):
     n = len(states)
     zeros = np.zeros(n)
     return Trajectory(
-        taus=np.arange(float(n)), states=states, expectation_V=zeros,
-        h_expectation=zeros, norm_error=zeros,
+        taus=np.arange(float(n)), states=states, expectation_V=zeros, norm_error=zeros,
         phi_dynamical=zeros if phi_dynamical is None else np.asarray(phi_dynamical),
         substeps=max(1, n - 1),
     )
@@ -185,11 +184,11 @@ class TestSeriesAssembly:
         assert np.max(np.abs(series.rho11 + series.rho22 + series.rho33 - 1.0)) < 1e-9
         finite = np.isfinite(series.phi_pancharatnam)
         assert np.all(np.abs(series.phi_pancharatnam[finite]) <= math.pi + 1e-12)
-        assert np.all(np.abs(series.phi_arcsin[np.isfinite(series.phi_arcsin)])
+        assert np.all(np.abs(series.phi_eq5[np.isfinite(series.phi_eq5)])
                       <= math.pi / 2 + 1e-12)
         # branch consistency where the overlap sits in the right half plane
         mask = (series.x > 0.0) & (np.hypot(series.x, series.y) > 1e-6)
-        assert np.max(np.abs(series.phi_pancharatnam[mask] + series.phi_arcsin[mask])) < 1e-9
+        assert np.max(np.abs(series.phi_pancharatnam[mask] + series.phi_eq5[mask])) < 1e-9
 
     def test_closed_form_series_gaps(self):
         cfg = SystemConfig(
@@ -213,7 +212,7 @@ class TestSeriesAssembly:
         analytic = series_from_closed_form(cfg, dist)
         assert np.max(np.abs(numeric.x - analytic.x)) < 1e-6
         assert np.max(np.abs(numeric.y - analytic.y)) < 1e-6
-        assert np.nanmax(np.abs(numeric.phi_arcsin - analytic.phi_arcsin)) < 1e-5
+        assert np.nanmax(np.abs(numeric.phi_eq5 - analytic.phi_eq5)) < 1e-5
         assert np.max(np.abs(numeric.phi_dynamical - analytic.phi_dynamical)) < 1e-5
 
     def test_edge_term_visible_at_small_alpha(self):
@@ -238,5 +237,5 @@ class TestSeriesAssembly:
         series = series_from_trajectory(stored(a))
         assert math.isnan(series.phi_pancharatnam[1])
         assert math.isnan(series.phi_geometric[1])
-        assert math.isnan(series.phi_arcsin[1])
+        assert math.isnan(series.phi_eq5[1])
         assert series.phi_pancharatnam[0] == 0.0
