@@ -8,7 +8,9 @@ deterministic: identical configuration yields byte-identical CSV; wall
 times and other environment facts go to the ``.meta.json`` sidecar only.
 
 Exit codes: 0 success (also when stdout's reader has gone), 2 configuration
-error, 3 numerical failure (norm drift or comparison tolerance breach).
+error, 3 numerical failure (norm drift or comparison tolerance breach).  A
+run over one of the ceilings below is a configuration error, refused once
+the photon bases are known and before anything is evolved.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolver import NormDriftError, Trajectory, evolve
+from .evolver import (
+    NormDriftError,
+    Trajectory,
+    evolve,
+    substep_counts,
+    working_set_bytes,
+)
 from .field_states import FieldSpec, FieldSpecError, superposed_distribution
 from .phases import (
     PhaseTimeSeries,
@@ -60,6 +68,14 @@ EXIT_NUMERICAL = 3
 CSV_COLUMNS = tuple(f.name for f in fields(PhaseTimeSeries))
 
 _CSV_ROWS = 256  # rows formatted per write
+
+# Ceilings on a run: output grid points per curve, substeps per evolve call
+# and the bytes that call holds.  A fig4b curve takes 2,000 points and
+# 1,999 substeps, and the fig4b pair's evolve call about 4.8 MB; at these
+# ceilings an evolve call would run for minutes to hours.
+_MAX_OUTPUT_POINTS = 10**6
+_MAX_SUBSTEPS = 10**7
+_MAX_WORKING_BYTES = 2**30
 
 # ScenarioConfig field -> (accepted type, or the tuple of accepted strings;
 # the subcommands that take it as a flag and in their --config file; the
@@ -333,6 +349,35 @@ def _integrator_diagnostics(trajectory: Trajectory, config: SystemConfig) -> dic
     return drifts
 
 
+def _preflight(configs, dists, groups) -> None:
+    """Refuse, with ``ConfigError``, a run over one of the ceilings: an
+    output grid over ``_MAX_OUTPUT_POINTS``, or an evolve call over
+    ``_MAX_SUBSTEPS`` substeps or ``_MAX_WORKING_BYTES`` bytes.  The counts
+    are floats, so a step far below the grid spacing cannot overflow."""
+    for config in configs:
+        if config.n_steps > _MAX_OUTPUT_POINTS:
+            raise ConfigError(
+                f"run too large: {config.n_steps} output points exceed the ceiling "
+                f"of {_MAX_OUTPUT_POINTS}; lower steps"
+            )
+    for members in groups:
+        config, n_max = configs[members[0]], dists[members[0]].n_max
+        substeps = float(np.sum(substep_counts(config, n_max)))
+        if not substeps <= _MAX_SUBSTEPS:
+            raise ConfigError(
+                f"run too large: {substeps:.3g} substeps exceed the ceiling of "
+                f"{_MAX_SUBSTEPS:.3g}; raise dt or lower tau_max"
+            )
+        # initial_state's basis keeps photons up to n_max + 2
+        n_bytes = working_set_bytes(len(members), n_max + 2, substeps)
+        if not n_bytes <= _MAX_WORKING_BYTES:
+            raise ConfigError(
+                f"run too large: evolving would hold about {n_bytes:.3g} bytes, over "
+                f"the ceiling of {_MAX_WORKING_BYTES:.3g}; raise dt or lower tau_max "
+                f"or alpha"
+            )
+
+
 def _compute(
     scenarios: Sequence[ScenarioConfig],
 ) -> list[tuple[dict[str, PhaseTimeSeries], dict]]:
@@ -340,9 +385,14 @@ def _compute(
     its series by engine and its sidecar metadata (less files, wall time and
     environment).  Numerical curves whose configurations differ only in
     theta and the field's alpha and r, and whose photon bases have the same
-    size, evolve together through shared propagators."""
+    size, evolve together through shared propagators.  A run over a
+    ceiling is refused (``_preflight``) before anything evolves."""
     configs = [scenario.system_config() for scenario in scenarios]
-    dists = [superposed_distribution(config.field) for config in configs]
+    dists, truncation_s = [], []
+    for config in configs:
+        t_truncate = time.perf_counter()
+        dists.append(superposed_distribution(config.field))
+        truncation_s.append(time.perf_counter() - t_truncate)
 
     # curves that share every propagator: same physics apart from the
     # initial state, same basis
@@ -352,6 +402,7 @@ def _compute(
             field = replace(config.field, alpha=0.0, r=0.0)
             shared = replace(config, theta=0.0, field=field)
             groups.setdefault((shared, dist.n_max), []).append(i)
+    _preflight(configs, dists, groups.values())
     trajectories, evolve_stats = {}, {}
     for members in groups.values():
         t_evolve = time.perf_counter()
@@ -366,6 +417,7 @@ def _compute(
     curves = []
     for i, (scenario, config, dist) in enumerate(zip(scenarios, configs, dists)):
         series: dict[str, PhaseTimeSeries] = {}
+        t_series = time.perf_counter()
         if i in trajectories:
             series["numeric"] = series_from_trajectory(trajectories[i])
         if scenario.engine in ("analytic", "both"):
@@ -375,9 +427,13 @@ def _compute(
             "dt_internal": None,
             "substeps_total": 0,
             **evolve_stats.get(i, {"evolve_s": 0.0, "batch_size": 0}),
+            "truncation_s": truncation_s[i],
+            "series_s": time.perf_counter() - t_series,
         }
+        top_rung = None
         if i in trajectories:
             integrator.update(_integrator_diagnostics(trajectories[i], config))
+            top_rung = float(np.max(trajectories[i].top_rung_population))
         metadata = {
             "version": __version__,
             "parameters": {k: v for k, v in asdict(scenario).items() if k != "out"},
@@ -386,6 +442,7 @@ def _compute(
                 "dropped_tail": dist.dropped_tail,
                 "epsilon_tail": config.field.epsilon_tail,
                 "norm_constant": dist.norm_constant,
+                "max_top_rung_population": top_rung,
             },
             "integrator": integrator,
         }
@@ -409,7 +466,9 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
     t_start = time.perf_counter()
     curves = []
     for scenario, (series, metadata) in zip(scenarios, _compute(scenarios)):
+        t_csv = time.perf_counter()
         paths, deviation = _write_outputs(scenario, series)
+        metadata["integrator"]["csv_s"] = time.perf_counter() - t_csv
         metadata.update(deviation=deviation, files=[str(p) for p in paths])
         curves.append(RunResult(series=series, paths=tuple(paths), metadata=metadata))
 

@@ -15,14 +15,17 @@ amplitudes, each over h/2.  Both have the coupling-triple form, whose
 exponential is built in closed form from the block spectrum (the
 characteristic polynomial of a triple factors as E (E^2 - delta E - R^2),
 so no iterative eigensolver is needed on the hot path).  The frame is
-undone before states are stored, so stored amplitudes, overlaps and phases
-all live in the same interaction picture as the closed-form resonant route;
-the tests pin the sign convention of the frame map against a direct
+undone before observables are taken, so overlaps, phases and any kept
+states live in the same interaction picture as the closed-form resonant
+route; the tests pin the sign convention of the frame map against a direct
 integration of the original Hamiltonian with its oscillating phases.
 
 The dynamical phase is integrated on the same step grid, to the same
 order: the trapezoid sum of <H> with the Euler-Maclaurin endpoint
 correction, which takes the exact derivative d<H>/dtau at every node.
+
+States are kept only on request: each chunk of steps is reduced to the
+``Trajectory`` observables while its states are still in cache.
 
 Each block is a lane (``_lanes``): the two truncation-edge pairs are
 triples with one coupling zero, so one elementwise update advances every
@@ -57,6 +60,8 @@ __all__ = [
     "ConvergenceReport",
     "evolve",
     "convergence_probe",
+    "substep_counts",
+    "working_set_bytes",
 ]
 
 _NORM_DRIFT_LIMIT = 1e-6
@@ -70,6 +75,14 @@ _CF4_SKEW = 1.0 / math.sqrt(3.0)
 # steps whose plane maps are built together: enough to amortize the build's
 # numpy calls, few enough that its temporaries stay small
 _CHUNK = 128
+# Working-set model, rounded up from tracemalloc peaks of ``evolve``.  Per
+# step of a chunk and lane, the plane-map build holds about 355 bytes
+# (detuned; 205 on resonance) and each curve's stored state 48.  Per
+# substep, the node arrays (grid, step widths, mode-shape samples, and per
+# curve <A> and the dynamical-phase sum) hold about 70 + 66 per curve.
+_PLANE_BYTES = 368
+_NODE_BYTES = 80
+_NODE_BYTES_PER_CURVE = 72
 
 
 class NormDriftError(RuntimeError):
@@ -78,29 +91,40 @@ class NormDriftError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Stored evolution: states on the output grid plus diagnostics.
+    """Observables of an evolution on the output grid, plus diagnostics.
 
-    ``expectation_V`` is the coupling-operator expectation (conserved on
-    resonance) and ``phi_dynamical`` the accumulated dynamical phase, minus
-    the integral of <H>/g from 0, both on the output grid.  ``substeps``
-    counts the integrator steps taken.
+    ``overlap`` is the survival amplitude <psi(0)|psi(tau)>, ``populations``
+    the level populations, shape (n_out, 3), and ``top_rung_population``
+    the population of the basis's top photon column summed over the levels,
+    which is leakage into the truncation edge.  ``norm_error`` is each
+    state's norm drift.  ``expectation_V`` is the coupling-operator
+    expectation (conserved on resonance) and ``phi_dynamical`` the
+    accumulated dynamical phase, minus the integral of <H>/g from 0.
+    ``substeps`` counts the integrator steps taken.  ``states`` holds the
+    states, shape (n_out, 3, n_ph + 1), when ``evolve`` was asked to keep
+    them, and is empty, shape (0, 3, n_ph + 1), otherwise.
     """
 
     taus: np.ndarray
-    states: np.ndarray  # complex, shape (n_out, 3, n_ph + 1)
-    expectation_V: np.ndarray
+    overlap: np.ndarray
+    populations: np.ndarray
+    top_rung_population: np.ndarray
     norm_error: np.ndarray
+    expectation_V: np.ndarray
     phi_dynamical: np.ndarray
     substeps: int
+    states: np.ndarray
 
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
     """Curves evolved together through shared propagators.
 
-    ``states`` stacks the curves' stored states, shape
-    (n_curves, n_out, 3, n_ph + 1); ``curves`` holds one ``Trajectory`` per
-    curve, in input order, whose arrays are views into the batch's.
+    ``states`` stacks the curves' kept states, shape
+    (n_curves, n_out, 3, n_ph + 1), or is empty, shape
+    (n_curves, 0, 3, n_ph + 1), when they were not kept; ``curves`` holds
+    one ``Trajectory`` per curve, in input order, whose arrays are views
+    into the batch's.
     """
 
     states: np.ndarray
@@ -225,8 +249,31 @@ def _norms(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(flat), axis=-1))
 
 
+def substep_counts(config: SystemConfig, n_max: int) -> np.ndarray:
+    """Substeps ``evolve`` takes in each output interval of ``config``'s
+    grid for a field cut at ``n_max``, as floats: a step far below the
+    interval width gives a count no integer holds, which a caller can
+    refuse before evolving."""
+    widths = np.diff(np.linspace(0.0, config.tau_max, config.n_steps))
+    with np.errstate(over="ignore"):
+        per_step = widths / config.integrator_step(n_max)
+    return np.maximum(1.0, np.ceil(per_step - 1e-12))
+
+
+def working_set_bytes(n_curves: int, n_ph: int, substeps: float) -> float:
+    """Approximate bytes ``evolve`` holds for a batch of ``n_curves`` on a
+    basis cut at ``n_ph`` taking ``substeps`` substeps: a chunk's plane maps
+    and states plus the per-substep node arrays, less the arrays of the
+    output grid and any kept states."""
+    chunk = _CHUNK * (n_ph + 1) * (_PLANE_BYTES + 3 * 16.0 * n_curves)
+    return chunk + substeps * (_NODE_BYTES + _NODE_BYTES_PER_CURVE * n_curves)
+
+
 def evolve(
-    initial: CompositeState | Sequence[CompositeState], config: SystemConfig
+    initial: CompositeState | Sequence[CompositeState],
+    config: SystemConfig,
+    *,
+    keep_states: bool = False,
 ) -> Trajectory | TrajectoryBatch:
     """Propagate composite states over the configured output grid.
 
@@ -237,8 +284,15 @@ def evolve(
     fourth order in the substep, and the stepping is exact whenever the
     mode shape is constant.  The dynamical phase is the Euler-Maclaurin
     corrected trapezoid sum of <H> over the substep nodes, also fourth
-    order.  Raises ``NormDriftError`` when a stored state's norm drifts
-    beyond 1e-6.
+    order.  Raises ``NormDriftError`` when the norm of a state on the output
+    grid drifts beyond 1e-6.
+
+    The states on the output grid are reduced to the ``Trajectory``
+    observables a chunk of steps at a time and then dropped, so memory
+    grows with the output grid plus the substep count.  ``keep_states``
+    also keeps them, which costs n_out * 3 * (n_ph + 1) * 16 bytes per
+    curve (14 MB for the two fig4b curves); the observables are the same
+    bits either way.
 
     A sequence of states on one basis evolves as a batch: they share every
     propagator, and each curve's amplitudes equal those of evolving it
@@ -263,7 +317,7 @@ def evolve(
     n_out = len(taus)
     dt = config.integrator_step(n_ph - 2)
     widths = np.diff(taus)
-    substeps = np.maximum(1, np.ceil(widths / dt - 1e-12)).astype(np.intp)
+    substeps = substep_counts(config, n_ph - 2).astype(np.intp)
     out_idx = np.concatenate(([0], np.cumsum(substeps)))
     n_sub = int(out_idx[-1])
     # substep k starts at t[k] and is h[k] wide; the nodes are t and tau_max
@@ -283,10 +337,34 @@ def evolve(
     u, v, w = np.moveaxis(buffer.reshape(n_curves, 3, width + 1)[:, :, :width], 1, 0)
     sqrt_r, xi, eta = _lanes(n_ph)
 
-    states = np.empty((n_curves, n_out, 3, width), dtype=complex)
-    states[:, 0] = psi
+    # the interaction picture: level-2 amplitudes carry exp(+i delta tau)
+    # relative to the rotating frame, so <A> there carries exp(-i delta tau)
+    frame = np.exp(1j * delta * taus)
+    ref = psi.copy()  # the conjugated initial states, framed as every node is
+    ref[:, 1] *= frame[0]
+    np.conjugate(ref, out=ref)
     norm_err = np.empty((n_curves, n_out))
-    norm_err[:, 0] = np.abs(norm0 - 1.0)
+    overlap = np.empty((n_curves, n_out), dtype=complex)
+    populations = np.empty((n_curves, n_out, 3))
+    top_rung = np.empty((n_curves, n_out))
+    states = np.empty((n_curves, n_out if keep_states else 0, 3, width), dtype=complex)
+
+    def observe(ks, stored):
+        """Reduce the rotating-frame states at output nodes ``ks``, shape
+        (len(ks), n_curves, 3, width), to the observables.  Each overlap and
+        population is one pairwise ``np.add.reduce`` over a contiguous row,
+        so its bits do not depend on how many nodes a call takes."""
+        norm_err[:, ks] = np.abs(_norms(stored) - 1.0).T
+        stored[:, :, 1] *= frame[ks, None, None]
+        rows = (ref * stored).reshape(len(ks), n_curves, 3 * width)
+        overlap[:, ks] = np.add.reduce(rows, axis=-1).T
+        prob = np.abs(stored) ** 2
+        populations[:, ks] = np.add.reduce(prob, axis=-1).swapaxes(0, 1)
+        top_rung[:, ks] = np.add.reduce(prob[..., -1], axis=-1).T
+        if keep_states:
+            states[:, ks] = stored.swapaxes(0, 1)
+
+    observe(np.arange(1), psi[None].copy())
     node_a = np.empty((n_sub + 1, n_curves), dtype=complex)  # <A>, rotating frame
     node_a[0] = ladder_expectation(psi)
     node_psi = np.empty((min(_CHUNK, n_sub), n_curves, 3, width), dtype=complex)
@@ -299,10 +377,8 @@ def evolve(
         done = node_psi[: hi - lo]
         node_a[lo + 1 : hi + 1] = ladder_expectation(done)
         ks = np.arange(*np.searchsorted(out_idx, (lo + 1, hi + 1)))
-        stored = done[out_idx[ks] - lo - 1]
-        states[:, ks] = stored.swapaxes(0, 1)
-        drift = np.abs(_norms(stored) - 1.0)
-        norm_err[:, ks] = drift.T
+        observe(ks, done[out_idx[ks] - lo - 1])
+        drift = norm_err[:, ks].T
         if np.any(drift > _NORM_DRIFT_LIMIT):
             k, worst = np.unravel_index(np.argmax(drift > _NORM_DRIFT_LIMIT), drift.shape)
             raise NormDriftError(
@@ -310,10 +386,6 @@ def evolve(
                 f"(curve {worst}, dt_internal = {dt}, n_ph = {n_ph})"
             )
 
-    # the interaction picture: level-2 amplitudes carry exp(+i delta tau)
-    # relative to the rotating frame, so <A> there carries exp(-i delta tau)
-    frame = np.exp(1j * delta * taus)
-    states[:, :, 1] *= frame[:, None]
     states.setflags(write=False)
     exp_v = 2.0 * (node_a[out_idx] * frame.conj()[:, None]).real.T
 
@@ -331,11 +403,14 @@ def evolve(
     curves = tuple(
         Trajectory(
             taus=taus,
-            states=states[c],
-            expectation_V=exp_v[c],
+            overlap=overlap[c],
+            populations=populations[c],
+            top_rung_population=top_rung[c],
             norm_error=norm_err[c],
+            expectation_V=exp_v[c],
             phi_dynamical=phi_dyn[c],
             substeps=n_sub,
+            states=states[c],
         )
         for c in range(n_curves)
     )
@@ -355,7 +430,7 @@ def convergence_probe(config: SystemConfig) -> ConvergenceReport:
     psi0 = initial_state(config, dist)
     dt0 = config.integrator_step(dist.n_max)
     runs = [
-        evolve(psi0, replace(config, dt_internal=dt0 / 2.0**i)).states
+        evolve(psi0, replace(config, dt_internal=dt0 / 2.0**i), keep_states=True).states
         for i in range(3)
     ]
     dev_coarse = float(np.max(np.abs(runs[0] - runs[1])))

@@ -92,14 +92,11 @@ def _phase_columns(x: np.ndarray, y: np.ndarray, phi_dyn: np.ndarray):
 
 def series_from_trajectory(trajectory: Trajectory) -> PhaseTimeSeries:
     """Assemble the full observable record from an evolved trajectory."""
-    ref = np.conj(trajectory.states[0])
-    z = np.add.reduce((ref[None, :, :] * trajectory.states).reshape(len(trajectory.taus), -1), axis=1)
-    x = z.real.copy()
-    y = z.imag.copy()
+    x = trajectory.overlap.real.copy()
+    y = trajectory.overlap.imag.copy()
     phi_dyn = trajectory.phi_dynamical
     phi_total, phi_geo, phi_eq5 = _phase_columns(x, y, phi_dyn)
-    prob = np.abs(trajectory.states) ** 2
-    rho = np.add.reduce(prob, axis=2)
+    rho = trajectory.populations
     return PhaseTimeSeries(
         tau=trajectory.taus.copy(),
         x=x,

@@ -7,6 +7,9 @@ tests check them against.
 evolver: the first writes the rotating-frame Hamiltonian out as a dense
 matrix on the whole (level, photon) rectangle, the second integrates the
 interaction Hamiltonian with its oscillating phases kept.
+``observables_from_states`` is the reference for the observables ``evolve``
+streams: the formulas series assembly applied to stored states before
+``evolve`` reduced them itself.
 """
 
 import math
@@ -27,6 +30,18 @@ def cf4_lane_matrices(lam, n_ph: int, delta: float, h: float) -> np.ndarray:
     columns = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_ph + 1, axis=2)
     evolver._rotate_planes(*columns.swapaxes(0, 1), [m[0] for m in maps], xi, eta)
     return columns.transpose(2, 1, 0)
+
+
+def observables_from_states(states: np.ndarray):
+    """Overlap with the first state, level populations, top photon column's
+    population and norm drift of states of shape (n_out, 3, n_ph + 1)."""
+    n = len(states)
+    overlap = np.add.reduce((np.conj(states[0])[None, :, :] * states).reshape(n, -1), axis=1)
+    prob = np.abs(states) ** 2
+    populations = np.add.reduce(prob, axis=2)
+    top_rung = np.add.reduce(prob[:, :, -1], axis=1)
+    norms = np.sqrt(np.add.reduce(np.square(np.abs(states).reshape(n, -1)), axis=1))
+    return overlap, populations, top_rung, np.abs(norms - 1.0)
 
 
 def embed_lanes(matrices: np.ndarray) -> np.ndarray:

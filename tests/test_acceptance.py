@@ -138,10 +138,7 @@ def test_criterion_3_revival_periodicity(p):
 
     fidelity_dev = 0.0
     for k in (1, 2):
-        z = np.add.reduce(
-            (np.conj(trajectory.states[0]) * trajectory.states[k * half]).ravel()
-        )
-        fidelity_dev = max(fidelity_dev, abs(abs(z) - 1.0))
+        fidelity_dev = max(fidelity_dev, abs(abs(trajectory.overlap[k * half]) - 1.0))
 
     phi = series.phi_eq5
     both = np.isfinite(phi[:half + 1]) & np.isfinite(phi[half : 2 * half + 1])
@@ -252,7 +249,7 @@ def test_criterion_7_frame_correctness():
         field=FieldSpec(alpha=1.0, r=0.0), delta=20.0, theta=0.0, p=1,
         tau_max=5.0, n_steps=26, dt_internal=2e-5,
     )
-    trajectory = evolve(state, config)
+    trajectory = evolve(state, config, keep_states=True)
     reference = lab_frame_reference(state, config, trajectory.taus)
     dev = float(np.max(np.abs(trajectory.states - reference)))
     report(7, "rotating frame vs direct lab-frame integration", dev < 1e-8,

@@ -6,16 +6,20 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cascade_qed
+from cascade_qed import cli, evolve, initial_state, superposed_distribution
 from cascade_qed.cli import (
     ConfigError, ScenarioConfig, _format_column, environment_fingerprint, list_presets,
     main, run_scenario,
 )
+from cascade_qed.evolver import working_set_bytes
+from propagators import observables_from_states
 
 EXPECTED_HEADER = (
     "tau,x,y,phi_pancharatnam,phi_dynamical,phi_geometric,phi_eq5,"
@@ -97,7 +101,9 @@ class TestRun:
             meta["integrator"]["max_norm_drift_tau"]
         )
         assert 0.0 <= meta["integrator"]["max_v_drift"] < 1e-9  # QUICK is resonant
-        assert meta["integrator"]["evolve_s"] > 0.0
+        for stage in ("evolve_s", "truncation_s", "series_s", "csv_s"):
+            assert meta["integrator"][stage] > 0.0
+        assert 0.0 <= meta["truncation"]["max_top_rung_population"] < 1e-12
         assert "wall_time_s" in meta
         assert meta["environment"] == environment_fingerprint()
         assert set(meta["environment"]) == {"python", "numpy", "scipy", "machine", "libc", "simd"}
@@ -118,6 +124,7 @@ class TestRun:
         assert row[1] != ""
         meta = json.loads((tmp_path / "ana.csv.meta.json").read_text())
         assert meta["integrator"]["dt_internal"] is None  # no numeric route
+        assert meta["truncation"]["max_top_rung_population"] is None
 
     def test_both_engine_writes_three_files(self, tmp_path: Path):
         out = tmp_path / "b.csv"
@@ -184,6 +191,61 @@ class TestRun:
         assert cp.returncode == 0, cp.stderr
         meta = json.loads((tmp_path / "odd.csv.meta.json").read_text())
         assert meta["parameters"]["r"] == -1.0
+
+
+class TestCeilings:
+    """Runs over a ceiling exit 2 before anything evolves or is written."""
+
+    @staticmethod
+    def refuse_to_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran on a run over a ceiling")
+
+    def test_tiny_step_is_config_error(self, tmp_path: Path):
+        # the substep count, 1e300, overflows any integer
+        cp = run_cli("run", "--alpha", "5", "--delta", "20", "--steps", "10",
+                     "--tau-max", "1", "--dt", "1e-300", "--out", str(tmp_path / "x.csv"))
+        assert cp.returncode == 2
+        assert cp.stderr == (
+            "error: run too large: 1e+300 substeps exceed the ceiling of 1e+07; "
+            "raise dt or lower tau_max\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    # QUICK takes 40 output points and 624 substeps (16 per interval)
+    @pytest.mark.parametrize("ceiling, value, message", [
+        ("_MAX_OUTPUT_POINTS", 39, "40 output points exceed the ceiling of 39"),
+        ("_MAX_SUBSTEPS", 623, "624 substeps exceed the ceiling of 623"),
+        ("_MAX_WORKING_BYTES", None, "evolving would hold about"),
+    ])
+    def test_run_over_ceiling_refused(self, tmp_path: Path, monkeypatch, capsys,
+                                      ceiling, value, message):
+        if value is None:
+            n_max = superposed_distribution(ScenarioConfig(alpha=1.5).system_config().field).n_max
+            value = working_set_bytes(1, n_max + 2, 624) - 1.0
+        monkeypatch.setattr(cli, ceiling, value)
+        monkeypatch.setattr(cli, "evolve", self.refuse_to_evolve)
+        out = tmp_path / "x.csv"
+        assert main(["run", *QUICK, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: run too large: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ceiling, value", [
+        ("_MAX_OUTPUT_POINTS", 40), ("_MAX_SUBSTEPS", 624),
+    ])
+    def test_run_at_ceiling_accepted(self, tmp_path: Path, monkeypatch, capsys,
+                                     ceiling, value):
+        monkeypatch.setattr(cli, ceiling, value)
+        assert main(["run", *QUICK, "--out", str(tmp_path / "x.csv")]) == 0
+        capsys.readouterr()
+
+    def test_batch_working_set_counts_every_curve(self, tmp_path: Path, monkeypatch, capsys):
+        # each fig4b curve fits alone; the pair evolving together does not
+        pair = working_set_bytes(2, 72, 1999)
+        monkeypatch.setattr(cli, "_MAX_WORKING_BYTES", pair - 1.0)
+        monkeypatch.setattr(cli, "evolve", self.refuse_to_evolve)
+        assert main(["preset", "fig4b", "--out", str(tmp_path / "f.csv")]) == 2
+        assert "evolving would hold about" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -326,6 +388,30 @@ class TestBatchedCurves:
             assert abs(taken - params["tau_max"]) <= 1e-12
             assert "max_v_drift" not in meta["integrator"]  # <V> moves off resonance
         capsys.readouterr()
+
+    def test_fig4b_peak_memory(self, tmp_path: Path, capsys):
+        # the two curves' states alone would take 14 MB; streamed, the run
+        # peaks near 5 MB (21.5 MB when evolve stored every state)
+        tracemalloc.start()
+        try:
+            assert main(["preset", "fig4b", "--out", str(tmp_path / "fig4b.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 10e6
+
+    def test_top_rung_population_recorded(self, tmp_path: Path):
+        # the top photon column starts empty, two rungs above the field's
+        # n_max, and the coupling feeds it about 2e-14 here
+        scenario = ScenarioConfig(alpha=1.5, delta=4.0, tau_max=3.0, steps=31,
+                                  out=str(tmp_path / "t.csv"))
+        recorded = run_scenario(scenario).metadata["truncation"]["max_top_rung_population"]
+        config = scenario.system_config()
+        state = initial_state(config, superposed_distribution(config.field))
+        kept = evolve(state, config, keep_states=True)
+        assert recorded == float(np.max(observables_from_states(kept.states)[2]))
+        assert recorded > 0.0
 
     def test_bases_of_different_size_evolve_apart(self, tmp_path: Path):
         # at alpha = 2 the even cat (r = 1) keeps one photon fewer than the

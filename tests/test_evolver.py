@@ -18,12 +18,14 @@ from cascade_qed import (
     superposed_distribution,
 )
 from cascade_qed import evolver
+from cascade_qed.cli import ScenarioConfig, list_presets
 from cascade_qed.evolver import NormDriftError, TrajectoryBatch
 from propagators import (
     cf4_lane_matrices,
     dense_hamiltonian,
     embed_lanes,
     lab_frame_reference,
+    observables_from_states,
 )
 
 
@@ -150,8 +152,7 @@ class TestEvolve:
         )
         dist = superposed_distribution(cfg.field)
         traj = evolve(initial_state(cfg, dist), cfg)
-        final = np.abs(traj.states[-1]) ** 2
-        rho = np.add.reduce(final, axis=1)
+        rho = traj.populations[-1]
         assert rho[0] == pytest.approx(1.0, abs=1e-8)
         assert rho[1] < 1e-8 and rho[2] < 1e-8
 
@@ -162,8 +163,7 @@ class TestEvolve:
         )
         dist = superposed_distribution(cfg.field)
         traj = evolve(initial_state(cfg, dist), cfg)
-        z = np.add.reduce((np.conj(traj.states[0]) * traj.states[-1]).ravel())
-        assert abs(z) == pytest.approx(1.0, abs=1e-8)
+        assert abs(traj.overlap[-1]) == pytest.approx(1.0, abs=1e-8)
 
     def test_collapse_without_motion(self):
         # many incommensurate ladder frequencies dephase the overlap well
@@ -174,9 +174,7 @@ class TestEvolve:
         )
         dist = superposed_distribution(cfg.field)
         traj = evolve(initial_state(cfg, dist), cfg)
-        fidelity = np.abs(np.add.reduce(
-            (np.conj(traj.states[0])[None] * traj.states).reshape(101, -1), axis=1
-        ))
+        fidelity = np.abs(traj.overlap)
         assert fidelity[0] == pytest.approx(1.0, abs=1e-12)
         assert np.min(fidelity) < 0.3
 
@@ -191,7 +189,7 @@ class TestEvolve:
         amps = np.zeros((3, 5), dtype=complex)
         amps[2, 0] = amps[0, 4] = math.sqrt(0.5)
         cfg = make_config(delta=3.0, tau_max=2.0, n_steps=21)
-        traj = evolve(CompositeState(amps), cfg)
+        traj = evolve(CompositeState(amps), cfg, keep_states=True)
         assert np.array_equal(traj.states, np.broadcast_to(amps, traj.states.shape))
 
     def test_non_unit_initial_rejected(self):
@@ -232,9 +230,17 @@ class TestEvolve:
     def test_states_read_only(self):
         cfg = make_config(tau_max=1.0, n_steps=5)
         dist = superposed_distribution(cfg.field)
-        traj = evolve(initial_state(cfg, dist), cfg)
+        traj = evolve(initial_state(cfg, dist), cfg, keep_states=True)
         with pytest.raises(ValueError):
             traj.states[0, 0, 0] = 1.0
+
+    def test_states_kept_only_on_request(self):
+        cfg = make_config(tau_max=1.0, n_steps=5)
+        state = initial_state(cfg, superposed_distribution(cfg.field))
+        batch = evolve([state, state], cfg)
+        assert batch.states.shape == (2, 0, 3, state.n_ph + 1)
+        assert batch.states.nbytes == 0
+        assert evolve(state, cfg).states.nbytes == 0
 
 
 class TestBatch:
@@ -244,12 +250,13 @@ class TestBatch:
     def test_group_matches_single_runs(self, delta):
         cfg = make_config(delta=delta, p=2, tau_max=2.0, n_steps=21, dt_internal=0.01)
         group = [random_state(5, seed=s) for s in (1, 2, 3)]
-        batch = evolve(group, cfg)
+        batch = evolve(group, cfg, keep_states=True)
         assert isinstance(batch, TrajectoryBatch)
         assert batch.states.shape == (3, 21, 3, 6)
         for state, curve in zip(group, batch.curves):
-            alone = evolve(state, cfg)
-            for field in ("states", "expectation_V", "norm_error", "phi_dynamical"):
+            alone = evolve(state, cfg, keep_states=True)
+            for field in ("states", "overlap", "populations", "top_rung_population",
+                          "expectation_V", "norm_error", "phi_dynamical"):
                 assert np.max(np.abs(getattr(curve, field) - getattr(alone, field))) <= 1e-13
             assert curve.substeps == alone.substeps
         with pytest.raises(ValueError):
@@ -358,7 +365,7 @@ class TestFrameCorrectness:
         cfg = make_config(
             delta=20.0, p=1, tau_max=2.0, n_steps=21, dt_internal=5e-4
         )
-        traj = evolve(state, cfg)
+        traj = evolve(state, cfg, keep_states=True)
         ref = lab_frame_reference(state, cfg, traj.taus)
         assert np.max(np.abs(traj.states - ref)) < 1e-6
 
@@ -368,7 +375,7 @@ class TestFrameCorrectness:
         n_ph = 3
         state = random_state(n_ph, seed=2024)
         cfg = make_config(delta=20.0, p=1, tau_max=5.0, n_steps=26)
-        traj = evolve(state, cfg)
+        traj = evolve(state, cfg, keep_states=True)
         assert traj.substeps == 25 * 14
         ref = lab_frame_reference(state, cfg, traj.taus)
         assert np.max(np.abs(traj.states - ref)) < 1e-8
@@ -380,6 +387,68 @@ class TestFrameCorrectness:
             delta=20.0, motion=Motion.NEGLECTED, tau_max=2.0, n_steps=21,
             dt_internal=0.01,
         )
-        traj = evolve(state, cfg)
+        traj = evolve(state, cfg, keep_states=True)
         ref = lab_frame_reference(state, cfg, traj.taus)
         assert np.max(np.abs(traj.states - ref)) < 1e-9
+
+
+STREAMED = ("overlap", "populations", "top_rung_population", "norm_error",
+            "expectation_V", "phi_dynamical")
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestStreamedObservables:
+    """The observables ``evolve`` reduces chunk by chunk equal, bit for bit,
+    the state-based formulas applied to the kept states, and do not depend
+    on whether the states are kept or how many curves share the batch."""
+
+    @staticmethod
+    def check(kept, streamed):
+        overlap, populations, top_rung, norm_error = observables_from_states(kept.states)
+        assert_same_bits(kept.overlap.real, overlap.real)  # the CSV's x
+        assert_same_bits(kept.overlap.imag, overlap.imag)  # the CSV's y
+        assert_same_bits(kept.populations, populations)
+        assert_same_bits(kept.top_rung_population, top_rung)
+        # evolve takes the norm before the frame factor exp(i delta tau),
+        # the formula after it: they agree to rounding, exactly on resonance
+        assert np.max(np.abs(kept.norm_error - norm_error)) <= 1e-15
+        for field in STREAMED:
+            assert_same_bits(getattr(streamed, field), getattr(kept, field))
+        assert streamed.states.nbytes == 0
+
+    def test_fig4b_batch(self):
+        (_, r0), (_, r1) = list_presets()["fig4b"]
+        configs = [ScenarioConfig(**params).system_config() for params in (r0, r1)]
+        states = [initial_state(c, superposed_distribution(c.field)) for c in configs]
+        kept = evolve(states, configs[0], keep_states=True)
+        streamed = evolve(states, configs[0])
+        for k, s in zip(kept.curves, streamed.curves):
+            self.check(k, s)
+
+    @pytest.mark.parametrize("cfg", [
+        # resonant: the frame factor is exactly one, so the norms agree too
+        make_config(field=FieldSpec(alpha=5.0, r=0.0), theta=math.pi / 4,
+                    tau_max=8.0 * math.pi, n_steps=400),
+        # delta < 0, with 300 substeps per output interval: most chunks of
+        # steps hold no output node
+        make_config(field=FieldSpec(alpha=3.0, r=1.0), delta=-9.0, theta=0.4, p=2,
+                    tau_max=3.0, n_steps=31, dt_internal=1e-4),
+    ], ids=["resonant", "negative-delta"])
+    def test_single_curve(self, cfg):
+        state = initial_state(cfg, superposed_distribution(cfg.field))
+        kept = evolve(state, cfg, keep_states=True)
+        self.check(kept, evolve(state, cfg))
+        if cfg.delta == 0.0:
+            assert_same_bits(kept.norm_error, observables_from_states(kept.states)[3])
+
+    def test_batch_of_three_matches_single_runs(self):
+        cfg = make_config(delta=7.0, p=2, tau_max=2.0, n_steps=21, dt_internal=0.01)
+        group = [random_state(5, seed=s) for s in (4, 5, 6)]
+        batch = evolve(group, cfg)
+        for state, curve in zip(group, batch.curves):
+            alone = evolve(state, cfg, keep_states=True)
+            self.check(alone, curve)

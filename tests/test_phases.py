@@ -20,6 +20,7 @@ from cascade_qed import (
 )
 from cascade_qed.evolver import Trajectory
 from cascade_qed.phases import _phase_columns
+from propagators import observables_from_states
 
 
 def unit_state(seed=0, n_ph=4):
@@ -30,15 +31,17 @@ def unit_state(seed=0, n_ph=4):
 
 
 def stored(states, phi_dynamical=None):
-    """A trajectory holding the given states, so that series_from_trajectory
-    can be fed states chosen by hand."""
+    """A trajectory of the given states, so that series_from_trajectory can
+    be fed states chosen by hand: its observables are the reference
+    formulas applied to them."""
     states = np.array(states, dtype=complex)
     n = len(states)
-    zeros = np.zeros(n)
+    overlap, populations, top_rung, norm_error = observables_from_states(states)
     return Trajectory(
-        taus=np.arange(float(n)), states=states, expectation_V=zeros, norm_error=zeros,
-        phi_dynamical=zeros if phi_dynamical is None else np.asarray(phi_dynamical),
-        substeps=max(1, n - 1),
+        taus=np.arange(float(n)), overlap=overlap, populations=populations,
+        top_rung_population=top_rung, norm_error=norm_error, expectation_V=np.zeros(n),
+        phi_dynamical=np.zeros(n) if phi_dynamical is None else np.asarray(phi_dynamical),
+        substeps=max(1, n - 1), states=states,
     )
 
 
@@ -167,7 +170,7 @@ class TestDynamicalPhase:
             field=FieldSpec(alpha=1.0, r=0.0), delta=0.0, theta=0.0,
             tau_max=2.0, n_steps=21, dt_internal=1e-2,
         )
-        traj = evolve(CompositeState(amps), cfg)
+        traj = evolve(CompositeState(amps), cfg, keep_states=True)
         assert np.max(np.abs(series_from_trajectory(traj).phi_dynamical)) == 0.0
         assert np.max(np.abs(traj.states[-1] - traj.states[0])) == 0.0
 
