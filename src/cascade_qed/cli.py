@@ -33,13 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolver import (
-    NormDriftError,
-    Trajectory,
-    evolve,
-    substep_counts,
-    working_set_bytes,
-)
+from .evolver import NormDriftError, Trajectory, evolve, substep_counts
 from .field_states import FieldSpec, FieldSpecError, superposed_distribution
 from .phases import (
     PhaseTimeSeries,
@@ -70,12 +64,12 @@ CSV_COLUMNS = tuple(f.name for f in fields(PhaseTimeSeries))
 _CSV_ROWS = 256  # rows formatted per write
 
 # Ceilings on a run: output grid points per curve, substeps per evolve call
-# and the bytes that call holds.  A fig4b curve takes 2,000 points and
-# 1,999 substeps, and the fig4b pair's evolve call about 4.8 MB; at these
-# ceilings an evolve call would run for minutes to hours.
+# and the photon cutoff of a numerically evolved curve.  A fig4b curve takes
+# 2,000 points, 1,999 substeps and 70 photons; at these ceilings an evolve
+# call would run for minutes to hours.
 _MAX_OUTPUT_POINTS = 10**6
 _MAX_SUBSTEPS = 10**7
-_MAX_WORKING_BYTES = 2**30
+_MAX_PHOTONS = 2 * 10**4
 
 # ScenarioConfig field -> (accepted type, or the tuple of accepted strings;
 # the subcommands that take it as a flag and in their --config file; the
@@ -352,8 +346,8 @@ def _integrator_diagnostics(trajectory: Trajectory, config: SystemConfig) -> dic
 def _preflight(configs, dists, groups) -> None:
     """Refuse, with ``ConfigError``, a run over one of the ceilings: an
     output grid over ``_MAX_OUTPUT_POINTS``, or an evolve call over
-    ``_MAX_SUBSTEPS`` substeps or ``_MAX_WORKING_BYTES`` bytes.  The counts
-    are floats, so a step far below the grid spacing cannot overflow."""
+    ``_MAX_SUBSTEPS`` substeps or ``_MAX_PHOTONS`` photons.  The counts are
+    floats, so a step far below the grid spacing cannot overflow."""
     for config in configs:
         if config.n_steps > _MAX_OUTPUT_POINTS:
             raise ConfigError(
@@ -368,13 +362,10 @@ def _preflight(configs, dists, groups) -> None:
                 f"run too large: {substeps:.3g} substeps exceed the ceiling of "
                 f"{_MAX_SUBSTEPS:.3g}; raise dt or lower tau_max"
             )
-        # initial_state's basis keeps photons up to n_max + 2
-        n_bytes = working_set_bytes(len(members), n_max + 2, substeps)
-        if not n_bytes <= _MAX_WORKING_BYTES:
+        if n_max > _MAX_PHOTONS:
             raise ConfigError(
-                f"run too large: evolving would hold about {n_bytes:.3g} bytes, over "
-                f"the ceiling of {_MAX_WORKING_BYTES:.3g}; raise dt or lower tau_max "
-                f"or alpha"
+                f"run too large: a photon cutoff of {n_max} exceeds the ceiling of "
+                f"{_MAX_PHOTONS} for a numerically evolved curve; lower alpha"
             )
 
 
@@ -547,11 +538,12 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     keys = _flag_keys(args.command)
     merged: dict = {}
     if args.config:
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise ConfigError(f"config file not found: {cfg_path}")
         try:
-            loaded = json.loads(cfg_path.read_text(encoding="utf-8"))
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        try:
+            loaded = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -639,6 +631,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except (ConfigError, FieldSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # a CSV or sidecar that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NormDriftError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

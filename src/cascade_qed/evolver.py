@@ -24,8 +24,12 @@ The dynamical phase is integrated on the same step grid, to the same
 order: the trapezoid sum of <H> with the Euler-Maclaurin endpoint
 correction, which takes the exact derivative d<H>/dtau at every node.
 
-States are kept only on request: each chunk of steps is reduced to the
-``Trajectory`` observables while its states are still in cache.
+``evolve`` works a chunk of steps at a time: it builds the chunk's
+substep grid, mode-shape samples and plane maps, applies them, and reduces
+the states to the ``Trajectory`` observables and the dynamical-phase sum
+while they are still in cache.  A chunk holds about a fixed number of
+lane entries, so memory grows with neither the substep count nor the
+basis, and states are kept only on request.
 
 Each block is a lane (``_lanes``): the two truncation-edge pairs are
 triples with one coupling zero, so one elementwise update advances every
@@ -61,7 +65,6 @@ __all__ = [
     "evolve",
     "convergence_probe",
     "substep_counts",
-    "working_set_bytes",
 ]
 
 _NORM_DRIFT_LIMIT = 1e-6
@@ -72,17 +75,13 @@ _NORM_DRIFT_LIMIT = 1e-6
 # (exactly 1 for a constant mode shape).
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _CF4_SKEW = 1.0 / math.sqrt(3.0)
-# steps whose plane maps are built together: enough to amortize the build's
-# numpy calls, few enough that its temporaries stay small
-_CHUNK = 128
-# Working-set model, rounded up from tracemalloc peaks of ``evolve``.  Per
-# step of a chunk and lane, the plane-map build holds about 355 bytes
-# (detuned; 205 on resonance) and each curve's stored state 48.  Per
-# substep, the node arrays (grid, step widths, mode-shape samples, and per
-# curve <A> and the dynamical-phase sum) hold about 70 + 66 per curve.
-_PLANE_BYTES = 368
-_NODE_BYTES = 80
-_NODE_BYTES_PER_CURVE = 72
+# A chunk of steps is built and applied together: the fewest steps that hold
+# _CHUNK_LANES lane entries (113 for fig4b's 73 lanes, one on a basis of more
+# lanes), so that its arrays keep about one size whatever the basis.  The
+# plane build's complex arrays, 32 bytes per lane entry, then reach the 256 KiB
+# from which numpy reuses a temporary in place; below it, each chunk's
+# temporaries fault fresh pages.
+_CHUNK_LANES = 1 << 13
 
 
 class NormDriftError(RuntimeError):
@@ -260,15 +259,6 @@ def substep_counts(config: SystemConfig, n_max: int) -> np.ndarray:
     return np.maximum(1.0, np.ceil(per_step - 1e-12))
 
 
-def working_set_bytes(n_curves: int, n_ph: int, substeps: float) -> float:
-    """Approximate bytes ``evolve`` holds for a batch of ``n_curves`` on a
-    basis cut at ``n_ph`` taking ``substeps`` substeps: a chunk's plane maps
-    and states plus the per-substep node arrays, less the arrays of the
-    output grid and any kept states."""
-    chunk = _CHUNK * (n_ph + 1) * (_PLANE_BYTES + 3 * 16.0 * n_curves)
-    return chunk + substeps * (_NODE_BYTES + _NODE_BYTES_PER_CURVE * n_curves)
-
-
 def evolve(
     initial: CompositeState | Sequence[CompositeState],
     config: SystemConfig,
@@ -285,11 +275,12 @@ def evolve(
     mode shape is constant.  The dynamical phase is the Euler-Maclaurin
     corrected trapezoid sum of <H> over the substep nodes, also fourth
     order.  Raises ``NormDriftError`` when the norm of a state on the output
-    grid drifts beyond 1e-6.
+    grid drifts beyond 1e-6, and ``ValueError`` when the step is so far
+    below the grid spacing that no integer counts the substeps.
 
-    The states on the output grid are reduced to the ``Trajectory``
-    observables a chunk of steps at a time and then dropped, so memory
-    grows with the output grid plus the substep count.  ``keep_states``
+    The steps are built, and the states on the output grid reduced to the
+    ``Trajectory`` observables, a chunk of steps at a time, and then
+    dropped, so memory grows with the output grid only.  ``keep_states``
     also keeps them, which costs n_out * 3 * (n_ph + 1) * 16 bytes per
     curve (14 MB for the two fig4b curves); the observables are the same
     bits either way.
@@ -316,16 +307,18 @@ def evolve(
     taus = np.linspace(0.0, config.tau_max, config.n_steps)
     n_out = len(taus)
     dt = config.integrator_step(n_ph - 2)
-    widths = np.diff(taus)
-    substeps = substep_counts(config, n_ph - 2).astype(np.intp)
+    counts = substep_counts(config, n_ph - 2)
+    total = float(np.sum(counts))
+    if not total < np.iinfo(np.intp).max:
+        raise ValueError(
+            f"dt_internal = {dt} takes {total:.3g} substeps, more than an integer holds"
+        )
+    substeps = counts.astype(np.intp)
     out_idx = np.concatenate(([0], np.cumsum(substeps)))
     n_sub = int(out_idx[-1])
-    # substep k starts at t[k] and is h[k] wide; the nodes are t and tau_max
-    h = np.repeat(widths / substeps, substeps)
-    within = np.arange(n_sub) - np.repeat(out_idx[:-1], substeps)
-    t = np.repeat(taus[:-1], substeps) + within * h
-    node_taus = np.append(t, taus[-1])
-    cf4_lam = _cf4_amplitudes(t, h, config)
+    # node k of output interval i starts a substep at taus[i] + (k - out_idx[i])
+    # step_widths[i]; the last node, tau_max, starts one of width 0
+    step_widths = np.append(np.diff(taus) / substeps, 0.0)
 
     # Each curve's state sits in a row of ``buffer`` padded with a zero
     # before and two after, so that the lanes of ``_lanes`` are a strided
@@ -347,14 +340,18 @@ def evolve(
     overlap = np.empty((n_curves, n_out), dtype=complex)
     populations = np.empty((n_curves, n_out, 3))
     top_rung = np.empty((n_curves, n_out))
+    exp_v = np.empty((n_curves, n_out))
+    phi_dyn = np.zeros((n_curves, n_out))
     states = np.empty((n_curves, n_out if keep_states else 0, 3, width), dtype=complex)
 
-    def observe(ks, stored):
+    def observe(ks, stored, a):
         """Reduce the rotating-frame states at output nodes ``ks``, shape
-        (len(ks), n_curves, 3, width), to the observables.  Each overlap and
-        population is one pairwise ``np.add.reduce`` over a contiguous row,
-        so its bits do not depend on how many nodes a call takes."""
+        (len(ks), n_curves, 3, width), and their <A>, to the observables.
+        Each overlap and population is one pairwise ``np.add.reduce`` over a
+        contiguous row, so its bits do not depend on how many nodes a call
+        takes."""
         norm_err[:, ks] = np.abs(_norms(stored) - 1.0).T
+        exp_v[:, ks] = 2.0 * (a * frame.conj()[ks, None]).real.T
         stored[:, :, 1] *= frame[ks, None, None]
         rows = (ref * stored).reshape(len(ks), n_curves, 3 * width)
         overlap[:, ks] = np.add.reduce(rows, axis=-1).T
@@ -364,20 +361,25 @@ def evolve(
         if keep_states:
             states[:, ks] = stored.swapaxes(0, 1)
 
-    observe(np.arange(1), psi[None].copy())
-    node_a = np.empty((n_sub + 1, n_curves), dtype=complex)  # <A>, rotating frame
-    node_a[0] = ladder_expectation(psi)
-    node_psi = np.empty((min(_CHUNK, n_sub), n_curves, 3, width), dtype=complex)
-    for lo in range(0, n_sub, _CHUNK):
-        hi = min(lo + _CHUNK, n_sub)
-        maps = _cf4_planes(cf4_lam[lo:hi], sqrt_r, delta, 0.5 * h[lo:hi])
+    a_lo = ladder_expectation(psi)[None]  # <A> at a chunk's first node, rotating frame
+    observe(np.arange(1), psi[None].copy(), a_lo)
+    phase = np.full((n_curves, 1), -0.0)  # the phase sum so far; -0.0 + x is x
+    chunk = math.ceil(_CHUNK_LANES / width)
+    node_psi = np.empty((min(chunk, n_sub), n_curves, 3, width), dtype=complex)
+    for lo in range(0, n_sub, chunk):
+        hi = min(lo + chunk, n_sub)
+        nodes = np.arange(lo, hi + 1)
+        interval = np.searchsorted(out_idx, nodes, side="right") - 1
+        t = taus[interval] + (nodes - out_idx[interval]) * step_widths[interval]
+        h = step_widths[interval[:-1]]
+        maps = _cf4_planes(_cf4_amplitudes(t[:-1], h, config), sqrt_r, delta, 0.5 * h)
         for i, step in enumerate(zip(*maps)):
             _rotate_planes(u, v, w, step, xi, eta)
             node_psi[i] = psi
         done = node_psi[: hi - lo]
-        node_a[lo + 1 : hi + 1] = ladder_expectation(done)
+        a = np.concatenate((a_lo, ladder_expectation(done)))
         ks = np.arange(*np.searchsorted(out_idx, (lo + 1, hi + 1)))
-        observe(ks, done[out_idx[ks] - lo - 1])
+        observe(ks, done[out_idx[ks] - lo - 1], a[out_idx[ks] - lo])
         drift = norm_err[:, ks].T
         if np.any(drift > _NORM_DRIFT_LIMIT):
             k, worst = np.unravel_index(np.argmax(drift > _NORM_DRIFT_LIMIT), drift.shape)
@@ -386,20 +388,22 @@ def evolve(
                 f"(curve {worst}, dt_internal = {dt}, n_ph = {n_ph})"
             )
 
-    states.setflags(write=False)
-    exp_v = 2.0 * (node_a[out_idx] * frame.conj()[:, None]).real.T
+        # f = <H>/g = lambda <V> and its exact derivative, with <V> = 2 Re<A>
+        # and, in the rotating frame, d<V>/dtau = -2 delta Im<A>; each substep
+        # adds the Euler-Maclaurin corrected trapezoid
+        # h (f0 + f1) / 2 - h^2 (f1' - f0') / 12.  np.cumsum adds in sequence,
+        # so starting from the sum so far gives the bits of one whole sum.
+        lam = mode_shape(t, config)
+        dlam = p * np.cos(p * t) if moving else np.zeros(len(t))
+        v_node = 2.0 * a.real.T
+        f = lam * v_node
+        df = dlam * v_node - (2.0 * delta) * lam * a.imag.T
+        pieces = 0.5 * h * (f[:, 1:] + f[:, :-1]) - (h * h / 12.0) * (df[:, 1:] - df[:, :-1])
+        phase = np.cumsum(np.concatenate((phase[:, -1:], pieces), axis=1), axis=1)
+        phi_dyn[:, ks] = -phase[:, out_idx[ks] - lo]
+        a_lo = a[-1:]
 
-    # f = <H>/g = lambda <V> and its exact derivative, with <V> = 2 Re<A> and,
-    # in the rotating frame, d<V>/dtau = -2 delta Im<A>; each substep adds
-    # the Euler-Maclaurin corrected trapezoid h (f0 + f1) / 2 - h^2 (f1' - f0') / 12
-    lam = mode_shape(node_taus, config)
-    dlam = p * np.cos(p * node_taus) if moving else np.zeros(n_sub + 1)
-    v_node = 2.0 * node_a.real.T
-    f = lam * v_node
-    df = dlam * v_node - (2.0 * delta) * lam * node_a.imag.T
-    pieces = 0.5 * h * (f[:, 1:] + f[:, :-1]) - (h * h / 12.0) * (df[:, 1:] - df[:, :-1])
-    phi_dyn = np.zeros((n_curves, n_out))
-    phi_dyn[:, 1:] = -np.cumsum(pieces, axis=1)[:, out_idx[1:] - 1]
+    states.setflags(write=False)
     curves = tuple(
         Trajectory(
             taus=taus,

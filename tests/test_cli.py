@@ -18,7 +18,6 @@ from cascade_qed.cli import (
     ConfigError, ScenarioConfig, _format_column, environment_fingerprint, list_presets,
     main, run_scenario,
 )
-from cascade_qed.evolver import working_set_bytes
 from propagators import observables_from_states
 
 EXPECTED_HEADER = (
@@ -30,6 +29,7 @@ QUICK = [
     "--alpha", "1.5", "--theta", "0.6", "--tau-max", "3.0", "--steps", "40",
     "--dt", "0.005",
 ]
+QUICK_N_MAX = superposed_distribution(ScenarioConfig(alpha=1.5).system_config().field).n_max
 
 
 # the package under test, importable from any working directory
@@ -192,6 +192,19 @@ class TestRun:
         meta = json.loads((tmp_path / "odd.csv.meta.json").read_text())
         assert meta["parameters"]["r"] == -1.0
 
+    # an existing directory as the CSV, or a file as its parent directory
+    @pytest.mark.parametrize("command, out", [
+        (("run", *QUICK), "taken"), (("preset", "fig1a"), "taken"),
+        (("run", *QUICK), "plain/x.csv"),
+    ], ids=["run-directory", "preset-directory", "run-under-file"])
+    def test_unwritable_out_rejected(self, tmp_path: Path, command, out):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "plain").write_text("")
+        cp = run_cli(*command, "--out", str(tmp_path / out))
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("error: cannot write output: ")
+        assert "Traceback" not in cp.stderr
+
 
 class TestCeilings:
     """Runs over a ceiling exit 2 before anything evolves or is written."""
@@ -215,13 +228,11 @@ class TestCeilings:
     @pytest.mark.parametrize("ceiling, value, message", [
         ("_MAX_OUTPUT_POINTS", 39, "40 output points exceed the ceiling of 39"),
         ("_MAX_SUBSTEPS", 623, "624 substeps exceed the ceiling of 623"),
-        ("_MAX_WORKING_BYTES", None, "evolving would hold about"),
+        ("_MAX_PHOTONS", QUICK_N_MAX - 1,
+         f"a photon cutoff of {QUICK_N_MAX} exceeds the ceiling of {QUICK_N_MAX - 1}"),
     ])
     def test_run_over_ceiling_refused(self, tmp_path: Path, monkeypatch, capsys,
                                       ceiling, value, message):
-        if value is None:
-            n_max = superposed_distribution(ScenarioConfig(alpha=1.5).system_config().field).n_max
-            value = working_set_bytes(1, n_max + 2, 624) - 1.0
         monkeypatch.setattr(cli, ceiling, value)
         monkeypatch.setattr(cli, "evolve", self.refuse_to_evolve)
         out = tmp_path / "x.csv"
@@ -230,22 +241,13 @@ class TestCeilings:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("ceiling, value", [
-        ("_MAX_OUTPUT_POINTS", 40), ("_MAX_SUBSTEPS", 624),
+        ("_MAX_OUTPUT_POINTS", 40), ("_MAX_SUBSTEPS", 624), ("_MAX_PHOTONS", QUICK_N_MAX),
     ])
     def test_run_at_ceiling_accepted(self, tmp_path: Path, monkeypatch, capsys,
                                      ceiling, value):
         monkeypatch.setattr(cli, ceiling, value)
         assert main(["run", *QUICK, "--out", str(tmp_path / "x.csv")]) == 0
         capsys.readouterr()
-
-    def test_batch_working_set_counts_every_curve(self, tmp_path: Path, monkeypatch, capsys):
-        # each fig4b curve fits alone; the pair evolving together does not
-        pair = working_set_bytes(2, 72, 1999)
-        monkeypatch.setattr(cli, "_MAX_WORKING_BYTES", pair - 1.0)
-        monkeypatch.setattr(cli, "evolve", self.refuse_to_evolve)
-        assert main(["preset", "fig4b", "--out", str(tmp_path / "f.csv")]) == 2
-        assert "evolving would hold about" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -300,10 +302,18 @@ class TestConfigFile:
         assert "Traceback" not in cp.stderr
         assert not (tmp_path / "t.csv").exists()
 
-    def test_missing_config_file_rejected(self, tmp_path: Path):
-        cp = run_cli("run", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "x.csv"))
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+    def test_unreadable_config_file_rejected(self, tmp_path: Path, kind):
+        cfg_path = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg_path.mkdir()
+        elif kind == "undecodable":
+            cfg_path.write_bytes(b"\xff{}")  # not UTF-8
+        cp = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
         assert cp.returncode == 2
+        assert cp.stderr.startswith(f"error: cannot read config file {cfg_path}: ")
+        assert "Traceback" not in cp.stderr
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCompare:
@@ -389,12 +399,17 @@ class TestBatchedCurves:
             assert "max_v_drift" not in meta["integrator"]  # <V> moves off resonance
         capsys.readouterr()
 
-    def test_fig4b_peak_memory(self, tmp_path: Path, capsys):
-        # the two curves' states alone would take 14 MB; streamed, the run
-        # peaks near 5 MB (21.5 MB when evolve stored every state)
+    # fig4b's two curves' states alone would take 14 MB, and one alpha = 40
+    # curve's plane maps for 128 steps about 80 MB; evolved a chunk of a fixed
+    # number of lane entries at a time, each run peaks near 4.5 MB
+    @pytest.mark.parametrize("argv", [
+        ["preset", "fig4b"],
+        ["run", "--alpha", "40", "--delta", "-5", "--tau-max", "1", "--steps", "11"],
+    ], ids=["fig4b", "alpha-40"])
+    def test_fig4b_peak_memory(self, tmp_path: Path, capsys, argv):
         tracemalloc.start()
         try:
-            assert main(["preset", "fig4b", "--out", str(tmp_path / "fig4b.csv")]) == 0
+            assert main([*argv, "--out", str(tmp_path / "run.csv")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

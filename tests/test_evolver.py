@@ -1,7 +1,9 @@
 """CF4 lane maps and the evolver built from them."""
 
 import math
-from dataclasses import replace
+import re
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from cascade_qed import (
 )
 from cascade_qed import evolver
 from cascade_qed.cli import ScenarioConfig, list_presets
-from cascade_qed.evolver import NormDriftError, TrajectoryBatch
+from cascade_qed.evolver import NormDriftError, Trajectory, TrajectoryBatch
 from propagators import (
     cf4_lane_matrices,
     dense_hamiltonian,
@@ -209,6 +211,16 @@ class TestEvolve:
         assert traj.phi_dynamical[0] == 0.0
         preset = make_config(delta=20.0, tau_max=25.0, n_steps=2000)
         assert evolve(initial_state(preset, dist), preset).substeps == 1999
+
+    def test_uncountable_step_rejected(self):
+        # 1e300 substeps: evolve refuses the count before casting it
+        cfg = make_config(delta=20.0, tau_max=1.0, n_steps=10, dt_internal=1e-300)
+        state = initial_state(cfg, superposed_distribution(cfg.field))
+        message = "dt_internal = 1e-300 takes 1e+300 substeps, more than an integer holds"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evolve(state, cfg)
 
     def test_norm_drift_aborts_at_first_breach(self, monkeypatch):
         # a propagator that leaks norm: each step scales level 2 by 1 + 1e-7
@@ -401,10 +413,24 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def fig4b_pair():
+    """The fig4b preset's two initial states and the configuration they share."""
+    (_, r0), (_, r1) = list_presets()["fig4b"]
+    configs = [ScenarioConfig(**params).system_config() for params in (r0, r1)]
+    return [initial_state(c, superposed_distribution(c.field)) for c in configs], configs[0]
+
+
+# delta < 0, with 1,000 substeps per output interval: most chunks of steps
+# hold no output node
+NEGATIVE_DELTA = make_config(field=FieldSpec(alpha=3.0, r=1.0), delta=-9.0, theta=0.4, p=2,
+                             tau_max=3.0, n_steps=31, dt_internal=1e-4)
+
+
 class TestStreamedObservables:
     """The observables ``evolve`` reduces chunk by chunk equal, bit for bit,
     the state-based formulas applied to the kept states, and do not depend
-    on whether the states are kept or how many curves share the batch."""
+    on whether the states are kept, how many curves share the batch or how
+    many steps a chunk holds."""
 
     @staticmethod
     def check(kept, streamed):
@@ -421,11 +447,9 @@ class TestStreamedObservables:
         assert streamed.states.nbytes == 0
 
     def test_fig4b_batch(self):
-        (_, r0), (_, r1) = list_presets()["fig4b"]
-        configs = [ScenarioConfig(**params).system_config() for params in (r0, r1)]
-        states = [initial_state(c, superposed_distribution(c.field)) for c in configs]
-        kept = evolve(states, configs[0], keep_states=True)
-        streamed = evolve(states, configs[0])
+        states, cfg = fig4b_pair()
+        kept = evolve(states, cfg, keep_states=True)
+        streamed = evolve(states, cfg)
         for k, s in zip(kept.curves, streamed.curves):
             self.check(k, s)
 
@@ -433,10 +457,7 @@ class TestStreamedObservables:
         # resonant: the frame factor is exactly one, so the norms agree too
         make_config(field=FieldSpec(alpha=5.0, r=0.0), theta=math.pi / 4,
                     tau_max=8.0 * math.pi, n_steps=400),
-        # delta < 0, with 300 substeps per output interval: most chunks of
-        # steps hold no output node
-        make_config(field=FieldSpec(alpha=3.0, r=1.0), delta=-9.0, theta=0.4, p=2,
-                    tau_max=3.0, n_steps=31, dt_internal=1e-4),
+        NEGATIVE_DELTA,
     ], ids=["resonant", "negative-delta"])
     def test_single_curve(self, cfg):
         state = initial_state(cfg, superposed_distribution(cfg.field))
@@ -452,3 +473,24 @@ class TestStreamedObservables:
         for state, curve in zip(group, batch.curves):
             alone = evolve(state, cfg, keep_states=True)
             self.check(alone, curve)
+
+    @pytest.mark.parametrize("case", ["fig4b", "negative-delta"])
+    def test_one_step_chunks_change_no_bits(self, monkeypatch, case):
+        # the grid, the mode shape, <A> and the phase sum are built a chunk at
+        # a time; a chunk of one step must give the bits of the default one
+        if case == "fig4b":
+            states, cfg = fig4b_pair()
+        else:
+            cfg = NEGATIVE_DELTA
+            states = [initial_state(cfg, superposed_distribution(cfg.field))]
+        default = evolve(states, cfg, keep_states=True)
+        monkeypatch.setattr(evolver, "_CHUNK_LANES", 1)
+        one_step = evolve(states, cfg, keep_states=True)
+        assert_same_bits(one_step.states, default.states)
+        for ours, theirs in zip(one_step.curves, default.curves, strict=True):
+            for field in fields(Trajectory):
+                a, b = getattr(ours, field.name), getattr(theirs, field.name)
+                if isinstance(a, np.ndarray):
+                    assert_same_bits(a, b)
+                else:
+                    assert a == b
