@@ -8,11 +8,11 @@ deterministic CSV time series.
 __version__ = "0.1.0"
 
 from .field_states import (
+    EPSILON_TAIL,
     FieldSpec,
     FieldSpecError,
     PhotonDistribution,
     ZeroFieldError,
-    choose_truncation,
     coherent_coefficients,
     normalization_constant,
     superposed_distribution,
@@ -53,9 +53,9 @@ __all__ = [
     "FieldSpecError",
     "PhotonDistribution",
     "ZeroFieldError",
-    "choose_truncation",
     "coherent_coefficients",
     "normalization_constant",
+    "EPSILON_TAIL",
     "superposed_distribution",
     "CompositeState",
     "Motion",

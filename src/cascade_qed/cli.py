@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .evolver import NormDriftError, Trajectory, evolve, substep_counts
-from .field_states import FieldSpec, FieldSpecError, superposed_distribution
+from .field_states import EPSILON_TAIL, FieldSpec, FieldSpecError, superposed_distribution
 from .phases import (
     PhaseTimeSeries,
     series_from_closed_form,
@@ -431,7 +431,7 @@ def _compute(
             "truncation": {
                 "n_max": dist.n_max,
                 "dropped_tail": dist.dropped_tail,
-                "epsilon_tail": config.field.epsilon_tail,
+                "epsilon_tail": EPSILON_TAIL,
                 "norm_constant": dist.norm_constant,
                 "max_top_rung_population": top_rung,
             },

@@ -2,8 +2,10 @@
 
 Builds normalized number-state amplitude distributions for a coherent state
 and for the one-parameter family of superpositions |alpha> + r|-alpha>
-(r = +1: even cat, r = -1: odd cat, r = 0: plain coherent state), together
-with a tail-mass rule for truncating the Fock basis.
+(r = +1: even cat, r = -1: odd cat, r = 0: plain coherent state), truncated
+where the photon-number tail mass falls below the fixed ``EPSILON_TAIL``.
+One scan over a doubling window finds that cutoff, and an alpha whose first
+window is over ``_MAX_SCAN_WINDOW`` states is refused before it allocates.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ __all__ = [
     "PhotonDistribution",
     "coherent_coefficients",
     "normalization_constant",
-    "choose_truncation",
+    "EPSILON_TAIL",
     "superposed_distribution",
 ]
 
 # exp(-x) underflows past x ~ 745; switch to log-space evaluation well before
 _RECURRENCE_EXPONENT_LIMIT = 700.0
 _LOG_FLOOR = -745.0
-_TRUNCATION_HARD_CAP = 1_000_000
+# photon-number probability mass allowed beyond the truncated basis
+EPSILON_TAIL = 1e-12
+_MAX_SCAN_WINDOW = 1_000_000
 
 
 class FieldSpecError(ValueError):
@@ -40,26 +44,20 @@ class ZeroFieldError(FieldSpecError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Field amplitude, superposition constant and truncation tolerance.
+    """Field amplitude and superposition constant.
 
     ``alpha`` is taken real and nonnegative (only alpha^2 and real photon
-    amplitudes enter anywhere downstream).  ``epsilon_tail`` bounds the
-    photon-number probability mass allowed beyond the truncated basis.
+    amplitudes enter anywhere downstream).
     """
 
     alpha: float
     r: float = 0.0
-    epsilon_tail: float = 1e-12
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise FieldSpecError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         if not math.isfinite(self.r):
             raise FieldSpecError(f"r must be finite, got {self.r!r}")
-        if not (0.0 < self.epsilon_tail <= 1e-3):
-            raise FieldSpecError(
-                f"epsilon_tail must lie in (0, 1e-3], got {self.epsilon_tail!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -122,9 +120,13 @@ def normalization_constant(alpha: float, r: float) -> float:
     B = 1 + r^2 + 2 r exp(-2 alpha^2) is the value that makes the weights
     sum to one in quadrature; it is evaluated as
     (1 + r)^2 + 2 r expm1(-2 alpha^2) to stay accurate near the vanishing
-    superposition, and is zero only for alpha = 0, r = -1.
+    superposition, and is zero only for alpha = 0, r = -1.  An r whose
+    (1 + r)^2 overflows a double is refused.
     """
-    B = (1.0 + r) ** 2 + 2.0 * r * math.expm1(-2.0 * alpha * alpha)
+    try:
+        B = (1.0 + r) ** 2 + 2.0 * r * math.expm1(-2.0 * alpha * alpha)
+    except OverflowError:
+        raise FieldSpecError(f"r={r!r} is too large: (1 + r)^2 overflows") from None
     if B <= 0.0:
         raise ZeroFieldError(
             f"superposition with alpha={alpha}, r={r} has zero total weight"
@@ -132,40 +134,9 @@ def normalization_constant(alpha: float, r: float) -> float:
     return B
 
 
-def _truncation(alpha: float, r: float, epsilon_tail: float) -> tuple[int, np.ndarray]:
-    """``choose_truncation``'s cutoff n_max and the coherent amplitudes
-    q_0..q_n_max from its scan (the recurrence fixes every prefix, so they
-    equal ``coherent_coefficients(alpha, n_max)``)."""
-    if not (0.0 < epsilon_tail <= 1e-3):
-        raise ValueError(f"epsilon_tail must lie in (0, 1e-3], got {epsilon_tail!r}")
-    B = normalization_constant(alpha, r)
-    nbar = alpha * alpha
-    n_hi = max(32, int(2.0 * nbar) + 16)
-    while True:
-        q = coherent_coefficients(alpha, n_hi)
-        w = q * np.where(np.arange(n_hi + 1) % 2 == 0, 1.0 + r, 1.0 - r)
-        w = w * w / B  # unnormalized probabilities
-        # window is wide enough once the top weights have underflowed
-        if np.max(w[-4:]) == 0.0 or n_hi >= _TRUNCATION_HARD_CAP:
-            break
-        n_hi *= 2
-    tail = np.cumsum(w[::-1])[::-1]  # tail[k] = sum of w_n for n >= k
-    below = np.nonzero(tail[1:] < epsilon_tail)[0]
-    if below.size == 0:
-        raise RuntimeError(
-            f"no truncation below epsilon_tail={epsilon_tail} within {n_hi} states"
-        )
-    n_max = int(below[0]) + 2
-    return n_max, q[: n_max + 1]
-
-
-def choose_truncation(alpha: float, r: float, epsilon_tail: float = 1e-12) -> int:
-    """Photon-number cutoff: smallest n with tail mass < epsilon_tail, plus 2.
-
-    The +2 margin keeps the top retained amplitudes far below the tolerance
-    once the distribution is embedded in the composite atom-field basis.
-    """
-    return _truncation(alpha, r, epsilon_tail)[0]
+def _parity(n_max: int, r: float) -> np.ndarray:
+    """Parity factors 1 + r (even n) and 1 - r (odd n) for n = 0..n_max."""
+    return np.where(np.arange(n_max + 1) % 2 == 0, 1.0 + r, 1.0 - r)
 
 
 def superposed_distribution(
@@ -174,16 +145,36 @@ def superposed_distribution(
     """Truncated, renormalized amplitudes c_n = q_n (1 + r(-1)^n) / sqrt(B).
 
     The parity factor is applied as exact (1 + r) / (1 - r) alternation so
-    that cat states carry exact zeros on the forbidden parity.  ``n_max``
-    overrides the automatic tail-based cutoff (used by convergence checks).
+    that cat states carry exact zeros on the forbidden parity.  The cutoff is
+    the smallest n whose tail mass sum_{k > n} c_k^2 is below
+    ``EPSILON_TAIL``, plus 2; a single scan finds it, over a window that
+    starts at max(32, int(2 alpha^2) + 16) and doubles until its top weights
+    underflow.  An alpha whose first window exceeds ``_MAX_SCAN_WINDOW`` is
+    refused before anything is allocated.  ``n_max`` overrides the cutoff
+    (used by convergence checks).
     """
     B = normalization_constant(spec.alpha, spec.r)
     if n_max is None:
-        n_max, q = _truncation(spec.alpha, spec.r, spec.epsilon_tail)
+        # clamped first, so that an alpha^2 that overflows still reaches the check
+        n_hi = max(32, int(min(2.0 * spec.alpha * spec.alpha, _MAX_SCAN_WINDOW)) + 16)
+        if n_hi > _MAX_SCAN_WINDOW:
+            raise FieldSpecError(
+                f"alpha={spec.alpha!r} needs a photon-number scan window over the "
+                f"ceiling of {_MAX_SCAN_WINDOW} states; lower alpha"
+            )
+        while True:
+            raw = coherent_coefficients(spec.alpha, n_hi) * _parity(n_hi, spec.r)
+            w = raw * raw / B  # unnormalized probabilities
+            # window is wide enough once the top weights have underflowed
+            if np.max(w[-4:]) == 0.0:
+                break
+            n_hi *= 2
+        tail = np.cumsum(w[::-1])[::-1]  # tail[k] = sum of w_n for n >= k
+        n_max = int(np.nonzero(tail[1:] < EPSILON_TAIL)[0][0]) + 2
+        raw = raw[: n_max + 1]
     else:
-        q = coherent_coefficients(spec.alpha, n_max)
-    parity = np.where(np.arange(n_max + 1) % 2 == 0, 1.0 + spec.r, 1.0 - spec.r)
-    raw = q * parity / math.sqrt(B)
+        raw = coherent_coefficients(spec.alpha, n_max) * _parity(n_max, spec.r)
+    raw = raw / math.sqrt(B)
     kept = float(np.add.reduce(raw * raw))
     if kept <= 0.0:
         raise ZeroFieldError(

@@ -115,10 +115,6 @@ class CompositeState:
         """Largest photon number retained in the basis."""
         return self.amplitudes.shape[1] - 1
 
-    def norm(self) -> float:
-        flat = np.abs(self.amplitudes.ravel())
-        return math.sqrt(float(np.add.reduce(flat * flat)))
-
 
 def mode_shape(tau, config: SystemConfig):
     """Mode amplitude seen by the atom: sin(p tau) when moving, 1 otherwise."""

@@ -174,6 +174,15 @@ class TestRun:
         cp = run_cli("run", "--alpha", "-3", "--out", str(tmp_path / "x.csv"))
         assert cp.returncode == 2
 
+    def test_overflowing_r_is_config_error(self, tmp_path: Path):
+        # (1 + r)^2 in the normalizer overflows a double
+        cp = run_cli("run", "--r", "1e200", "--steps", "3", "--tau-max", "0.1",
+                     "--out", str(tmp_path / "x.csv"))
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("error: r=1e+200 is too large")
+        assert "Traceback" not in cp.stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kwargs, message", [
         (dict(alpha="5"), "alpha must be a number, got '5'"),
         (dict(steps=True), "steps must be an integer, got True"),
@@ -222,6 +231,19 @@ class TestCeilings:
             "error: run too large: 1e+300 substeps exceed the ceiling of 1e+07; "
             "raise dt or lower tau_max\n"
         )
+        assert list(tmp_path.iterdir()) == []
+
+    # the photon scan's first window, max(32, int(2 alpha^2) + 16), is over
+    # its ceiling of 10^6 states; refused before the scan allocates
+    @pytest.mark.parametrize("args", [("--alpha", "1e6"), ("--alpha", "1000", "--delta", "5")],
+                             ids=["alpha-1e6", "alpha-1000-detuned"])
+    def test_unscannable_alpha_refused(self, tmp_path: Path, args):
+        cp = run_cli("run", *args, "--steps", "3", "--tau-max", "0.1",
+                     "--out", str(tmp_path / "o.csv"))
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("error: alpha=")
+        assert len(cp.stderr.splitlines()) == 1
+        assert "Traceback" not in cp.stderr
         assert list(tmp_path.iterdir()) == []
 
     # QUICK takes 40 output points and 624 substeps (16 per interval)

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_qed import (
+    EPSILON_TAIL,
     FieldSpec,
     FieldSpecError,
     ZeroFieldError,
-    choose_truncation,
     coherent_coefficients,
     normalization_constant,
     superposed_distribution,
 )
+from cascade_qed import field_states
 
 # e^{-12.5}, frozen from a 40-digit evaluation of the closed form
 Q0_ALPHA5 = 3.7266531720786709929e-06
@@ -101,30 +102,55 @@ class TestNormalizationConstant:
         assert b == pytest.approx(4.0 * alpha**2, rel=1e-9)
 
 
+def cutoff(alpha, r=0.0):
+    return superposed_distribution(FieldSpec(alpha=alpha, r=r)).n_max
+
+
+class _ScanReached(Exception):
+    pass
+
+
 class TestChooseTruncation:
     def test_vacuum(self):
-        assert choose_truncation(0.0, 0.0, 1e-12) == 2
+        assert cutoff(0.0) == 2
 
     def test_alpha5_frozen(self):
-        assert choose_truncation(5.0, 0.0, 1e-12) == TRUNC_ALPHA5
+        assert cutoff(5.0) == TRUNC_ALPHA5
 
     def test_alpha1_frozen(self):
-        assert choose_truncation(1.0, 0.0, 1e-12) == TRUNC_ALPHA1
+        assert cutoff(1.0) == TRUNC_ALPHA1
 
-    @pytest.mark.parametrize("alpha,r,eps", [(2.0, 0.0, 1e-10), (5.0, 1.0, 1e-12),
-                                             (3.0, -1.0, 1e-8)])
-    def test_tail_criterion_and_minimality(self, alpha, r, eps):
-        n_max = choose_truncation(alpha, r, eps)
-        n_tail = n_max - 2
+    @pytest.mark.parametrize("alpha,r", [(2.0, 0.0), (5.0, 1.0), (3.0, -1.0)])
+    def test_tail_criterion_and_minimality(self, alpha, r):
+        n_tail = cutoff(alpha, r) - 2
         q = coherent_coefficients(alpha, 4 * n_tail + 200)
         parity = np.where(np.arange(len(q)) % 2 == 0, 1.0 + r, 1.0 - r)
         w = (q * parity) ** 2 / normalization_constant(alpha, r)
-        assert np.sum(w[n_tail + 1 :]) < eps
-        assert np.sum(w[n_tail:]) >= eps
+        assert np.sum(w[n_tail + 1 :]) < EPSILON_TAIL
+        assert np.sum(w[n_tail:]) >= EPSILON_TAIL
 
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            choose_truncation(1.0, 0.0, 1e-2)
+    def test_scan_window_ceiling_is_checked_before_the_scan(self, monkeypatch):
+        def window(alpha):  # the first scan window, max(32, int(2 alpha^2) + 16)
+            return int(2.0 * alpha * alpha) + 16
+
+        # the largest alpha whose first window is 10^6 states
+        alpha = math.sqrt(999_985 / 2)
+        while window(alpha) > 10**6:
+            alpha = math.nextafter(alpha, 0.0)
+        while window(math.nextafter(alpha, math.inf)) <= 10**6:
+            alpha = math.nextafter(alpha, math.inf)
+        assert window(alpha) == 10**6
+
+        def scan(alpha, n_max):
+            raise _ScanReached(n_max)
+
+        monkeypatch.setattr(field_states, "coherent_coefficients", scan)
+        with pytest.raises(_ScanReached):
+            superposed_distribution(FieldSpec(alpha=alpha))
+        with pytest.raises(FieldSpecError, match="alpha="):
+            superposed_distribution(FieldSpec(alpha=math.nextafter(alpha, math.inf)))
+        with pytest.raises(FieldSpecError, match="alpha="):
+            superposed_distribution(FieldSpec(alpha=1e200))
 
 
 class TestSuperposedDistribution:
@@ -158,9 +184,7 @@ class TestSuperposedDistribution:
     def test_automatic_cutoff_reuses_scan_amplitudes_exactly(self, alpha, r):
         spec = FieldSpec(alpha=alpha, r=r)
         auto = superposed_distribution(spec)
-        n_max = choose_truncation(alpha, r, spec.epsilon_tail)
-        explicit = superposed_distribution(spec, n_max=n_max)
-        assert auto.n_max == n_max
+        explicit = superposed_distribution(spec, n_max=auto.n_max)
         assert np.all(auto.weights == explicit.weights)
         assert auto.dropped_tail == explicit.dropped_tail
 
@@ -171,11 +195,11 @@ class TestSuperposedDistribution:
         raw_small = small.weights * math.sqrt(1.0 - small.dropped_tail)
         raw_large = large.weights[: small.n_max + 1] * math.sqrt(1.0 - large.dropped_tail)
         assert np.max(np.abs(raw_small - raw_large)) < 1e-15
-        assert small.dropped_tail < spec.epsilon_tail
+        assert small.dropped_tail < EPSILON_TAIL
 
     def test_dropped_tail_reported(self):
-        dist = superposed_distribution(FieldSpec(alpha=5.0, r=0.0, epsilon_tail=1e-6))
-        assert 0.0 <= dist.dropped_tail < 1e-6
+        dist = superposed_distribution(FieldSpec(alpha=5.0, r=0.0))
+        assert 0.0 <= dist.dropped_tail < EPSILON_TAIL
 
     def test_weights_read_only(self):
         dist = superposed_distribution(FieldSpec(alpha=1.0, r=0.0))
@@ -190,13 +214,13 @@ class TestFieldSpecValidation:
             dict(alpha=-1.0),
             dict(alpha=math.inf),
             dict(alpha=1.0, r=math.nan),
-            dict(alpha=1.0, epsilon_tail=0.0),
-            dict(alpha=1.0, epsilon_tail=1e-2),
+            dict(alpha=1.0, r=1e200),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
+        # refused when the spec is built, or at the latest by its distribution
         with pytest.raises(FieldSpecError):
-            FieldSpec(**kwargs)
+            superposed_distribution(FieldSpec(**kwargs))
 
 
 @settings(max_examples=40, deadline=None)

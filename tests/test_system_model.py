@@ -112,7 +112,8 @@ class TestInitialState:
     def test_unit_norm_grid(self, theta, r, alpha):
         dist = superposed_distribution(FieldSpec(alpha=alpha, r=r))
         state = initial_state(make_config(theta=theta), dist)
-        assert abs(state.norm() - 1.0) < 1e-12
+        norm = math.sqrt(float(np.sum(np.abs(state.amplitudes) ** 2)))
+        assert abs(norm - 1.0) < 1e-12
 
     def test_ground_level_exactly_empty(self):
         dist = superposed_distribution(FieldSpec(alpha=3.0, r=1.0))
