@@ -32,11 +32,9 @@ from .resonant import (
     overlap_series,
 )
 from .evolver import (
-    ConvergenceReport,
     NormDriftError,
     Trajectory,
     TrajectoryBatch,
-    convergence_probe,
     evolve,
 )
 from .phases import (
@@ -67,11 +65,9 @@ __all__ = [
     "pulse_area",
     "dynamical_phase_resonant",
     "overlap_series",
-    "ConvergenceReport",
     "NormDriftError",
     "Trajectory",
     "TrajectoryBatch",
-    "convergence_probe",
     "evolve",
     "PhaseTimeSeries",
     "series_from_closed_form",

@@ -377,8 +377,19 @@ def _compute(
     environment).  Numerical curves whose configurations differ only in
     theta and the field's alpha and r, and whose photon bases have the same
     size, evolve together through shared propagators.  A run over a
-    ceiling is refused (``_preflight``) before anything evolves."""
+    ceiling is refused (``_preflight``) before anything evolves, and a
+    numerically evolved curve with alpha^2 over ``_MAX_PHOTONS`` before
+    anything is truncated: about half its photon mass lies above alpha^2,
+    so its cutoff would be over that ceiling too."""
     configs = [scenario.system_config() for scenario in scenarios]
+    for scenario, config in zip(scenarios, configs):
+        alpha = config.field.alpha
+        if scenario.engine != "analytic" and alpha * alpha > _MAX_PHOTONS:
+            raise ConfigError(
+                f"alpha={alpha!r} puts the photon cutoff of a numerically evolved "
+                f"curve over the ceiling of {_MAX_PHOTONS}; lower alpha or use "
+                f"engine=analytic"
+            )
     dists, truncation_s = [], []
     for config in configs:
         t_truncate = time.perf_counter()

@@ -43,27 +43,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field_states import superposed_distribution
-from .system import (
-    CompositeState,
-    Motion,
-    SystemConfig,
-    initial_state,
-    ladder_expectation,
-    mode_shape,
-)
+from .system import CompositeState, Motion, SystemConfig, ladder_expectation, mode_shape
 
 __all__ = [
     "NormDriftError",
     "Trajectory",
     "TrajectoryBatch",
-    "ConvergenceReport",
     "evolve",
-    "convergence_probe",
     "substep_counts",
 ]
 
@@ -128,16 +118,6 @@ class TrajectoryBatch:
 
     states: np.ndarray
     curves: tuple[Trajectory, ...]
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Self-convergence probe: deviations under step halving."""
-
-    dt_values: tuple[float, float, float]
-    deviation_coarse: float  # max state deviation between dt and dt/2
-    deviation_fine: float  # max state deviation between dt/2 and dt/4
-    order: float  # log2(coarse/fine); nan at the noise floor
 
 
 def _plane_sums(r, delta: float, dtau):
@@ -253,7 +233,7 @@ def substep_counts(config: SystemConfig, n_max: int) -> np.ndarray:
     grid for a field cut at ``n_max``, as floats: a step far below the
     interval width gives a count no integer holds, which a caller can
     refuse before evolving."""
-    widths = np.diff(np.linspace(0.0, config.tau_max, config.n_steps))
+    widths = np.diff(config.taus())
     with np.errstate(over="ignore"):
         per_step = widths / config.integrator_step(n_max)
     return np.maximum(1.0, np.ceil(per_step - 1e-12))
@@ -290,7 +270,7 @@ def evolve(
     alone.  A single state returns its ``Trajectory``; a sequence returns a
     ``TrajectoryBatch``.
     """
-    batch = not isinstance(initial, CompositeState)
+    batch = isinstance(initial, Sequence)
     members = list(initial) if batch else [initial]
     if not members or len({m.amplitudes.shape for m in members}) != 1:
         raise ValueError("evolve needs at least one state, all on the same basis")
@@ -304,7 +284,7 @@ def evolve(
     delta = float(config.delta)
     moving = config.motion is Motion.MOVING
     p = config.p
-    taus = np.linspace(0.0, config.tau_max, config.n_steps)
+    taus = config.taus()
     n_out = len(taus)
     dt = config.integrator_step(n_ph - 2)
     counts = substep_counts(config, n_ph - 2)
@@ -419,34 +399,4 @@ def evolve(
         for c in range(n_curves)
     )
     return TrajectoryBatch(states=states, curves=curves) if batch else curves[0]
-
-
-def convergence_probe(config: SystemConfig) -> ConvergenceReport:
-    """Evolve at dt, dt/2 and dt/4 and report the empirical step order.
-
-    The deviations are max-abs differences between stored amplitudes on the
-    shared output grid; CF4 stepping shows order 4 until they reach the
-    rounding floor.  When both sit at that floor (a time-independent
-    Hamiltonian, where the stepping is exact, or a step so small that the
-    error is rounding) the order is reported as nan.
-    """
-    dist = superposed_distribution(config.field)
-    psi0 = initial_state(config, dist)
-    dt0 = config.integrator_step(dist.n_max)
-    runs = [
-        evolve(psi0, replace(config, dt_internal=dt0 / 2.0**i), keep_states=True).states
-        for i in range(3)
-    ]
-    dev_coarse = float(np.max(np.abs(runs[0] - runs[1])))
-    dev_fine = float(np.max(np.abs(runs[1] - runs[2])))
-    if dev_coarse < 1e-14 or dev_fine < 1e-15:
-        order = float("nan")
-    else:
-        order = math.log2(dev_coarse / dev_fine)
-    return ConvergenceReport(
-        dt_values=(dt0, dt0 / 2.0, dt0 / 4.0),
-        deviation_coarse=dev_coarse,
-        deviation_fine=dev_fine,
-        order=order,
-    )
 

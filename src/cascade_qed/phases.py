@@ -57,11 +57,10 @@ class PhaseTimeSeries:
     norm_error: np.ndarray
 
 
-def wrap_angle(phi):
-    """Map angles to the interval (-pi, pi]."""
+def wrap_angle(phi) -> np.ndarray:
+    """Map angles to the interval (-pi, pi], as an array of phi's shape."""
     phi = np.asarray(phi, dtype=float)
-    out = phi - 2.0 * math.pi * np.ceil((phi - math.pi) / (2.0 * math.pi))
-    return float(out) if out.ndim == 0 else out
+    return phi - 2.0 * math.pi * np.ceil((phi - math.pi) / (2.0 * math.pi))
 
 
 def unwrap_with_gaps(phi: np.ndarray) -> np.ndarray:
@@ -90,25 +89,35 @@ def _phase_columns(x: np.ndarray, y: np.ndarray, phi_dyn: np.ndarray):
     return phi_total, phi_geo, -np.arcsin(ratio)
 
 
-def series_from_trajectory(trajectory: Trajectory) -> PhaseTimeSeries:
-    """Assemble the full observable record from an evolved trajectory."""
-    x = trajectory.overlap.real.copy()
-    y = trajectory.overlap.imag.copy()
-    phi_dyn = trajectory.phi_dynamical
+def _series(tau, x, y, phi_dyn, rho, norm_error) -> PhaseTimeSeries:
+    """The record of one curve from its overlap x + i y, dynamical phase,
+    populations (shape (n, 3)) and norm error; the other phases follow."""
     phi_total, phi_geo, phi_eq5 = _phase_columns(x, y, phi_dyn)
-    rho = trajectory.populations
+    rho11, rho22, rho33 = rho.T.copy()
     return PhaseTimeSeries(
-        tau=trajectory.taus.copy(),
+        tau=tau,
         x=x,
         y=y,
         phi_pancharatnam=phi_total,
         phi_dynamical=phi_dyn,
         phi_geometric=phi_geo,
         phi_eq5=phi_eq5,
-        rho11=rho[:, 0].copy(),
-        rho22=rho[:, 1].copy(),
-        rho33=rho[:, 2].copy(),
-        norm_error=trajectory.norm_error.copy(),
+        rho11=rho11,
+        rho22=rho22,
+        rho33=rho33,
+        norm_error=norm_error,
+    )
+
+
+def series_from_trajectory(trajectory: Trajectory) -> PhaseTimeSeries:
+    """Assemble the full observable record from an evolved trajectory."""
+    return _series(
+        trajectory.taus.copy(),
+        trajectory.overlap.real.copy(),
+        trajectory.overlap.imag.copy(),
+        trajectory.phi_dynamical,
+        trajectory.populations,
+        trajectory.norm_error.copy(),
     )
 
 
@@ -120,21 +129,8 @@ def series_from_closed_form(
     Populations and norm error have no closed-form route here and are
     emitted as gaps.
     """
-    taus = np.linspace(0.0, config.tau_max, config.n_steps)
+    taus = config.taus()
     x, y = overlap_series(taus, config, dist)
-    phi_dyn = np.asarray(dynamical_phase_resonant(taus, config, dist), dtype=float)
-    phi_total, phi_geo, phi_eq5 = _phase_columns(x, y, phi_dyn)
-    blank = np.full(len(taus), np.nan)
-    return PhaseTimeSeries(
-        tau=taus,
-        x=x,
-        y=y,
-        phi_pancharatnam=phi_total,
-        phi_dynamical=phi_dyn,
-        phi_geometric=phi_geo,
-        phi_eq5=phi_eq5,
-        rho11=blank.copy(),
-        rho22=blank.copy(),
-        rho33=blank.copy(),
-        norm_error=blank.copy(),
-    )
+    phi_dyn = dynamical_phase_resonant(taus, config, dist)
+    n = len(taus)
+    return _series(taus, x, y, phi_dyn, np.full((n, 3), np.nan), np.full(n, np.nan))

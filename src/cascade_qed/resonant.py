@@ -68,7 +68,7 @@ def _ladder_sum(area: np.ndarray, omega: np.ndarray, weights: np.ndarray, trig):
 def overlap_series(
     taus, config: SystemConfig, dist: PhotonDistribution
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate x(tau), y(tau) on a whole grid of scaled times.
+    """Evaluate x(tau), y(tau) on a 1-D grid of scaled times.
 
     Weights below ``_TERM_SKIP`` are dropped, and the phases are formed for
     the kept rungs only: one cosine pass for the folded x weights, one sine
@@ -79,8 +79,7 @@ def overlap_series(
     bytes do not depend on the thread count.
     """
     _require_resonance(config)
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    area = np.atleast_1d(pulse_area(taus, config))
+    area = pulse_area(taus, config)
     c = dist.weights
     ns = np.arange(dist.n_max + 1, dtype=float)
     omega = np.sqrt(2.0 * ns + 3.0)

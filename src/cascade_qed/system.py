@@ -74,12 +74,26 @@ class SystemConfig:
             raise ValueError(f"p must be >= 1 for a moving atom, got {self.p!r}")
         if not (math.isfinite(self.tau_max) and self.tau_max > 0.0):
             raise ValueError(f"tau_max must be > 0, got {self.tau_max!r}")
+        if self.motion is Motion.MOVING:
+            try:
+                phase_span = self.p * self.tau_max
+            except OverflowError:  # an int p too large for a double
+                phase_span = math.inf
+            if not math.isfinite(phase_span):
+                raise ValueError(
+                    f"p * tau_max must be a finite double for a moving atom, got "
+                    f"tau_max = {self.tau_max!r} and a p of {len(str(self.p))} digits"
+                )
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps!r}")
         if self.dt_internal is not None and not (
             math.isfinite(self.dt_internal) and self.dt_internal > 0.0
         ):
             raise ValueError(f"dt_internal must be > 0, got {self.dt_internal!r}")
+
+    def taus(self) -> np.ndarray:
+        """The output grid: ``n_steps`` equally spaced times from 0 to ``tau_max``."""
+        return np.linspace(0.0, self.tau_max, self.n_steps)
 
     def integrator_step(self, n_max: int) -> float:
         """``dt_internal``, or the automatic step for a field cut at n_max."""
@@ -116,28 +130,26 @@ class CompositeState:
         return self.amplitudes.shape[1] - 1
 
 
-def mode_shape(tau, config: SystemConfig):
-    """Mode amplitude seen by the atom: sin(p tau) when moving, 1 otherwise."""
+def mode_shape(tau, config: SystemConfig) -> np.ndarray:
+    """Mode amplitude seen by the atom at each tau: sin(p tau) when moving,
+    1 otherwise, as an array of tau's shape."""
     tau = np.asarray(tau, dtype=float)
     if config.motion is Motion.MOVING:
-        out = np.sin(config.p * tau)
-    else:
-        out = np.ones_like(tau)
-    return float(out) if out.ndim == 0 else out
+        return np.sin(config.p * tau)
+    return np.ones_like(tau)
 
 
-def pulse_area(tau, config: SystemConfig):
-    """Accumulated mode area: integral of mode_shape from 0 to tau.
+def pulse_area(tau, config: SystemConfig) -> np.ndarray:
+    """Accumulated mode area at each tau: integral of mode_shape from 0 to tau.
 
     (1 - cos(p tau)) / p for a moving atom (periodic, vanishing at
-    tau = 2 pi k / p), plain tau when the motion is neglected.
+    tau = 2 pi k / p), plain tau when the motion is neglected; an array of
+    tau's shape.
     """
     tau = np.asarray(tau, dtype=float)
     if config.motion is Motion.MOVING:
-        out = (1.0 - np.cos(config.p * tau)) / config.p
-    else:
-        out = tau.copy() if tau.ndim else tau
-    return float(out) if out.ndim == 0 else out
+        return (1.0 - np.cos(config.p * tau)) / config.p
+    return tau.copy()
 
 
 def initial_state(config: SystemConfig, dist: PhotonDistribution) -> CompositeState:
@@ -163,36 +175,29 @@ def _ladder_roots(n_ph: int) -> np.ndarray:
     return roots
 
 
-def ladder_expectation(state: CompositeState | np.ndarray) -> complex | np.ndarray:
+def ladder_expectation(a: np.ndarray) -> np.ndarray:
     """Expectation of the raising half A of the coupling operator V = A + A^dagger,
 
         A = sum_n sqrt(n+1) (|2,n+1><1,n| + |2,n><3,n+1|).
 
     2 Re<A> is <V>; under H' = lambda V + delta P2 (the rotating frame,
     P2 the level-2 projector) d<V>/dtau = i delta <[P2, V]> = -2 delta Im<A>.
-    An array of shape (..., 3, n_ph + 1) gives one value per leading index
-    (a complex for a single state).
+    The complex amplitudes ``a``, shape (..., 3, n_ph + 1), give one value
+    per leading index, shape (...).
     """
-    if isinstance(state, CompositeState):
-        a = state.amplitudes
-    else:
-        a = np.asarray(state, dtype=complex)
     mid = a[..., 1, :].conj()
     terms = mid[..., 1:] * a[..., 0, :-1]
     terms += mid[..., :-1] * a[..., 2, 1:]
-    total = np.add.reduce(terms * _ladder_roots(a.shape[-1] - 1), axis=-1)
-    return complex(total) if total.ndim == 0 else total
+    return np.add.reduce(terms * _ladder_roots(a.shape[-1] - 1), axis=-1)
 
 
-def coupling_expectation(state: CompositeState | np.ndarray) -> float | np.ndarray:
+def coupling_expectation(state: CompositeState) -> float:
     """Expectation of the coupling operator V (H = g lambda(tau) V on resonance).
 
     V connects |1,n> <-> |2,n+1> with sqrt(n+1) and |2,m> <-> |3,m+1> with
-    sqrt(m+1); its expectation is conserved under resonant evolution.  An
-    array of shape (..., 3, n_ph + 1) gives one value per leading index (a
-    float for a single state).
+    sqrt(m+1); its expectation is conserved under resonant evolution.
     """
-    return 2.0 * ladder_expectation(state).real
+    return float(2.0 * ladder_expectation(state.amplitudes).real)
 
 
 def default_dt_internal(delta: float, n_max: int, p: int = 1) -> float:

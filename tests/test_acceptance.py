@@ -22,7 +22,6 @@ from cascade_qed import (
     Motion,
     SystemConfig,
     coherent_coefficients,
-    convergence_probe,
     evolve,
     initial_state,
     series_from_closed_form,
@@ -33,7 +32,7 @@ from cascade_qed.cli import CSV_COLUMNS, ScenarioConfig, list_presets
 from cascade_qed.evolver import _cf4_amplitudes
 
 import goldens
-from propagators import cf4_lane_matrices, lab_frame_reference
+from propagators import cf4_lane_matrices, convergence_probe, lab_frame_reference
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:

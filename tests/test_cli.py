@@ -183,6 +183,21 @@ class TestRun:
         assert "Traceback" not in cp.stderr
         assert list(tmp_path.iterdir()) == []
 
+    # p * tau_max overflows a double: 10^400 is too large for a float at
+    # all, and 10^308 * 25 is inf, which made every row after the first blank
+    @pytest.mark.parametrize("args", [
+        ("--p", "1" + "0" * 400, "--tau-max", "0.1"),
+        ("--p", "1" + "0" * 400, "--tau-max", "0.1", "--engine", "analytic"),
+        ("--p", "1" + "0" * 308, "--tau-max", "25", "--steps", "5", "--engine", "analytic"),
+    ], ids=["p-1e400-numeric", "p-1e400-analytic", "p-1e308-analytic"])
+    def test_huge_moving_atom_p_is_config_error(self, tmp_path: Path, args):
+        cp = run_cli("run", *args, "--out", str(tmp_path / "x.csv"))
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("error: p * tau_max must be a finite double")
+        assert len(cp.stderr.splitlines()) == 1
+        assert "Traceback" not in cp.stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kwargs, message", [
         (dict(alpha="5"), "alpha must be a number, got '5'"),
         (dict(steps=True), "steps must be an integer, got True"),
@@ -245,6 +260,52 @@ class TestCeilings:
         assert len(cp.stderr.splitlines()) == 1
         assert "Traceback" not in cp.stderr
         assert list(tmp_path.iterdir()) == []
+
+    # A numerically evolved curve with alpha^2 over the photon ceiling is
+    # refused before its truncation scan.  The largest accepted alpha and the
+    # next float up: both cutoffs lie above the ceiling for every r, since
+    # about half the photon mass sits above alpha^2, so the check refuses
+    # nothing the cutoff ceiling accepted.
+    ALPHA_EDGE = max(a for a in (math.sqrt(2e4), math.nextafter(math.sqrt(2e4), 0.0))
+                     if a * a <= 2e4)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, -1.0, 0.4])
+    @pytest.mark.parametrize("above", [False, True], ids=["at-edge", "over-edge"])
+    def test_numeric_alpha_over_photon_ceiling_refused_before_the_scan(
+        self, tmp_path: Path, monkeypatch, capsys, r, above
+    ):
+        assert cli._MAX_PHOTONS == 2e4
+        alpha = math.nextafter(self.ALPHA_EDGE, math.inf) if above else self.ALPHA_EDGE
+        n_max = superposed_distribution(cascade_qed.FieldSpec(alpha, r)).n_max
+        assert n_max > cli._MAX_PHOTONS
+        scanned = []
+
+        def scan(spec):
+            scanned.append(spec)
+            return superposed_distribution(spec)
+
+        monkeypatch.setattr(cli, "superposed_distribution", scan)
+        monkeypatch.setattr(cli, "evolve", self.refuse_to_evolve)
+        argv = ["run", "--alpha", repr(alpha), "--r", repr(r), "--steps", "3",
+                "--tau-max", "0.1", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        if above:
+            assert err.startswith(f"error: alpha={alpha!r} puts the photon cutoff")
+            assert scanned == []
+        else:
+            assert err.startswith(f"error: run too large: a photon cutoff of {n_max} ")
+            assert len(scanned) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_analytic_alpha_over_photon_ceiling_accepted(self, tmp_path: Path, capsys):
+        alpha = math.nextafter(self.ALPHA_EDGE, math.inf)
+        argv = ["run", "--alpha", repr(alpha), "--engine", "analytic", "--steps", "3",
+                "--tau-max", "0.1", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len((tmp_path / "o.csv").read_text().splitlines()) == 4
 
     # QUICK takes 40 output points and 624 substeps (16 per interval)
     @pytest.mark.parametrize("ceiling, value, message", [

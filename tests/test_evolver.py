@@ -14,7 +14,6 @@ from cascade_qed import (
     FieldSpec,
     Motion,
     SystemConfig,
-    convergence_probe,
     evolve,
     initial_state,
     superposed_distribution,
@@ -24,6 +23,7 @@ from cascade_qed.cli import ScenarioConfig, list_presets
 from cascade_qed.evolver import NormDriftError, Trajectory, TrajectoryBatch
 from propagators import (
     cf4_lane_matrices,
+    convergence_probe,
     dense_hamiltonian,
     embed_lanes,
     lab_frame_reference,
@@ -481,7 +481,8 @@ class TestStreamedObservables:
         if case == "fig4b":
             states, cfg = fig4b_pair()
         else:
-            cfg = NEGATIVE_DELTA
+            # 3 of NEGATIVE_DELTA's intervals, 3,000 one-step chunks
+            cfg = replace(NEGATIVE_DELTA, tau_max=0.3, n_steps=4)
             states = [initial_state(cfg, superposed_distribution(cfg.field))]
         default = evolve(states, cfg, keep_states=True)
         monkeypatch.setattr(evolver, "_CHUNK_LANES", 1)

@@ -26,8 +26,8 @@ X0_DEFICIT_ALPHA5 = 6.9439719324815380016e-12
 
 
 def overlap_at(tau, config, dist):
-    """x(tau) + i y(tau) from ``overlap_series`` at one scaled time."""
-    x, y = overlap_series(tau, config, dist)
+    """x(tau) + i y(tau) from ``overlap_series`` on the one-point grid [tau]."""
+    x, y = overlap_series(np.array([tau]), config, dist)
     return complex(x[0], y[0])
 
 
@@ -216,7 +216,7 @@ class TestOverlapSpecialValues:
         config = SystemConfig(field=FieldSpec(alpha=2.0, r=0.0), delta=1.0)
         dist = superposed_distribution(config.field)
         with pytest.raises(ValueError):
-            overlap_series(1.0, config, dist)
+            overlap_series(np.array([1.0]), config, dist)
 
 
 class TestArcsinPhase:

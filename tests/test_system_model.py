@@ -168,6 +168,8 @@ class TestValidation:
             dict(n_steps=20.5),
             dict(p=1.5),
             dict(p=True),
+            dict(p=10**400, tau_max=0.1),
+            dict(p=10**308, tau_max=25.0),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -177,3 +179,4 @@ class TestValidation:
     def test_p_ignored_when_neglected(self):
         cfg = make_config(p=0, motion=Motion.NEGLECTED)
         assert mode_shape(2.0, cfg) == 1.0
+        assert make_config(p=10**400, motion=Motion.NEGLECTED).p == 10**400
