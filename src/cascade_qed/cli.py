@@ -9,16 +9,14 @@ times and other environment facts go to the ``.meta.json`` sidecar only.
 
 Exit codes: 0 success (also when stdout's reader has gone), 2 configuration
 error, 3 numerical failure (norm drift or comparison tolerance breach).  A
-run over one of the ceilings below is a configuration error, refused once
-the photon bases are known and before anything is evolved.
+run over one of the ceilings below, or a closed-form curve whose phases
+would overflow, is a configuration error, refused once the photon bases are
+known and before anything is evolved.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
-import functools
-import importlib.metadata
 import json
 import math
 import numbers
@@ -41,7 +39,7 @@ from .phases import (
     series_from_trajectory,
     unwrap_with_gaps,
 )
-from .system import Motion, SystemConfig, initial_state
+from .system import Motion, SystemConfig, initial_state, pulse_area
 
 __all__ = [
     "ConfigError",
@@ -105,15 +103,26 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
+def _output_path(out: str) -> Path:
+    """``out`` as a path; ``ConfigError`` when it names no file (".", "/"),
+    since the per-curve and per-engine file names are derived from its name."""
+    path = Path(out)
+    if not path.name:
+        raise ConfigError(f"out must name a file, got {out!r}")
+    return path
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario: physics, grid, engine choice and output location.
 
-    Checked when built: a mistyped field, an unknown engine or motion, or a
-    closed-form engine off resonance raises ``ConfigError``.  Physical
-    ranges are checked by ``FieldSpec`` and ``SystemConfig`` when
-    ``system_config`` builds them, which ``run_scenario`` does for every
-    scenario before it computes or writes anything.
+    Checked when built: a mistyped field, a number too large for a double,
+    an unknown engine or motion, an ``out`` that names no file, or a
+    closed-form engine off resonance raises ``ConfigError``.  Real-valued
+    fields are stored as floats.  Physical ranges are checked by
+    ``FieldSpec`` and ``SystemConfig`` when ``system_config`` builds them,
+    which ``run_scenario`` does for every scenario before it computes or
+    writes anything.
     """
 
     alpha: float = 5.0
@@ -142,6 +151,13 @@ class ScenarioConfig:
                     raise ConfigError(f"{f.name} must be one of {kind}, got {value!r}")
             elif isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
                 raise ConfigError(f"{f.name} must be {_KINDS[kind][0]}, got {value!r}")
+            elif kind is numbers.Real:
+                try:  # a JSON integer can be of any size
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError:
+                    raise ConfigError(f"{f.name} is too large for a double") from None
+        if self.out is not None:
+            _output_path(self.out)
         if self.engine != "numeric" and self.delta != 0.0:
             raise ConfigError(
                 f"engine={self.engine} requires delta=0 (the closed form is resonant "
@@ -269,30 +285,17 @@ def _derived_path(out: Path, tag: str) -> Path:
 def environment_fingerprint() -> dict:
     """What CSV bytes depend on besides the code and its inputs.
 
-    Python, numpy and scipy versions, machine, libc and the SIMD targets
-    numpy dispatches to at run time (these follow ``NPY_DISABLE_CPU_FEATURES``
-    as well as the CPU).  scipy's version comes from its installed metadata,
-    so scipy is not imported.
+    Python and numpy versions, machine, libc and the SIMD targets numpy
+    dispatches to at run time (these follow ``NPY_DISABLE_CPU_FEATURES`` as
+    well as the CPU).
     """
-    return copy.deepcopy(_environment())
-
-
-@functools.lru_cache(maxsize=1)
-def _environment() -> dict:
-    # fixed for the life of the process; reading package metadata takes
-    # milliseconds, which a sweep of short runs would pay on every call
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
-    try:
-        scipy_version = importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        scipy_version = None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy_version,
         "machine": platform.machine(),
         "libc": list(platform.libc_ver()),
         "simd": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
@@ -343,17 +346,28 @@ def _integrator_diagnostics(trajectory: Trajectory, config: SystemConfig) -> dic
     return drifts
 
 
-def _preflight(configs, dists, groups) -> None:
+def _preflight(scenarios, configs, dists, groups) -> None:
     """Refuse, with ``ConfigError``, a run over one of the ceilings: an
     output grid over ``_MAX_OUTPUT_POINTS``, or an evolve call over
     ``_MAX_SUBSTEPS`` substeps or ``_MAX_PHOTONS`` photons.  The counts are
-    floats, so a step far below the grid spacing cannot overflow."""
-    for config in configs:
+    floats, so a step far below the grid spacing cannot overflow.  Refuse
+    too a closed-form curve whose phases overflow: A sqrt(2 n_max + 5), with
+    A the largest pulse area, bounds both its largest ladder phase
+    A sqrt(2 n + 3) and |<V>_0| A.  A moving atom's A is at most 2 / p."""
+    for scenario, config, dist in zip(scenarios, configs, dists):
         if config.n_steps > _MAX_OUTPUT_POINTS:
             raise ConfigError(
                 f"run too large: {config.n_steps} output points exceed the ceiling "
                 f"of {_MAX_OUTPUT_POINTS}; lower steps"
             )
+        if scenario.engine != "numeric":
+            area = float(np.max(pulse_area(config.taus(), config)))
+            if not math.isfinite(area * math.sqrt(2.0 * dist.n_max + 5.0)):
+                raise ConfigError(
+                    f"the closed-form phases overflow: a pulse area of {area:.3g} "
+                    f"times the ladder frequency sqrt(2 n_max + 5) at n_max = "
+                    f"{dist.n_max} is not a finite double; lower tau_max"
+                )
     for members in groups:
         config, n_max = configs[members[0]], dists[members[0]].n_max
         substeps = float(np.sum(substep_counts(config, n_max)))
@@ -377,10 +391,11 @@ def _compute(
     environment).  Numerical curves whose configurations differ only in
     theta and the field's alpha and r, and whose photon bases have the same
     size, evolve together through shared propagators.  A run over a
-    ceiling is refused (``_preflight``) before anything evolves, and a
-    numerically evolved curve with alpha^2 over ``_MAX_PHOTONS`` before
-    anything is truncated: about half its photon mass lies above alpha^2,
-    so its cutoff would be over that ceiling too."""
+    ceiling or with overflowing closed-form phases is refused
+    (``_preflight``) before anything evolves, and a numerically evolved
+    curve with alpha^2 over ``_MAX_PHOTONS`` before anything is truncated:
+    about half its photon mass lies above alpha^2, so its cutoff would be
+    over that ceiling too."""
     configs = [scenario.system_config() for scenario in scenarios]
     for scenario, config in zip(scenarios, configs):
         alpha = config.field.alpha
@@ -404,7 +419,7 @@ def _compute(
             field = replace(config.field, alpha=0.0, r=0.0)
             shared = replace(config, theta=0.0, field=field)
             groups.setdefault((shared, dist.n_max), []).append(i)
-    _preflight(configs, dists, groups.values())
+    _preflight(scenarios, configs, dists, groups.values())
     trajectories, evolve_stats = {}, {}
     for members in groups.values():
         t_evolve = time.perf_counter()
@@ -555,8 +570,8 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         try:
             loaded = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # not JSON, or an integer of over 4300 digits
+            raise ConfigError(f"cannot parse config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object of flat keys")
         unknown = set(loaded) - set(keys)
@@ -579,7 +594,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    out = Path(args.out) if args.out else Path(f"{args.name}.csv")
+    out = _output_path(args.out) if args.out else Path(f"{args.name}.csv")
     scenarios = [
         ScenarioConfig(
             **params,

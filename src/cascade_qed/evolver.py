@@ -54,7 +54,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryBatch",
     "evolve",
-    "substep_counts",
 ]
 
 _NORM_DRIFT_LIMIT = 1e-6

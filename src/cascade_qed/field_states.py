@@ -139,9 +139,7 @@ def _parity(n_max: int, r: float) -> np.ndarray:
     return np.where(np.arange(n_max + 1) % 2 == 0, 1.0 + r, 1.0 - r)
 
 
-def superposed_distribution(
-    spec: FieldSpec, n_max: int | None = None
-) -> PhotonDistribution:
+def superposed_distribution(spec: FieldSpec) -> PhotonDistribution:
     """Truncated, renormalized amplitudes c_n = q_n (1 + r(-1)^n) / sqrt(B).
 
     The parity factor is applied as exact (1 + r) / (1 - r) alternation so
@@ -150,31 +148,26 @@ def superposed_distribution(
     ``EPSILON_TAIL``, plus 2; a single scan finds it, over a window that
     starts at max(32, int(2 alpha^2) + 16) and doubles until its top weights
     underflow.  An alpha whose first window exceeds ``_MAX_SCAN_WINDOW`` is
-    refused before anything is allocated.  ``n_max`` overrides the cutoff
-    (used by convergence checks).
+    refused before anything is allocated.
     """
     B = normalization_constant(spec.alpha, spec.r)
-    if n_max is None:
-        # clamped first, so that an alpha^2 that overflows still reaches the check
-        n_hi = max(32, int(min(2.0 * spec.alpha * spec.alpha, _MAX_SCAN_WINDOW)) + 16)
-        if n_hi > _MAX_SCAN_WINDOW:
-            raise FieldSpecError(
-                f"alpha={spec.alpha!r} needs a photon-number scan window over the "
-                f"ceiling of {_MAX_SCAN_WINDOW} states; lower alpha"
-            )
-        while True:
-            raw = coherent_coefficients(spec.alpha, n_hi) * _parity(n_hi, spec.r)
-            w = raw * raw / B  # unnormalized probabilities
-            # window is wide enough once the top weights have underflowed
-            if np.max(w[-4:]) == 0.0:
-                break
-            n_hi *= 2
-        tail = np.cumsum(w[::-1])[::-1]  # tail[k] = sum of w_n for n >= k
-        n_max = int(np.nonzero(tail[1:] < EPSILON_TAIL)[0][0]) + 2
-        raw = raw[: n_max + 1]
-    else:
-        raw = coherent_coefficients(spec.alpha, n_max) * _parity(n_max, spec.r)
-    raw = raw / math.sqrt(B)
+    # clamped first, so that an alpha^2 that overflows still reaches the check
+    n_hi = max(32, int(min(2.0 * spec.alpha * spec.alpha, _MAX_SCAN_WINDOW)) + 16)
+    if n_hi > _MAX_SCAN_WINDOW:
+        raise FieldSpecError(
+            f"alpha={spec.alpha!r} needs a photon-number scan window over the "
+            f"ceiling of {_MAX_SCAN_WINDOW} states; lower alpha"
+        )
+    while True:
+        raw = coherent_coefficients(spec.alpha, n_hi) * _parity(n_hi, spec.r)
+        w = raw * raw / B  # unnormalized probabilities
+        # window is wide enough once the top weights have underflowed
+        if np.max(w[-4:]) == 0.0:
+            break
+        n_hi *= 2
+    tail = np.cumsum(w[::-1])[::-1]  # tail[k] = sum of w_n for n >= k
+    n_max = int(np.nonzero(tail[1:] < EPSILON_TAIL)[0][0]) + 2
+    raw = raw[: n_max + 1] / math.sqrt(B)
     kept = float(np.add.reduce(raw * raw))
     if kept <= 0.0:
         raise ZeroFieldError(

@@ -29,8 +29,6 @@ __all__ = [
     "pulse_area",
     "initial_state",
     "coupling_expectation",
-    "ladder_expectation",
-    "default_dt_internal",
 ]
 
 
@@ -96,12 +94,20 @@ class SystemConfig:
         return np.linspace(0.0, self.tau_max, self.n_steps)
 
     def integrator_step(self, n_max: int) -> float:
-        """``dt_internal``, or the automatic step for a field cut at n_max."""
+        """``dt_internal``, or the automatic step for the fourth-order (CF4)
+        stepping of a field cut at n_max.
+
+        The automatic step is 0.3 over the fastest rate in the problem (the
+        detuning, the largest ladder frequency sqrt(2 n_max + 3) and the
+        mode's p, taken as 1 when the motion is neglected), shrunk by sqrt(p)
+        for the mode curvature: at fixed step the CF4 error grows about as
+        p^2.  On the 2000-point presets this is one step per output interval
+        at p = 1 and two at p = 2 with delta = 20.
+        """
         if self.dt_internal is not None:
             return self.dt_internal
-        return default_dt_internal(
-            self.delta, n_max, self.p if self.motion is Motion.MOVING else 1
-        )
+        p = self.p if self.motion is Motion.MOVING else 1
+        return 0.3 / (max(abs(self.delta), math.sqrt(2.0 * n_max + 3.0), p) * math.sqrt(p))
 
 
 @dataclass(frozen=True)
@@ -198,15 +204,3 @@ def coupling_expectation(state: CompositeState) -> float:
     sqrt(m+1); its expectation is conserved under resonant evolution.
     """
     return float(2.0 * ladder_expectation(state.amplitudes).real)
-
-
-def default_dt_internal(delta: float, n_max: int, p: int = 1) -> float:
-    """Automatic integrator step for the fourth-order (CF4) stepping.
-
-    0.3 over the fastest rate in the problem (the detuning, the largest
-    ladder frequency sqrt(2 n_max + 3) and the mode's p), shrunk by sqrt(p)
-    for the mode curvature: at fixed step the CF4 error grows about as p^2.
-    On the 2000-point presets this is one step per output interval at p = 1
-    and two at p = 2 with delta = 20.
-    """
-    return 0.3 / (max(abs(delta), math.sqrt(2.0 * n_max + 3.0), p) * math.sqrt(p))

@@ -10,7 +10,8 @@ interaction Hamiltonian with its oscillating phases kept.
 ``observables_from_states`` is the reference for the observables ``evolve``
 streams: the formulas series assembly applied to stored states before
 ``evolve`` reduced them itself.  ``convergence_probe`` measures the
-evolver's empirical step order under step halving.
+evolver's empirical step order under step halving, and ``truncated_at``
+builds a photon distribution cut at a chosen n_max.
 """
 
 import math
@@ -20,10 +21,14 @@ import numpy as np
 
 from cascade_qed import (
     CompositeState,
+    FieldSpec,
     Motion,
+    PhotonDistribution,
     SystemConfig,
+    coherent_coefficients,
     evolve,
     initial_state,
+    normalization_constant,
     superposed_distribution,
 )
 from cascade_qed import evolver
@@ -39,6 +44,17 @@ def cf4_lane_matrices(lam, n_ph: int, delta: float, h: float) -> np.ndarray:
     columns = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_ph + 1, axis=2)
     evolver._rotate_planes(*columns.swapaxes(0, 1), [m[0] for m in maps], xi, eta)
     return columns.transpose(2, 1, 0)
+
+
+def truncated_at(spec: FieldSpec, n_max: int) -> PhotonDistribution:
+    """``superposed_distribution(spec)`` cut at ``n_max`` instead of at its
+    tail bound: q_n (1 + r(-1)^n) / sqrt(B) for n = 0..n_max, renormalized."""
+    B = normalization_constant(spec.alpha, spec.r)
+    parity = np.where(np.arange(n_max + 1) % 2 == 0, 1.0 + spec.r, 1.0 - spec.r)
+    raw = coherent_coefficients(spec.alpha, n_max) * parity / math.sqrt(B)
+    kept = float(np.add.reduce(raw * raw))
+    return PhotonDistribution(n_max=n_max, weights=raw / math.sqrt(kept), norm_constant=B,
+                              dropped_tail=max(0.0, 1.0 - kept))
 
 
 def observables_from_states(states: np.ndarray):

@@ -106,7 +106,7 @@ class TestRun:
         assert 0.0 <= meta["truncation"]["max_top_rung_population"] < 1e-12
         assert "wall_time_s" in meta
         assert meta["environment"] == environment_fingerprint()
-        assert set(meta["environment"]) == {"python", "numpy", "scipy", "machine", "libc", "simd"}
+        assert set(meta["environment"]) == {"python", "numpy", "machine", "libc", "simd"}
 
     def test_seventeen_digit_roundtrip(self, tmp_path: Path):
         out = tmp_path / "run.csv"
@@ -203,10 +203,31 @@ class TestRun:
         (dict(steps=True), "steps must be an integer, got True"),
         (dict(motion="walking"), "motion must be one of ('moving', 'neglected')"),
         (dict(engine="both", delta=5.0), "engine=both requires delta=0"),
+        (dict(tau_max=10**400), "tau_max is too large for a double"),
+        (dict(out="."), "out must name a file, got '.'"),
     ])
     def test_scenario_checked_when_built(self, kwargs, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             ScenarioConfig(**kwargs)
+
+    def test_real_fields_stored_as_floats(self):
+        scenario = ScenarioConfig(alpha=2, delta=0, dt=1)
+        assert (scenario.alpha, scenario.delta, scenario.dt) == (2.0, 0.0, 1.0)
+        assert all(type(v) is float for v in (scenario.alpha, scenario.delta, scenario.dt))
+
+    # an out of "." or "/" names no file to derive the per-curve and
+    # per-engine names from; refused before anything is computed
+    @pytest.mark.parametrize("argv", [
+        ("preset", "fig4b", "--out", "."), ("preset", "fig4b", "--out", "/"),
+        ("run", "--engine", "both", "--out", ".", "--tau-max", "0.1", "--steps", "3"),
+    ], ids=["preset-dot", "preset-root", "run-both-dot"])
+    def test_out_naming_no_file_is_config_error(self, tmp_path: Path, monkeypatch, capsys,
+                                                argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: out must name a file, got {argv[argv.index('--out') + 1]!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_r_parses(self, tmp_path: Path):
         out = tmp_path / "odd.csv"
@@ -299,6 +320,28 @@ class TestCeilings:
             assert len(scanned) == 1
         assert list(tmp_path.iterdir()) == []
 
+    # A neglected motion's pulse area is tau itself: at tau_max = 1e308 the
+    # closed form's ladder phases A sqrt(2 n + 3) overflow, which wrote blank
+    # x and y and an infinite phi_dynamical; at 1e307 they stay finite.
+    @pytest.mark.parametrize("tau_max", ["1e308", "1e307"])
+    def test_overflowing_closed_form_phases_refused(self, tmp_path: Path, capsys, tau_max):
+        out = tmp_path / "x.csv"
+        code = main(["run", "--engine", "analytic", "--motion", "neglected",
+                     "--tau-max", tau_max, "--steps", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        if tau_max == "1e308":
+            assert code == 2
+            assert err.startswith(
+                "error: the closed-form phases overflow: a pulse area of 1e+308 ")
+            assert len(err.splitlines()) == 1
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert (code, err) == (0, "")
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert float(rows[-1][0]) == 1e307
+            for row in rows:
+                assert all(math.isfinite(float(v)) for v in row[:5])
+
     def test_analytic_alpha_over_photon_ceiling_accepted(self, tmp_path: Path, capsys):
         alpha = math.nextafter(self.ALPHA_EDGE, math.inf)
         argv = ["run", "--alpha", repr(alpha), "--engine", "analytic", "--steps", "3",
@@ -384,6 +427,25 @@ class TestConfigFile:
         assert cp.stderr.startswith(f"error: {key} must be ")
         assert "Traceback" not in cp.stderr
         assert not (tmp_path / "t.csv").exists()
+
+    # a JSON integer too large for a double, and one too long for Python to
+    # read at all (over 4300 digits)
+    @pytest.mark.parametrize("key, digits", [
+        *((key, 400) for key in ("alpha", "delta", "theta", "r", "tau_max", "dt")),
+        ("alpha", 5000),
+    ])
+    def test_huge_config_integer_rejected(self, tmp_path: Path, capsys, key, digits):
+        cfg_path = tmp_path / "cfg.json"
+        out = json.dumps(str(tmp_path / "x.csv"))
+        cfg_path.write_text(f'{{"{key}": 1{"0" * digits}, "out": {out}}}')
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        if digits < 4300:
+            assert err == f"error: {key} is too large for a double\n"
+        else:
+            assert err.startswith("error: cannot parse config file: ")
+            assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
     def test_unreadable_config_file_rejected(self, tmp_path: Path, kind):
@@ -536,7 +598,10 @@ class TestBatchedCurves:
         assert sorted(result.series) == ["coherent/numeric", "even/numeric", "odd/numeric"]
 
 
-SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+# scipy's modules, and importlib.metadata unless the interpreter had loaded
+# it before the package was imported
+LOADED = ("sorted(m for m in sys.modules if m.startswith('scipy') "
+          "or (m == 'importlib.metadata' and not before))")
 
 
 @pytest.mark.parametrize("argv", [
@@ -545,14 +610,31 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
     ["run", *QUICK, "--engine", "both", "--out", "b.csv"],
 ])
 def test_import_loads_numpy_only(tmp_path: Path, argv):
-    # importing the package, a comparison and a both-engine run load no scipy
-    code = f"import sys, cascade_qed; print({SCIPY_MODULES})"
-    if argv is not None:
-        code = ("import sys; from cascade_qed.cli import main; "
-                f"code = main({argv!r}); print({SCIPY_MODULES}); sys.exit(code)")
+    # importing the package, a comparison and a both-engine run load no
+    # scipy and read no package metadata
+    code = "import sys; before = 'importlib.metadata' in sys.modules; "
+    if argv is None:
+        code += f"import cascade_qed; print({LOADED})"
+    else:
+        code += ("from cascade_qed.cli import main; "
+                 f"code = main({argv!r}); print({LOADED}); sys.exit(code)")
     cp = run_python("-c", code, cwd=tmp_path)
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_package_exports_each_module_interface():
+    from cascade_qed import evolver, field_states, phases, resonant, system
+
+    modules = (field_states, system, resonant, evolver, phases)
+    assert cascade_qed.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    assert len(set(cascade_qed.__all__)) == len(cascade_qed.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(cascade_qed, name) is getattr(module, name)
+    assert isinstance(cascade_qed.__version__, str)
+    assert not hasattr(cascade_qed, "default_dt_internal")
+    assert not hasattr(system, "default_dt_internal")
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from cascade_qed import (
     superposed_distribution,
 )
 from cascade_qed import field_states
+from propagators import truncated_at
 
 # e^{-12.5}, frozen from a 40-digit evaluation of the closed form
 Q0_ALPHA5 = 3.7266531720786709929e-06
@@ -184,14 +185,14 @@ class TestSuperposedDistribution:
     def test_automatic_cutoff_reuses_scan_amplitudes_exactly(self, alpha, r):
         spec = FieldSpec(alpha=alpha, r=r)
         auto = superposed_distribution(spec)
-        explicit = superposed_distribution(spec, n_max=auto.n_max)
+        explicit = truncated_at(spec, auto.n_max)
         assert np.all(auto.weights == explicit.weights)
         assert auto.dropped_tail == explicit.dropped_tail
 
     def test_truncation_monotone_before_renormalization(self):
         spec = FieldSpec(alpha=2.0, r=0.5)
         small = superposed_distribution(spec)
-        large = superposed_distribution(spec, n_max=small.n_max + 10)
+        large = truncated_at(spec, small.n_max + 10)
         raw_small = small.weights * math.sqrt(1.0 - small.dropped_tail)
         raw_large = large.weights[: small.n_max + 1] * math.sqrt(1.0 - large.dropped_tail)
         assert np.max(np.abs(raw_small - raw_large)) < 1e-15
