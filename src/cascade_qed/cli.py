@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolver import NormDriftError, Trajectory, evolve, substep_counts
+from .evolver import NormDriftError, Trajectory, evolve
 from .field_states import EPSILON_TAIL, FieldSpec, FieldSpecError, superposed_distribution
 from .phases import (
     PhaseTimeSeries,
@@ -370,7 +370,7 @@ def _preflight(scenarios, configs, dists, groups) -> None:
                 )
     for members in groups:
         config, n_max = configs[members[0]], dists[members[0]].n_max
-        substeps = float(np.sum(substep_counts(config, n_max)))
+        substeps = config.substeps(n_max) * (config.n_steps - 1)
         if not substeps <= _MAX_SUBSTEPS:
             raise ConfigError(
                 f"run too large: {substeps:.3g} substeps exceed the ceiling of "
@@ -594,7 +594,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    out = _output_path(args.out) if args.out else Path(f"{args.name}.csv")
+    out = Path(f"{args.name}.csv") if args.out is None else _output_path(args.out)
     scenarios = [
         ScenarioConfig(
             **params,

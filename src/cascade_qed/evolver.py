@@ -227,17 +227,6 @@ def _norms(states: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(flat), axis=-1))
 
 
-def substep_counts(config: SystemConfig, n_max: int) -> np.ndarray:
-    """Substeps ``evolve`` takes in each output interval of ``config``'s
-    grid for a field cut at ``n_max``, as floats: a step far below the
-    interval width gives a count no integer holds, which a caller can
-    refuse before evolving."""
-    widths = np.diff(config.taus())
-    with np.errstate(over="ignore"):
-        per_step = widths / config.integrator_step(n_max)
-    return np.maximum(1.0, np.ceil(per_step - 1e-12))
-
-
 def evolve(
     initial: CompositeState | Sequence[CompositeState],
     config: SystemConfig,
@@ -246,8 +235,8 @@ def evolve(
 ) -> Trajectory | TrajectoryBatch:
     """Propagate composite states over the configured output grid.
 
-    Each output interval is covered by equal substeps no longer than the
-    integrator step, and every substep is one CF4 step: two exact
+    Every output interval is covered by the same number of equal substeps,
+    ``config.substeps`` of them, and every substep is one CF4 step: two exact
     exponentials of the rotating-frame Hamiltonian, with the mode shape
     sampled at the substep's Gauss nodes.  The observed global error is
     fourth order in the substep, and the stepping is exact whenever the
@@ -285,19 +274,18 @@ def evolve(
     p = config.p
     taus = config.taus()
     n_out = len(taus)
-    dt = config.integrator_step(n_ph - 2)
-    counts = substep_counts(config, n_ph - 2)
-    total = float(np.sum(counts))
+    m = config.substeps(n_ph - 2)  # substeps per output interval
+    dt = taus[1] / m  # the step taken, to within rounding
+    total = m * (n_out - 1)
     if not total < np.iinfo(np.intp).max:
         raise ValueError(
-            f"dt_internal = {dt} takes {total:.3g} substeps, more than an integer holds"
+            f"dt_internal = {dt:.3g} takes {total:.3g} substeps, more than an integer holds"
         )
-    substeps = counts.astype(np.intp)
-    out_idx = np.concatenate(([0], np.cumsum(substeps)))
-    n_sub = int(out_idx[-1])
-    # node k of output interval i starts a substep at taus[i] + (k - out_idx[i])
-    # step_widths[i]; the last node, tau_max, starts one of width 0
-    step_widths = np.append(np.diff(taus) / substeps, 0.0)
+    m = int(m)
+    n_sub = m * (n_out - 1)
+    # node j starts a substep at taus[j // m] + (j % m) step_widths[j // m];
+    # the last node, tau_max, starts one of width 0
+    step_widths = np.append(np.diff(taus) / m, 0.0)
 
     # Each curve's state sits in a row of ``buffer`` padded with a zero
     # before and two after, so that the lanes of ``_lanes`` are a strided
@@ -348,8 +336,8 @@ def evolve(
     for lo in range(0, n_sub, chunk):
         hi = min(lo + chunk, n_sub)
         nodes = np.arange(lo, hi + 1)
-        interval = np.searchsorted(out_idx, nodes, side="right") - 1
-        t = taus[interval] + (nodes - out_idx[interval]) * step_widths[interval]
+        interval, offset = np.divmod(nodes, m)
+        t = taus[interval] + offset * step_widths[interval]
         h = step_widths[interval[:-1]]
         maps = _cf4_planes(_cf4_amplitudes(t[:-1], h, config), sqrt_r, delta, 0.5 * h)
         for i, step in enumerate(zip(*maps)):
@@ -357,8 +345,9 @@ def evolve(
             node_psi[i] = psi
         done = node_psi[: hi - lo]
         a = np.concatenate((a_lo, ladder_expectation(done)))
-        ks = np.arange(*np.searchsorted(out_idx, (lo + 1, hi + 1)))
-        observe(ks, done[out_idx[ks] - lo - 1], a[out_idx[ks] - lo])
+        ks = np.arange(lo // m + 1, hi // m + 1)  # the output nodes in (lo, hi]
+        at = ks * m - lo
+        observe(ks, done[at - 1], a[at])
         drift = norm_err[:, ks].T
         if np.any(drift > _NORM_DRIFT_LIMIT):
             k, worst = np.unravel_index(np.argmax(drift > _NORM_DRIFT_LIMIT), drift.shape)
@@ -379,7 +368,7 @@ def evolve(
         df = dlam * v_node - (2.0 * delta) * lam * a.imag.T
         pieces = 0.5 * h * (f[:, 1:] + f[:, :-1]) - (h * h / 12.0) * (df[:, 1:] - df[:, :-1])
         phase = np.cumsum(np.concatenate((phase[:, -1:], pieces), axis=1), axis=1)
-        phi_dyn[:, ks] = -phase[:, out_idx[ks] - lo]
+        phi_dyn[:, ks] = -phase[:, at]
         a_lo = a[-1:]
 
     states.setflags(write=False)

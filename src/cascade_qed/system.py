@@ -46,8 +46,8 @@ class SystemConfig:
     ``delta`` is the detuning over g, ``theta`` the atomic superposition
     angle, ``p`` the number of half-wavelengths of the mode (ignored when
     the motion is neglected).  ``tau_max``/``n_steps`` define the output
-    grid; ``dt_internal`` is the integrator step in scaled time (``None``
-    picks the automatic default).
+    grid; ``dt_internal`` bounds the integrator step in scaled time, ``None``
+    picking the automatic one (see ``substeps``).
     """
 
     field: FieldSpec
@@ -93,21 +93,26 @@ class SystemConfig:
         """The output grid: ``n_steps`` equally spaced times from 0 to ``tau_max``."""
         return np.linspace(0.0, self.tau_max, self.n_steps)
 
-    def integrator_step(self, n_max: int) -> float:
-        """``dt_internal``, or the automatic step for the fourth-order (CF4)
-        stepping of a field cut at n_max.
+    def substeps(self, n_max: int) -> float:
+        """Substeps the fourth-order (CF4) stepping of a field cut at n_max
+        takes in every output interval: the fewest equal ones no longer than
+        the step over the grid spacing tau_max / (n_steps - 1).
 
-        The automatic step is 0.3 over the fastest rate in the problem (the
-        detuning, the largest ladder frequency sqrt(2 n_max + 3) and the
-        mode's p, taken as 1 when the motion is neglected), shrunk by sqrt(p)
-        for the mode curvature: at fixed step the CF4 error grows about as
-        p^2.  On the 2000-point presets this is one step per output interval
-        at p = 1 and two at p = 2 with delta = 20.
+        The step is ``dt_internal``, or else 0.3 over the fastest rate in the
+        problem (the detuning, the largest ladder frequency sqrt(2 n_max + 3)
+        and the mode's p, taken as 1 when the motion is neglected), shrunk
+        by sqrt(p) for the mode curvature: at fixed step the CF4 error grows
+        about as p^2.  On the 2000-point presets this is one substep per
+        interval at p = 1 and two at p = 2 with delta = 20.  The count is a
+        float, ``inf`` for a step that underflows to 0, so that a count no
+        integer holds can be refused before evolving.
         """
-        if self.dt_internal is not None:
-            return self.dt_internal
-        p = self.p if self.motion is Motion.MOVING else 1
-        return 0.3 / (max(abs(self.delta), math.sqrt(2.0 * n_max + 3.0), p) * math.sqrt(p))
+        step = self.dt_internal
+        if step is None:
+            p = self.p if self.motion is Motion.MOVING else 1
+            step = 0.3 / (max(abs(self.delta), math.sqrt(2.0 * n_max + 3.0), p) * math.sqrt(p))
+        count = self.tau_max / (self.n_steps - 1) / step if step > 0.0 else math.inf
+        return max(1.0, float(np.ceil(count - 1e-12)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ write anything unless all three independent cross-checks pass:
   reference in ``bench/reference/``, each column within the reference's
   gate multiple (2x) of its recorded seed deviation;
 * fig4b ``phi_dynamical``, which the reference does not hold, against the
-  same preset evolved at an eighth of its default step, within 1e-5.
+  same preset evolved at an eighth of the step it takes, within 1e-5.
 
 On success it writes ``<curve>.npz`` (every CSV column at full float64
 precision) and ``preset_hashes.json`` (the CSV sha256 values with the
@@ -90,12 +90,13 @@ def reference_failures(curves: dict[str, dict[str, np.ndarray]]) -> list[str]:
 
 def dynamical_phase_failures(curves: dict[str, dict[str, np.ndarray]]) -> list[str]:
     """Print each fig4b curve's phi_dynamical deviation from the same preset
-    at an eighth of the default step and return the curves beyond the bound."""
+    at an eighth of the step it takes and return the curves beyond the bound."""
     failures = []
     for label, params in list_presets()["fig4b"]:
         config = ScenarioConfig(**params).system_config()
         dist = superposed_distribution(config.field)
-        fine = replace(config, dt_internal=config.integrator_step(dist.n_max) / FINE_STEP_DIVISOR)
+        step = config.tau_max / (config.n_steps - 1) / config.substeps(dist.n_max)
+        fine = replace(config, dt_internal=step / FINE_STEP_DIVISOR)
         want = series_from_trajectory(evolve(initial_state(fine, dist), fine)).phi_dynamical
         got = curves[f"fig4b_{label}.csv"]["phi_dynamical"]
         dev = float(np.max(np.abs(got - want))) if len(got) == len(want) else np.inf

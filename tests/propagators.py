@@ -165,7 +165,8 @@ class ConvergenceReport:
 
 
 def convergence_probe(config: SystemConfig) -> ConvergenceReport:
-    """Evolve at dt, dt/2 and dt/4 and report the empirical step order.
+    """Evolve at dt, dt/2 and dt/4, with dt the step ``config`` takes, and
+    report the empirical step order.
 
     The deviations are max-abs differences between stored amplitudes on the
     shared output grid; CF4 stepping shows order 4 until they reach the
@@ -175,7 +176,7 @@ def convergence_probe(config: SystemConfig) -> ConvergenceReport:
     """
     dist = superposed_distribution(config.field)
     psi0 = initial_state(config, dist)
-    dt0 = config.integrator_step(dist.n_max)
+    dt0 = config.tau_max / (config.n_steps - 1) / config.substeps(dist.n_max)
     runs = [
         evolve(psi0, replace(config, dt_internal=dt0 / 2.0**i), keep_states=True).states
         for i in range(3)

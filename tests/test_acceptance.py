@@ -269,7 +269,7 @@ def _run_preset(name: str, out: Path, threads: str) -> list[Path]:
     env["OPENBLAS_NUM_THREADS"] = threads
     start = time.perf_counter()
     cp = subprocess.run(
-        [sys.executable, "-m", "cascade_qed", "preset", name, "--out", str(out)],
+        [sys.executable, "-W", "error", "-m", "cascade_qed", "preset", name, "--out", str(out)],
         capture_output=True, text=True, env=env,
     )
     wall = time.perf_counter() - start

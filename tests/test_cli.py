@@ -37,9 +37,12 @@ SRC = str(Path(cascade_qed.__file__).resolve().parents[1])
 
 
 def run_python(*args, env_extra=None, cwd=None):
+    """Run the interpreter on ``args`` with warnings as errors, as pytest runs
+    the in-process tests."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path, **(env_extra or {}))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True,
+                          text=True, env=env, cwd=cwd)
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -107,6 +110,16 @@ class TestRun:
         assert "wall_time_s" in meta
         assert meta["environment"] == environment_fingerprint()
         assert set(meta["environment"]) == {"python", "numpy", "machine", "libc", "simd"}
+
+    def test_sidecar_step_is_the_step_taken(self, tmp_path: Path, capsys):
+        # rounding leaves 24 of the 1000 interval widths over ten steps of
+        # 0.0005; every interval still takes ten
+        out = tmp_path / "d.csv"
+        assert main(["run", "--delta", "20", "--tau-max", "5", "--steps", "1001",
+                     "--dt", "0.0005", "--out", str(out)]) == 0
+        capsys.readouterr()
+        integrator = json.loads((tmp_path / "d.csv.meta.json").read_text())["integrator"]
+        assert (integrator["substeps_total"], integrator["dt_internal"]) == (10000, 0.0005)
 
     def test_seventeen_digit_roundtrip(self, tmp_path: Path):
         out = tmp_path / "run.csv"
@@ -220,7 +233,8 @@ class TestRun:
     @pytest.mark.parametrize("argv", [
         ("preset", "fig4b", "--out", "."), ("preset", "fig4b", "--out", "/"),
         ("run", "--engine", "both", "--out", ".", "--tau-max", "0.1", "--steps", "3"),
-    ], ids=["preset-dot", "preset-root", "run-both-dot"])
+        ("preset", "fig1a", "--out", ""),
+    ], ids=["preset-dot", "preset-root", "run-both-dot", "preset-empty"])
     def test_out_naming_no_file_is_config_error(self, tmp_path: Path, monkeypatch, capsys,
                                                 argv):
         monkeypatch.chdir(tmp_path)
@@ -258,13 +272,19 @@ class TestCeilings:
     def refuse_to_evolve(*args, **kwargs):
         raise AssertionError("evolve ran on a run over a ceiling")
 
-    def test_tiny_step_is_config_error(self, tmp_path: Path):
-        # the substep count, 1e300, overflows any integer
-        cp = run_cli("run", "--alpha", "5", "--delta", "20", "--steps", "10",
-                     "--tau-max", "1", "--dt", "1e-300", "--out", str(tmp_path / "x.csv"))
+    # a substep count that overflows any integer: 1e300 for a tiny --dt; inf
+    # for an automatic step that underflows to 0 (p = 10^300) or whose count
+    # per interval is finite but not its total (delta = 1e308)
+    @pytest.mark.parametrize("args, count", [
+        (("--delta", "20", "--steps", "10", "--tau-max", "1", "--dt", "1e-300"), "1e+300"),
+        (("--p", str(10**300), "--steps", "3", "--tau-max", "1e-300"), "inf"),
+        (("--delta", "1e308", "--steps", "3", "--tau-max", "1"), "inf"),
+    ], ids=["dt-1e-300", "p-1e300", "delta-1e308"])
+    def test_tiny_step_is_config_error(self, tmp_path: Path, args, count):
+        cp = run_cli("run", "--alpha", "5", *args, "--out", str(tmp_path / "x.csv"))
         assert cp.returncode == 2
         assert cp.stderr == (
-            "error: run too large: 1e+300 substeps exceed the ceiling of 1e+07; "
+            f"error: run too large: {count} substeps exceed the ceiling of 1e+07; "
             "raise dt or lower tau_max\n"
         )
         assert list(tmp_path.iterdir()) == []
@@ -517,7 +537,7 @@ def test_closed_stdout_exits_0(tmp_path: Path, argv):
     os.close(read_end)
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     cp = subprocess.run(
-        [sys.executable, "-m", "cascade_qed", *argv], stdout=write_end,
+        [sys.executable, "-W", "error", "-m", "cascade_qed", *argv], stdout=write_end,
         stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
     )
     os.close(write_end)

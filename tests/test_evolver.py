@@ -222,6 +222,30 @@ class TestEvolve:
             with pytest.raises(ValueError, match=re.escape(message)):
                 evolve(state, cfg)
 
+    def test_every_interval_takes_the_configured_count(self):
+        # every preset basis and step, and steps of spacing / k on grids where
+        # rounding leaves some interval widths over k steps (5.0 / 111 over
+        # 52, 5.0 / 54 over 108): each interval still takes k substeps
+        configs = [ScenarioConfig(**params).system_config()
+                   for curves in list_presets().values() for _, params in curves]
+        steps = ((5.0, 112, 52), (5.0, 55, 108), (1.0, 101, 7))
+        spaced = [make_config(delta=20.0, tau_max=tau_max, n_steps=n_steps,
+                              dt_internal=tau_max / (n_steps - 1) / k)
+                  for tau_max, n_steps, k in steps]
+        assert [c.substeps(2) for c in spaced] == [k for *_, k in steps]
+        evolved = set()
+        for cfg in configs + spaced:
+            dist = superposed_distribution(cfg.field)
+            key = (replace(cfg, theta=0.0), dist.n_max)  # theta leaves the step alone
+            if key not in evolved:
+                evolved.add(key)
+                traj = evolve(initial_state(cfg, dist), cfg)
+                assert traj.substeps == cfg.substeps(dist.n_max) * (cfg.n_steps - 1)
+
+    def test_schedule_decided_only_in_system_config(self):
+        assert not hasattr(evolver, "substep_counts")
+        assert not hasattr(SystemConfig, "integrator_step")
+
     def test_norm_drift_aborts_at_first_breach(self, monkeypatch):
         # a propagator that leaks norm: each step scales level 2 by 1 + 1e-7
         rotate = evolver._rotate_planes
