@@ -10,8 +10,9 @@ times and other environment facts go to the ``.meta.json`` sidecar only.
 Exit codes: 0 success (also when stdout's reader has gone), 2 configuration
 error, 3 numerical failure (norm drift or comparison tolerance breach).  A
 run over one of the ceilings below, or a closed-form curve whose phases
-would overflow, is a configuration error, refused once the photon bases are
-known and before anything is evolved.
+would overflow, is a configuration error: the grid and alpha^2 ceilings are
+refused when the scenario is built, the basis-dependent ones once its curve
+is truncated, and all before anything is evolved.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolver import NormDriftError, Trajectory, evolve
+from .evolver import NormDriftError, evolve
 from .field_states import EPSILON_TAIL, FieldSpec, FieldSpecError, superposed_distribution
 from .phases import (
     PhaseTimeSeries,
@@ -116,13 +117,15 @@ def _output_path(out: str) -> Path:
 class ScenarioConfig:
     """One scenario: physics, grid, engine choice and output location.
 
-    Checked when built: a mistyped field, a number too large for a double,
-    an unknown engine or motion, an ``out`` that names no file, or a
-    closed-form engine off resonance raises ``ConfigError``.  Real-valued
-    fields are stored as floats.  Physical ranges are checked by
-    ``FieldSpec`` and ``SystemConfig`` when ``system_config`` builds them,
-    which ``run_scenario`` does for every scenario before it computes or
-    writes anything.
+    Checked when built, before anything is computed or written.
+    ``ConfigError`` names the first fault in this order: a mistyped field, a
+    number too large for a double, an unknown engine or motion, an ``out``
+    that names no file, or a closed-form engine off resonance; a physical
+    range, which ``FieldSpec`` and ``SystemConfig`` check as
+    ``system_config`` builds them; a numerically evolved curve with alpha^2
+    over ``_MAX_PHOTONS`` (about half its photon mass lies above alpha^2, so
+    its cutoff would be over that ceiling too); a grid over
+    ``_MAX_OUTPUT_POINTS`` points.  Real-valued fields are stored as floats.
     """
 
     alpha: float = 5.0
@@ -162,6 +165,19 @@ class ScenarioConfig:
             raise ConfigError(
                 f"engine={self.engine} requires delta=0 (the closed form is resonant "
                 f"only), got delta={self.delta!r}"
+            )
+        config = self.system_config()
+        alpha = config.field.alpha
+        if self.engine != "analytic" and alpha * alpha > _MAX_PHOTONS:
+            raise ConfigError(
+                f"alpha={alpha!r} puts the photon cutoff of a numerically evolved "
+                f"curve over the ceiling of {_MAX_PHOTONS}; lower alpha or use "
+                f"engine=analytic"
+            )
+        if config.n_steps > _MAX_OUTPUT_POINTS:
+            raise ConfigError(
+                f"run too large: {config.n_steps} output points exceed the ceiling "
+                f"of {_MAX_OUTPUT_POINTS}; lower steps"
             )
 
     def system_config(self) -> SystemConfig:
@@ -302,74 +318,39 @@ def environment_fingerprint() -> dict:
     }
 
 
-def _engine_deviation(series: dict[str, PhaseTimeSeries]):
-    """Numeric minus closed-form x and y per grid point, and their largest
-    magnitudes under the report keys."""
-    dev_x = series["numeric"].x - series["analytic"].x
-    dev_y = series["numeric"].y - series["analytic"].y
-    return (dev_x, dev_y), {
-        "max_abs_dev_x": float(np.max(np.abs(dev_x))),
-        "max_abs_dev_y": float(np.max(np.abs(dev_y))),
-    }
-
-
 def _write_outputs(scenario: ScenarioConfig, series: dict[str, PhaseTimeSeries]):
-    """Write a scenario's CSV files; return their paths and the engine deviation."""
+    """Write a scenario's CSV files; return their paths and, of those, the
+    series files that get a sidecar (the ``.compare.csv`` table gets none)."""
     out = Path(scenario.out)
     if scenario.engine != "both":
         write_series_csv(out, series[scenario.engine], scenario.emit_unwrapped)
-        return [out], {}
-    num_path = _derived_path(out, "numeric")
-    ana_path = _derived_path(out, "analytic")
-    write_series_csv(num_path, series["numeric"], scenario.emit_unwrapped)
-    write_series_csv(ana_path, series["analytic"], scenario.emit_unwrapped)
-    cmp_path = _derived_path(out, "compare")
-    (dev_x, dev_y), deviation = _engine_deviation(series)
-    _write_csv(cmp_path, ("tau", "dev_x", "dev_y"), (series["numeric"].tau, dev_x, dev_y))
-    return [num_path, ana_path, cmp_path], deviation
+        return [out], [out]
+    num, ana = series["numeric"], series["analytic"]
+    paths = [_derived_path(out, tag) for tag in ("numeric", "analytic", "compare")]
+    write_series_csv(paths[0], num, scenario.emit_unwrapped)
+    write_series_csv(paths[1], ana, scenario.emit_unwrapped)
+    _write_csv(paths[2], ("tau", "dev_x", "dev_y"), (num.tau, num.x - ana.x, num.y - ana.y))
+    return paths, paths[:2]
 
 
-def _integrator_diagnostics(trajectory: Trajectory, config: SystemConfig) -> dict:
-    """Step taken, substep count and how far the monitored invariants moved:
-    the norm always, the conserved <V> on resonance."""
-    worst = int(np.argmax(trajectory.norm_error))
-    drifts = {
-        # every output interval takes the same number of equal substeps
-        "dt_internal": float(trajectory.taus[-1] / trajectory.substeps),
-        "substeps_total": trajectory.substeps,
-        "max_norm_drift": float(trajectory.norm_error[worst]),
-        "max_norm_drift_tau": float(trajectory.taus[worst]),
-    }
-    if config.delta == 0.0:
-        v = trajectory.expectation_V
-        drifts["max_v_drift"] = float(np.max(np.abs(v - v[0])))
-    return drifts
-
-
-def _preflight(scenarios, configs, dists, groups) -> None:
-    """Refuse, with ``ConfigError``, a run over one of the ceilings: an
-    output grid over ``_MAX_OUTPUT_POINTS``, or an evolve call over
-    ``_MAX_SUBSTEPS`` substeps or ``_MAX_PHOTONS`` photons.  The counts are
-    floats, so a step far below the grid spacing cannot overflow.  Refuse
-    too a closed-form curve whose phases overflow: A sqrt(2 n_max + 5), with
-    A the largest pulse area, bounds both its largest ladder phase
-    A sqrt(2 n + 3) and |<V>_0| A.  A moving atom's A is at most 2 / p."""
-    for scenario, config, dist in zip(scenarios, configs, dists):
-        if config.n_steps > _MAX_OUTPUT_POINTS:
+def _preflight(scenario: ScenarioConfig, config: SystemConfig, n_max: int) -> None:
+    """Refuse, with ``ConfigError``, the ceilings that need a curve's photon
+    cutoff: a closed-form curve whose phases overflow, and a numerically
+    evolved curve over ``_MAX_SUBSTEPS`` substeps or ``_MAX_PHOTONS``
+    photons.  A batch's members share one grid and one cutoff, so a curve's
+    substep count is its evolve call's.  The count is a float, so a step far
+    below the grid spacing cannot overflow.  A sqrt(2 n_max + 5), with A the
+    largest pulse area, bounds both the largest ladder phase A sqrt(2 n + 3)
+    and |<V>_0| A; a moving atom's A is at most 2 / p."""
+    if scenario.engine != "numeric":
+        area = float(np.max(pulse_area(config.taus(), config)))
+        if not math.isfinite(area * math.sqrt(2.0 * n_max + 5.0)):
             raise ConfigError(
-                f"run too large: {config.n_steps} output points exceed the ceiling "
-                f"of {_MAX_OUTPUT_POINTS}; lower steps"
+                f"the closed-form phases overflow: a pulse area of {area:.3g} "
+                f"times the ladder frequency sqrt(2 n_max + 5) at n_max = "
+                f"{n_max} is not a finite double; lower tau_max"
             )
-        if scenario.engine != "numeric":
-            area = float(np.max(pulse_area(config.taus(), config)))
-            if not math.isfinite(area * math.sqrt(2.0 * dist.n_max + 5.0)):
-                raise ConfigError(
-                    f"the closed-form phases overflow: a pulse area of {area:.3g} "
-                    f"times the ladder frequency sqrt(2 n_max + 5) at n_max = "
-                    f"{dist.n_max} is not a finite double; lower tau_max"
-                )
-    for members in groups:
-        config, n_max = configs[members[0]], dists[members[0]].n_max
+    if scenario.engine != "analytic":
         substeps = config.substeps(n_max) * (config.n_steps - 1)
         if not substeps <= _MAX_SUBSTEPS:
             raise ConfigError(
@@ -388,28 +369,22 @@ def _compute(
 ) -> list[tuple[dict[str, PhaseTimeSeries], dict]]:
     """Evolve and assemble scenarios, writing nothing: per scenario,
     its series by engine and its sidecar metadata (less files, wall time and
-    environment).  Numerical curves whose configurations differ only in
-    theta and the field's alpha and r, and whose photon bases have the same
-    size, evolve together through shared propagators.  A run over a
-    ceiling or with overflowing closed-form phases is refused
-    (``_preflight``) before anything evolves, and a numerically evolved
-    curve with alpha^2 over ``_MAX_PHOTONS`` before anything is truncated:
-    about half its photon mass lies above alpha^2, so its cutoff would be
-    over that ceiling too."""
+    environment).  Each curve is refused (``_preflight``) right after its
+    truncation, and before anything evolves.  Numerical curves whose
+    configurations differ only in theta and the field's alpha and r, and
+    whose photon bases have the same size, evolve together through shared
+    propagators.  A curve's integrator record is made as its trajectory
+    leaves ``evolve``: the step taken, the substep count and how far the
+    monitored invariants moved (the norm always, the conserved <V> on
+    resonance).  Its ``deviation`` holds, when both routes ran, the largest
+    numeric minus closed-form x and y."""
     configs = [scenario.system_config() for scenario in scenarios]
-    for scenario, config in zip(scenarios, configs):
-        alpha = config.field.alpha
-        if scenario.engine != "analytic" and alpha * alpha > _MAX_PHOTONS:
-            raise ConfigError(
-                f"alpha={alpha!r} puts the photon cutoff of a numerically evolved "
-                f"curve over the ceiling of {_MAX_PHOTONS}; lower alpha or use "
-                f"engine=analytic"
-            )
     dists, truncation_s = [], []
-    for config in configs:
+    for scenario, config in zip(scenarios, configs):
         t_truncate = time.perf_counter()
         dists.append(superposed_distribution(config.field))
         truncation_s.append(time.perf_counter() - t_truncate)
+        _preflight(scenario, config, dists[-1].n_max)
 
     # curves that share every propagator: same physics apart from the
     # initial state, same basis
@@ -419,38 +394,46 @@ def _compute(
             field = replace(config.field, alpha=0.0, r=0.0)
             shared = replace(config, theta=0.0, field=field)
             groups.setdefault((shared, dist.n_max), []).append(i)
-    _preflight(scenarios, configs, dists, groups.values())
-    trajectories, evolve_stats = {}, {}
+    trajectories, integrators = {}, {}
     for members in groups.values():
         t_evolve = time.perf_counter()
         evolved = evolve(
             [initial_state(configs[i], dists[i]) for i in members], configs[members[0]]
         )
-        stats = {"evolve_s": time.perf_counter() - t_evolve, "batch_size": len(members)}
+        evolve_s = time.perf_counter() - t_evolve
         for i, trajectory in zip(members, evolved.curves):
+            worst = int(np.argmax(trajectory.norm_error))
             trajectories[i] = trajectory
-            evolve_stats[i] = stats
+            integrators[i] = {
+                # every output interval takes the same number of equal substeps
+                "dt_internal": float(trajectory.taus[-1] / trajectory.substeps),
+                "substeps_total": trajectory.substeps,
+                "max_norm_drift": float(trajectory.norm_error[worst]),
+                "max_norm_drift_tau": float(trajectory.taus[worst]),
+                "evolve_s": evolve_s,
+                "batch_size": len(members),
+            }
+            if configs[i].delta == 0.0:
+                v = trajectory.expectation_V
+                integrators[i]["max_v_drift"] = float(np.max(np.abs(v - v[0])))
 
     curves = []
     for i, (scenario, config, dist) in enumerate(zip(scenarios, configs, dists)):
         series: dict[str, PhaseTimeSeries] = {}
         t_series = time.perf_counter()
+        top_rung, deviation = None, {}
         if i in trajectories:
             series["numeric"] = series_from_trajectory(trajectories[i])
-        if scenario.engine in ("analytic", "both"):
-            series["analytic"] = series_from_closed_form(config, dist)
-        integrator = {
-            "scheme": "cf4",
-            "dt_internal": None,
-            "substeps_total": 0,
-            **evolve_stats.get(i, {"evolve_s": 0.0, "batch_size": 0}),
-            "truncation_s": truncation_s[i],
-            "series_s": time.perf_counter() - t_series,
-        }
-        top_rung = None
-        if i in trajectories:
-            integrator.update(_integrator_diagnostics(trajectories[i], config))
             top_rung = float(np.max(trajectories[i].top_rung_population))
+        if scenario.engine != "numeric":
+            series["analytic"] = series_from_closed_form(config, dist)
+        if len(series) == 2:
+            num, ana = series["numeric"], series["analytic"]
+            deviation = {"max_abs_dev_x": float(np.max(np.abs(num.x - ana.x))),
+                         "max_abs_dev_y": float(np.max(np.abs(num.y - ana.y)))}
+        integrator = integrators.get(
+            i, {"dt_internal": None, "substeps_total": 0, "evolve_s": 0.0, "batch_size": 0}
+        )
         metadata = {
             "version": __version__,
             "parameters": {k: v for k, v in asdict(scenario).items() if k != "out"},
@@ -461,7 +444,13 @@ def _compute(
                 "norm_constant": dist.norm_constant,
                 "max_top_rung_population": top_rung,
             },
-            "integrator": integrator,
+            "integrator": {
+                "scheme": "cf4",
+                **integrator,
+                "truncation_s": truncation_s[i],
+                "series_s": time.perf_counter() - t_series,
+            },
+            "deviation": deviation,
         }
         curves.append((series, metadata))
     return curves
@@ -471,32 +460,32 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
     """Run one scenario, or several as a batch, and write CSV plus sidecars.
 
     ``engine=both`` writes one CSV per engine plus a per-point deviation
-    file ``<stem>.compare.csv``.  Curves that share a basis and differ only
-    in their initial state evolve as one batch (see ``_compute``); each
-    curve's CSV is byte-identical to running it alone.  A batch's result
-    sums ``substeps_total`` over its curves.
+    file ``<stem>.compare.csv``; each series CSV gets a sidecar.  Curves
+    that share a basis and differ only in their initial state evolve as one
+    batch (see ``_compute``); each curve's CSV is byte-identical to running
+    it alone.  A batch's result sums ``substeps_total`` over its curves.
     """
     batch = not isinstance(scenarios, ScenarioConfig)
     scenarios = list(scenarios) if batch else [scenarios]
     if any(scenario.out is None for scenario in scenarios):
         raise ConfigError("an output path is required (--out)")
     t_start = time.perf_counter()
-    curves = []
+    curves, sidecars = [], []
     for scenario, (series, metadata) in zip(scenarios, _compute(scenarios)):
         t_csv = time.perf_counter()
-        paths, deviation = _write_outputs(scenario, series)
+        paths, series_paths = _write_outputs(scenario, series)
         metadata["integrator"]["csv_s"] = time.perf_counter() - t_csv
-        metadata.update(deviation=deviation, files=[str(p) for p in paths])
+        metadata["files"] = [str(p) for p in paths]
         curves.append(RunResult(series=series, paths=tuple(paths), metadata=metadata))
+        sidecars.append(series_paths)
 
     wall = time.perf_counter() - t_start
     substeps_total = sum(c.metadata["integrator"]["substeps_total"] for c in curves)
     environment = environment_fingerprint()
-    for curve in curves:
+    for curve, series_paths in zip(curves, sidecars):
         curve.metadata.update(wall_time_s=wall, environment=environment)
-        for p in curve.paths:
-            if not p.name.endswith(".compare.csv"):
-                _write_meta(p, curve.metadata)
+        for p in series_paths:
+            _write_meta(p, curve.metadata)
     if not batch:
         return curves[0]
     return RunResult(
@@ -616,8 +605,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     scenario = replace(_scenario_from_args(args), engine="both")
-    ((series, _),) = _compute([scenario])
-    report = _engine_deviation(series)[1]
+    ((series, metadata),) = _compute([scenario])
+    report = metadata["deviation"]
     worst = max(report.values())
     report.update(max_abs_dev=worst, tolerance=tolerance, within_tolerance=worst <= tolerance,
                   grid_points=len(series["numeric"].tau), tau_max=scenario.tau_max)

@@ -12,7 +12,6 @@ closed form (1 - cos(p tau)) / p.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -84,6 +83,8 @@ class SystemConfig:
                 )
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps!r}")
+        if self.n_steps > np.iinfo(np.intp).max:  # no array index holds it
+            raise ValueError(f"n_steps must be <= {np.iinfo(np.intp).max}, the largest index")
         if self.dt_internal is not None and not (
             math.isfinite(self.dt_internal) and self.dt_internal > 0.0
         ):
@@ -177,15 +178,6 @@ def initial_state(config: SystemConfig, dist: PhotonDistribution) -> CompositeSt
     return CompositeState(amps)
 
 
-@functools.lru_cache(maxsize=64)
-def _ladder_roots(n_ph: int) -> np.ndarray:
-    """sqrt(n + 1) for n = 0..n_ph-1, the ladder couplings of a basis cut at
-    n_ph; complex, so that the amplitudes multiply them without a cast."""
-    roots = np.sqrt(np.arange(1.0, n_ph + 1.0)).astype(complex)
-    roots.setflags(write=False)
-    return roots
-
-
 def ladder_expectation(a: np.ndarray) -> np.ndarray:
     """Expectation of the raising half A of the coupling operator V = A + A^dagger,
 
@@ -194,12 +186,14 @@ def ladder_expectation(a: np.ndarray) -> np.ndarray:
     2 Re<A> is <V>; under H' = lambda V + delta P2 (the rotating frame,
     P2 the level-2 projector) d<V>/dtau = i delta <[P2, V]> = -2 delta Im<A>.
     The complex amplitudes ``a``, shape (..., 3, n_ph + 1), give one value
-    per leading index, shape (...).
+    per leading index, shape (...).  The couplings sqrt(n + 1) are complex,
+    so that the amplitudes multiply them without a cast.
     """
     mid = a[..., 1, :].conj()
     terms = mid[..., 1:] * a[..., 0, :-1]
     terms += mid[..., :-1] * a[..., 2, 1:]
-    return np.add.reduce(terms * _ladder_roots(a.shape[-1] - 1), axis=-1)
+    roots = np.sqrt(np.arange(1.0, a.shape[-1])).astype(complex)
+    return np.add.reduce(terms * roots, axis=-1)
 
 
 def coupling_expectation(state: CompositeState) -> float:

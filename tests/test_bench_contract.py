@@ -37,6 +37,7 @@ sys.path.append(str(BENCH / "reference"))
 import child  # noqa: E402
 import make_reference  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 sys.path[:] = _saved_path  # make_reference puts bench/ and src/ first on import
 
@@ -59,6 +60,17 @@ def test_wrapped_names_exist():
     copies = {key: SimpleNamespace(**vars(module)) for key, module in modules.items()}
     spans.install(copies)
     assert set(spans.COUNTERS) <= {n for names in spans.WRAPPED.values() for n in names}
+
+
+# child.py builds every call's scenarios before it reports ready, and a
+# ScenarioConfig refuses, as it is built, a run over a ceiling it can decide
+@pytest.mark.parametrize("size", workloads.SIZES)
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_planned_call_builds(tmp_path: Path, workload, size):
+    for seed in range(1, 11):
+        for rep in workloads.plan(workload, seed, size)["reps"]:
+            for call in rep["calls"]:
+                assert callable(child.build_call(call, cli, tmp_path / call["name"]))
 
 
 def test_run_scenario_counter_single(tmp_path: Path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cascade_qed
-from cascade_qed import cli, evolve, initial_state, superposed_distribution
+from cascade_qed import NormDriftError, cli, evolve, initial_state, superposed_distribution
 from cascade_qed.cli import (
     ConfigError, ScenarioConfig, _format_column, environment_fingerprint, list_presets,
     main, run_scenario,
@@ -143,8 +143,10 @@ class TestRun:
         out = tmp_path / "b.csv"
         cp = run_cli("run", *QUICK, "--engine", "both", "--out", str(out))
         assert cp.returncode == 0, cp.stderr
-        assert (tmp_path / "b.numeric.csv").exists()
-        assert (tmp_path / "b.analytic.csv").exists()
+        # a sidecar per series CSV, none for the deviation table
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "b.analytic.csv", "b.analytic.csv.meta.json", "b.compare.csv",
+            "b.numeric.csv", "b.numeric.csv.meta.json"]
         cmp_lines = (tmp_path / "b.compare.csv").read_text().splitlines()
         assert cmp_lines[0] == "tau,dev_x,dev_y"
         # at alpha = 1.5 the closed form visibly omits the middle-level
@@ -156,6 +158,26 @@ class TestRun:
         edge_bound = math.sin(0.6) ** 2 * math.exp(-1.5**2)
         assert 1e-4 < dev_x <= edge_bound * 1.01
         assert dev_y < 1e-10
+
+    # the sidecar follows the files written, not their names
+    def test_compare_named_out_gets_sidecar(self, tmp_path: Path, capsys):
+        out = tmp_path / "run.compare.csv"
+        assert main(["run", "--steps", "5", "--tau-max", "0.1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "run.compare.csv.meta.json").read_text())
+        assert meta["files"] == [str(out)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.compare.csv", "run.compare.csv.meta.json"]
+
+    def test_norm_drift_exits_3(self, tmp_path: Path, monkeypatch, capsys):
+        def drift(*args, **kwargs):
+            raise NormDriftError("norm drift 0.1 at tau = 1.5")
+
+        monkeypatch.setattr(cli, "evolve", drift)
+        assert main(["run", *QUICK, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: norm drift 0.1 at tau = 1.5\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_emit_unwrapped_appends_columns(self, tmp_path: Path):
         out = tmp_path / "u.csv"
@@ -183,9 +205,19 @@ class TestRun:
         assert "Traceback" not in cp.stderr
         assert list(tmp_path.iterdir()) == []
 
-    def test_invalid_alpha_is_config_error(self, tmp_path: Path):
-        cp = run_cli("run", "--alpha", "-3", "--out", str(tmp_path / "x.csv"))
+    # a range fault is reported first: alpha = -200 is also over the photon
+    # ceiling's alpha^2, and a non-finite theta is caught as the scenario is built
+    @pytest.mark.parametrize("args, message", [
+        (("--alpha", "-3"), "alpha must be finite and >= 0, got -3.0"),
+        (("--alpha", "-200"), "alpha must be finite and >= 0, got -200.0"),
+        (("--theta", "nan"), "theta must be finite, got nan"),
+        (("--theta", "inf"), "theta must be finite, got inf"),
+    ], ids=["alpha-3", "alpha-200", "theta-nan", "theta-inf"])
+    def test_out_of_range_value_is_config_error(self, tmp_path: Path, args, message):
+        cp = run_cli("run", *args, "--out", str(tmp_path / "x.csv"))
         assert cp.returncode == 2
+        assert cp.stderr == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_r_is_config_error(self, tmp_path: Path):
         # (1 + r)^2 in the normalizer overflows a double
@@ -467,17 +499,23 @@ class TestConfigFile:
             assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+    # a file that cannot be read, and JSON that holds no object of keys
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable", "array",
+                                      "number"])
     def test_unreadable_config_file_rejected(self, tmp_path: Path, kind):
         cfg_path = tmp_path / "cfg.json"
+        message = f"error: cannot read config file {cfg_path}: "
         if kind == "directory":
             cfg_path.mkdir()
         elif kind == "undecodable":
             cfg_path.write_bytes(b"\xff{}")  # not UTF-8
+        elif kind != "missing":
+            cfg_path.write_text('[{"alpha": 2}]' if kind == "array" else "2.5")
+            message = "error: config file must hold a JSON object of flat keys\n"
         cp = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
         assert cp.returncode == 2
-        assert cp.stderr.startswith(f"error: cannot read config file {cfg_path}: ")
-        assert "Traceback" not in cp.stderr
+        assert cp.stderr.startswith(message)
+        assert len(cp.stderr.splitlines()) == 1
         assert not (tmp_path / "x.csv").exists()
 
 

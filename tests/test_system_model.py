@@ -176,6 +176,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_config(**kwargs)
 
+    # no array index holds such a grid: 10^400 overflowed a float in
+    # substeps, and 2^63 made taus() raise IndexError
+    @pytest.mark.parametrize("n_steps", [10**400, 2**63], ids=["1e400", "2^63"])
+    def test_unindexable_n_steps_rejected(self, n_steps):
+        with pytest.raises(ValueError, match=r"^n_steps must be <= \d+, the largest index$"):
+            make_config(n_steps=n_steps)
+        edge = int(np.iinfo(np.intp).max)
+        assert make_config(n_steps=edge).n_steps == edge
+
     def test_p_ignored_when_neglected(self):
         cfg = make_config(p=0, motion=Motion.NEGLECTED)
         assert mode_shape(2.0, cfg) == 1.0
