@@ -18,6 +18,15 @@ alpha ~ 1, where the numerical route is the reference.
 Both x sums share the frequencies, so x is the constant sum of
 c_n^2 cos^2(theta) (n+2)/(2n+3) plus one cosine sum with the folded weight
 c_n^2 cos^2(theta) (n+1)/(2n+3) + c_{n+1}^2 sin^2(theta) per rung.
+
+Each sum is Re or Im of S(A) = sum_n w_n exp(i A w_n) over the kept rungs,
+whose frequencies span a narrow band (about 11 wide at alpha = 40).  So
+where the grid holds many more points than the band needs nodes (a moving
+atom's areas span at most 2 / p), S is summed at a few Chebyshev points in
+A only and carried to the grid by barycentric interpolation; elsewhere
+each rung is summed at each point (``_ladder_sums``).  References:
+Trefethen, Approximation Theory and Approximation Practice (SIAM 2013),
+chs. 3, 5 and 8; Berrut & Trefethen, SIAM Rev. 46 (2004) 501.
 """
 
 from __future__ import annotations
@@ -35,7 +44,13 @@ __all__ = [
 ]
 
 _TERM_SKIP = 1e-18  # weights below this (relative to unit norm) are dropped
-_BLOCK = 1 << 15  # phases per block of rows: 256 KB, which stays in cache
+_BLOCK = 1 << 13  # terms per block: 64 KB of doubles, with its temporaries in cache
+# the interpolated sums' cost in direct terms (a trig call, product and sum per
+# kept rung and area: 17-35 ns on an AVX-512 Xeon, numpy 2.4): per node and rung
+# of the node sums, and per area, node and (rows + 1) of the barycentric
+# formula, the upper ends of what was timed there
+_NODE_COST = 4.0
+_BARYCENTRIC_COST = 0.35
 
 
 def _require_resonance(config: SystemConfig) -> None:
@@ -46,7 +61,14 @@ def _require_resonance(config: SystemConfig) -> None:
         )
 
 
-def _ladder_sum(area: np.ndarray, omega: np.ndarray, weights: np.ndarray, trig):
+def _chebyshev_degree(c):
+    """Degree at which the Chebyshev coefficients of exp(i c t) on [-1, 1],
+    2 i^k J_k(c), are all below 1e-17 (checked for 0 <= c <= 1e4); a float,
+    ``inf`` for an infinite c."""
+    return np.ceil(c + 12.0 * np.cbrt(c) + 16.0)
+
+
+def _trig_sum(area: np.ndarray, omega: np.ndarray, weights: np.ndarray, trig) -> np.ndarray:
     """sum_n weights[n] trig(area omega[n]) per area, over the nonzero weights.
 
     The phases are formed a block of rows at a time, and each row is reduced
@@ -65,18 +87,95 @@ def _ladder_sum(area: np.ndarray, omega: np.ndarray, weights: np.ndarray, trig):
     return out
 
 
+def _phase_sums(points: np.ndarray, omega: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Re and Im of sum_n weights[r, n] exp(i points omega[n]) for each row r
+    of ``weights``: a real (2 rows, points) array, Re of row r in row 2r.
+    One cos and one sin serve every row; each sum is reduced pairwise along
+    the ladder axis."""
+    out = np.empty((2 * len(weights), points.size))
+    rows = max(1, _BLOCK // omega.size)
+    for lo in range(0, points.size, rows):
+        phase = np.multiply.outer(points[lo : lo + rows], omega)
+        trig = np.cos(phase), np.sin(phase, out=phase)
+        for k in range(out.shape[0]):
+            out[k, lo : lo + rows] = np.add.reduce(trig[k % 2] * weights[k // 2], axis=1)
+    return out
+
+
+def _barycentric(points: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The interpolants of the rows of ``values`` at Chebyshev-Lobatto
+    ``nodes``, at ``points``: the second barycentric formula, a block of
+    points at a time.  A point on a node (or so near one that 1 / (point -
+    node) overflows), where the formula reads nan, takes the node's value."""
+    weights = np.ones(nodes.size)
+    weights[1::2] = -1.0
+    weights[[0, -1]] *= 0.5
+    out = np.empty((len(values), points.size))
+    rows = max(1, _BLOCK // nodes.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, points.size, rows):
+            q = np.subtract.outer(points[lo : lo + rows], nodes)
+            np.divide(weights, q, out=q)
+            total = np.add.reduce(q, axis=1)
+            for k, value in enumerate(values):
+                out[k, lo : lo + rows] = np.add.reduce(q * value, axis=1) / total
+    hit = np.nonzero(np.isnan(out[0]))[0]
+    node = np.argmin(np.abs(np.subtract.outer(points[hit], nodes)), axis=1)
+    out[:, hit] = values[:, node]
+    return out
+
+
+def _ladder_sums(area: np.ndarray, omega: np.ndarray, wx: np.ndarray, wy: np.ndarray):
+    """sum_n wx[n] cos(A omega[n]) and sum_n wy[n] sin(A omega[n]) per area A,
+    over the nonzero weights; the sine sum is exactly 0 where no wy is kept.
+
+    Both are parts of complex sums S(A) = sum_n w_n exp(i A omega[n]) =
+    exp(i w_c A) B(A), with w_c the power of two nearest the band's midpoint
+    (so w_c A is exact) and B narrowband.  B is summed at the n + 1
+    Chebyshev-Lobatto nodes of the area range, n the degree for
+    c = max|omega - w_c| (A_max - A_min) / 2, and carried to the areas by
+    barycentric interpolation; as sum_n |w_n| <= 1, the error is a few 1e-17.
+    Where that would cost more than one trig call per kept rung and area
+    (many nodes against few areas), or where the area range is too narrow
+    for distinct nodes, the sums are taken directly.
+    """
+    kept = np.nonzero((wx != 0.0) | (wy != 0.0))[0]
+    rows = [wx[kept], wy[kept]] if wy.any() else [wx[kept]]
+    direct_terms = area.size * (np.count_nonzero(wx) + np.count_nonzero(wy))
+    if kept.size and area.size:
+        mantissa, exponent = math.frexp(0.5 * (omega[kept[0]] + omega[kept[-1]]))
+        centre = math.ldexp(1.0, exponent if mantissa > 0.75 else exponent - 1)
+        offset = omega[kept] - centre
+        a_lo, a_hi = float(area.min()), float(area.max())
+        n = float(_chebyshev_degree(float(np.max(np.abs(offset))) * 0.5 * (a_hi - a_lo)))
+        cost = (n + 1.0) * (
+            _NODE_COST * kept.size + _BARYCENTRIC_COST * (1 + len(rows)) * area.size
+        )
+        # the nodes' smallest spacing, about 2.5 (A_max - A_min) / n^2, spans many ulps
+        resolved = a_hi - a_lo > n * n * 2.0**-40 * max(abs(a_lo), abs(a_hi))
+        if resolved and cost < direct_terms:
+            n = int(n)
+            t = np.sin(0.5 * math.pi * np.arange(n, -n - 1, -2) / n)  # cos(pi j / n)
+            nodes = 0.5 * (a_lo + a_hi) + 0.5 * (a_hi - a_lo) * t
+            band = _barycentric(area, nodes, _phase_sums(nodes, offset, rows))
+            cos, sin = np.cos(centre * area), np.sin(centre * area)
+            x = cos * band[0] - sin * band[1]
+            if len(rows) == 1:
+                return x, np.zeros(area.shape)
+            return x, sin * band[2] + cos * band[3]
+    return _trig_sum(area, omega, wx, np.cos), _trig_sum(area, omega, wy, np.sin)
+
+
 def overlap_series(
     taus, config: SystemConfig, dist: PhotonDistribution
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate x(tau), y(tau) on a 1-D grid of scaled times.
 
-    Weights below ``_TERM_SKIP`` are dropped, and the phases are formed for
-    the kept rungs only: one cosine pass for the folded x weights, one sine
-    pass for the rungs with a nonzero y weight, so theta = 0 and cat states
-    give exact zeros.  Each sum is reduced with ``np.add.reduce`` along the
-    ladder axis: numpy's pairwise summation, with an O(log n eps) error
-    bound, in a fixed order on one thread and with no BLAS call, so the
-    bytes do not depend on the thread count.
+    Weights below ``_TERM_SKIP`` are dropped.  x adds the cosine sum of the
+    folded weights to the constant sum, y is the sine sum of the cross
+    weights: exactly 0 when none is kept (theta = 0, cat states).  Every
+    reduction is ``np.add.reduce`` in a fixed order on one thread, with no
+    BLAS call, so the bytes do not depend on the thread count.
     """
     _require_resonance(config)
     area = pulse_area(taus, config)
@@ -92,13 +191,13 @@ def overlap_series(
     w2 = np.append(c[1:] * c[1:] * (sin_t * sin_t), 0.0)
     w2[w2 < _TERM_SKIP] = 0.0
     x0 = np.add.reduce(w1 * (ns + 2.0) / (2.0 * ns + 3.0))
-    x = x0 + _ladder_sum(area, omega, w1 * (ns + 1.0) / (2.0 * ns + 3.0) + w2, np.cos)
 
-    # upper/middle cross terms
-    wy = c[:-1] * c[1:] * math.sin(2.0 * config.theta)
-    wy *= np.sqrt((ns[:-1] + 1.0) / (2.0 * ns[:-1] + 3.0))
+    # upper/middle cross terms, up to the second-to-last rung
+    wy = np.append(c[:-1] * c[1:] * math.sin(2.0 * config.theta), 0.0)
+    wy *= np.sqrt((ns + 1.0) / (2.0 * ns + 3.0))
     wy[np.abs(wy) < _TERM_SKIP] = 0.0
-    return x, _ladder_sum(area, omega[:-1], wy, np.sin)
+    x, y = _ladder_sums(area, omega, w1 * (ns + 1.0) / (2.0 * ns + 3.0) + w2, wy)
+    return x0 + x, y
 
 
 def dynamical_phase_resonant(tau, config: SystemConfig, dist: PhotonDistribution):

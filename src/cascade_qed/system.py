@@ -79,7 +79,7 @@ class SystemConfig:
             if not math.isfinite(phase_span):
                 raise ValueError(
                     f"p * tau_max must be a finite double for a moving atom, got "
-                    f"tau_max = {self.tau_max!r} and a p of {len(str(self.p))} digits"
+                    f"tau_max = {self.tau_max!r} and a p of {int(self.p).bit_length()} bits"
                 )
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps!r}")

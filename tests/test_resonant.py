@@ -1,10 +1,12 @@
 """Closed-form resonant overlap series against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
 from cascade_qed import (
     FieldSpec,
@@ -18,6 +20,7 @@ from cascade_qed import (
     pulse_area,
     superposed_distribution,
 )
+from cascade_qed import resonant
 from cascade_qed.phases import _phase_columns
 
 # 1 - x(0) at alpha=5, theta=pi/4, r=0: the dropped middle-level vacuum term
@@ -130,6 +133,44 @@ class TestOverlapAgainstBruteForce:
         assert val.imag == pytest.approx(y_raw, abs=1e-10)
 
 
+def fsum_of_kept_terms(config, dist, tau):
+    """x and y at one tau as exactly rounded sums of the kept ladder terms."""
+    c = [float(v) for v in dist.weights]
+    theta = config.theta
+    cos2, sin2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    area = float(pulse_area(tau, config))
+    xs, ys = [], []
+    for n in range(dist.n_max + 1):
+        w_n = math.sqrt(2.0 * n + 3.0)
+        w1 = c[n] * c[n] * cos2
+        if w1 >= 1e-18:
+            xs.append(w1 * (n + 2.0 + (n + 1.0) * math.cos(area * w_n)) / (2 * n + 3))
+        if n == dist.n_max:
+            continue
+        w2 = c[n + 1] * c[n + 1] * sin2
+        if w2 >= 1e-18:
+            xs.append(w2 * math.cos(area * w_n))
+        wy = c[n] * c[n + 1] * math.sin(2.0 * theta) * math.sqrt((n + 1.0) / (2 * n + 3))
+        if abs(wy) >= 1e-18:
+            ys.append(wy * math.sin(area * w_n))
+    return math.fsum(xs), math.fsum(ys)
+
+
+def interpolated_series(monkeypatch, taus, config, dist):
+    """``overlap_series`` on taus, asserting that it took the interpolated path."""
+    calls = []
+    barycentric = resonant._barycentric
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return barycentric(*args)
+
+    monkeypatch.setattr(resonant, "_barycentric", counted)
+    x, y = overlap_series(taus, config, dist)
+    assert calls and max(calls) < taus.size  # fewer nodes than grid points
+    return x, y
+
+
 class TestPairwiseSums:
     """The whole-array sums against exactly rounded sums of the same terms."""
 
@@ -143,28 +184,114 @@ class TestPairwiseSums:
         assert dist.n_max > 1800
         taus = np.linspace(0.0, 2.0 * math.pi / p, 23)
         x, y = overlap_series(taus, config, dist)
-        c = [float(v) for v in dist.weights]
-        cos2, sin2 = math.cos(theta) ** 2, math.sin(theta) ** 2
         for k, tau in enumerate(taus):
-            area = float(pulse_area(tau, config))
-            xs, ys = [], []
-            for n in range(dist.n_max + 1):
-                w_n = math.sqrt(2.0 * n + 3.0)
-                w1 = c[n] * c[n] * cos2
-                if w1 >= 1e-18:
-                    xs.append(w1 * (n + 2.0 + (n + 1.0) * math.cos(area * w_n)) / (2 * n + 3))
-                if n == dist.n_max:
-                    continue
-                w2 = c[n + 1] * c[n + 1] * sin2
-                if w2 >= 1e-18:
-                    xs.append(w2 * math.cos(area * w_n))
-                wy = c[n] * c[n + 1] * math.sin(2.0 * theta) * math.sqrt((n + 1.0) / (2 * n + 3))
-                if abs(wy) >= 1e-18:
-                    ys.append(wy * math.sin(area * w_n))
-            assert abs(x[k] - math.fsum(xs)) <= 1e-14
-            assert abs(y[k] - math.fsum(ys)) <= 1e-14
+            x_ref, y_ref = fsum_of_kept_terms(config, dist, tau)
+            assert abs(x[k] - x_ref) <= 1e-14
+            assert abs(y[k] - y_ref) <= 1e-14
         if r != 0.0:
             assert np.all(y == 0.0)  # cat states: no cross terms at all
+
+
+class TestInterpolatedSums:
+    """The Chebyshev-interpolated sums where they run (many more points than
+    nodes), and the direct sums where they do not, against exactly rounded
+    sums of the kept terms."""
+
+    @pytest.mark.parametrize(
+        "alpha,r,p,motion",
+        [
+            (40.0, 0.0, 1, Motion.MOVING),
+            (40.0, 1.0, 1, Motion.MOVING),
+            (40.0, -1.0, 1, Motion.MOVING),
+            (40.0, 0.0, 2, Motion.MOVING),
+            (40.0, 1.0, 2, Motion.MOVING),
+            (40.0, -1.0, 2, Motion.MOVING),
+            (40.0, 0.0, 1, Motion.NEGLECTED),
+            # the band's midpoint sits just under 1.5 * 32, so the bulk of the
+            # weight lies about 16 from the power-of-two centre, near the
+            # largest offset: the curve that needs the degree's margin
+            (33.5, 0.0, 1, Motion.MOVING),
+        ],
+        ids=["r0-p1", "r1-p1", "r-1-p1", "r0-p2", "r1-p2", "r-1-p2", "neglected",
+             "alpha33.5"],
+    )
+    def test_matches_fsum_of_kept_terms(self, monkeypatch, alpha, r, p, motion):
+        config = SystemConfig(
+            field=FieldSpec(alpha=alpha, r=r), theta=0.6, p=p, motion=motion,
+            tau_max=8.0 * math.pi, n_steps=2000,
+        )
+        dist = superposed_distribution(config.field)
+        taus = config.taus()
+        x, y = interpolated_series(monkeypatch, taus, config, dist)
+        rows = np.random.default_rng(15).choice(taus.size, 25, replace=False)
+        for k in [0, taus.size - 1, *rows]:
+            x_ref, y_ref = fsum_of_kept_terms(config, dist, taus[k])
+            assert abs(x[k] - x_ref) <= 1e-14
+            assert abs(y[k] - y_ref) <= 1e-14
+        if r != 0.0:
+            assert np.all(y == 0.0)  # cat states: no cross terms at all
+
+    def test_theta_zero_y_identically_zero(self, monkeypatch):
+        config = make_config(40.0, 0.0, 0.0)
+        dist = superposed_distribution(config.field)
+        _, y = interpolated_series(monkeypatch, config.taus(), config, dist)
+        assert np.all(y == 0.0)
+
+    def test_point_next_to_a_node(self, monkeypatch):
+        # 1 / (1e-320 - 0) overflows; the point takes the node's value
+        config = make_config(40.0, 0.0, 0.6, motion=Motion.NEGLECTED)
+        dist = superposed_distribution(config.field)
+        taus = np.concatenate([[1e-320], np.linspace(0.0, 3.0, 500)])
+        x, y = interpolated_series(monkeypatch, taus, config, dist)
+        for k in (0, 1, 2):
+            x_ref, y_ref = fsum_of_kept_terms(config, dist, taus[k])
+            assert abs(x[k] - x_ref) <= 1e-14
+            assert abs(y[k] - y_ref) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "taus,motion",
+        [
+            (np.zeros(20), Motion.MOVING),  # one area: every node would coincide
+            (np.full(30, 1.0), Motion.NEGLECTED),
+            (1.0 + np.arange(40) * 2.0**-52, Motion.NEGLECTED),  # 39 ulps wide
+            # 1,515 nodes against 2,000 points: more work than the direct sums
+            (np.linspace(0.0, 64.0 * math.pi, 2000), Motion.NEGLECTED),
+        ],
+        ids=["constant-moving", "constant-neglected", "ulps", "long-neglected"],
+    )
+    def test_direct_sums(self, monkeypatch, taus, motion):
+        config = make_config(40.0, 0.0, 0.6, motion=motion)
+        dist = superposed_distribution(config.field)
+        monkeypatch.setattr(resonant, "_barycentric", None)  # must not be called
+        x, y = overlap_series(taus, config, dist)
+        for k in [0, taus.size - 1, *range(1, taus.size, 97)]:
+            x_ref, y_ref = fsum_of_kept_terms(config, dist, taus[k])
+            assert abs(x[k] - x_ref) <= 1e-14
+            assert abs(y[k] - y_ref) <= 1e-14
+
+    def test_node_count_bound(self):
+        # the interpolation error is bounded by the Chebyshev coefficients
+        # past the degree, 2 |J_k(c)|; J_k(c) falls monotonically in k > c
+        cs = np.concatenate([np.linspace(0.0, 10.0, 1001), np.linspace(10.0, 1e4, 4001)])
+        for c in cs:
+            n = int(resonant._chebyshev_degree(c))
+            assert n > c
+            assert np.max(np.abs(jv(np.arange(n, n + 40), c))) < 1e-17
+
+    def test_working_set(self):
+        # blocked node sums and barycentric reduction: at most the 0.75 MB
+        # the one-trig-call-per-rung sums peaked at
+        config = make_config(40.0, 0.0, 0.6)
+        dist = superposed_distribution(config.field)
+        taus = config.taus()
+        overlap_series(taus, config, dist)
+        tracemalloc.start()
+        try:
+            overlap_series(taus, config, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75e6
 
 
 class TestOverlapSpecialValues:

@@ -17,6 +17,7 @@ from cascade_qed import (
     pulse_area,
     superposed_distribution,
 )
+from cascade_qed.cli import ConfigError, ScenarioConfig
 
 
 def populations(state):
@@ -184,6 +185,17 @@ class TestValidation:
             make_config(n_steps=n_steps)
         edge = int(np.iinfo(np.intp).max)
         assert make_config(n_steps=edge).n_steps == edge
+
+    # a p of over 4,300 digits: converting it to a string for the message
+    # raised Python's own integer-to-string ValueError in its place
+    @pytest.mark.parametrize("p", [10**400, 10**5000], ids=["1e400", "1e5000"])
+    def test_huge_moving_atom_p_message(self, p):
+        message = (r"^p \* tau_max must be a finite double for a moving atom, got "
+                   rf"tau_max = 0\.1 and a p of {p.bit_length()} bits$")
+        with pytest.raises(ValueError, match=message):
+            make_config(p=p, tau_max=0.1)
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(p=p, tau_max=0.1)
 
     def test_p_ignored_when_neglected(self):
         cfg = make_config(p=0, motion=Motion.NEGLECTED)
