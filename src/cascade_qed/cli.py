@@ -80,7 +80,7 @@ _SCENARIO_SCHEMA = {
     "theta": (numbers.Real, _RUN_COMPARE, "atomic superposition angle (rad)"),
     "r": (numbers.Real, _RUN_COMPARE, "superposition constant (0, +1, -1, ...)"),
     "p": (numbers.Integral, _RUN_COMPARE, "half-wavelength count of the mode"),
-    "motion": (("moving", "neglected"), _RUN_COMPARE, "atomic motion model"),
+    "motion": (tuple(m.value for m in Motion), _RUN_COMPARE, "atomic motion model"),
     "tau_max": (numbers.Real, _RUN_COMPARE, "end of the scaled-time grid"),
     "steps": (numbers.Integral, _RUN_COMPARE, "output grid size"),
     "dt": (numbers.Real, _RUN_COMPARE, "integrator substep (scaled time)"),

@@ -6,6 +6,8 @@ and for the one-parameter family of superpositions |alpha> + r|-alpha>
 where the photon-number tail mass falls below the fixed ``EPSILON_TAIL``.
 One scan over a doubling window finds that cutoff, and an alpha whose first
 window is over ``_MAX_SCAN_WINDOW`` states is refused before it allocates.
+``coherent_coefficients`` carries the rounding of its mode amplitude as a
+factor common to every amplitude; each output is a ratio that cancels it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ __all__ = [
     "superposed_distribution",
 ]
 
-# exp(-x) underflows past x ~ 745; switch to log-space evaluation well before
-_RECURRENCE_EXPONENT_LIMIT = 700.0
-_LOG_FLOOR = -745.0
 # photon-number probability mass allowed beyond the truncated basis
 EPSILON_TAIL = 1e-12
 _MAX_SCAN_WINDOW = 1_000_000
@@ -65,8 +64,9 @@ class PhotonDistribution:
     """Normalized photon-number amplitudes c_n for n = 0..n_max.
 
     ``weights`` is a real array with unit Euclidean norm; ``norm_constant``
-    is the superposition normalizer B; ``dropped_tail`` records the
-    probability mass removed by truncation (before renormalization).
+    is the superposition normalizer B; ``dropped_tail`` is the scanned mass
+    above ``n_max`` over the whole scanned mass.  Both normalize away the
+    common rounding factor of ``coherent_coefficients``.
     """
 
     n_max: int
@@ -87,9 +87,12 @@ class PhotonDistribution:
 def coherent_coefficients(alpha: float, n_max: int) -> np.ndarray:
     """Coherent-state amplitudes q_n = exp(-alpha^2/2) alpha^n / sqrt(n!).
 
-    Evaluated by the stable recurrence q_{n+1} = q_n * alpha / sqrt(n+1)
-    (n! overflows a double at n = 171), falling back to log-space when
-    exp(-alpha^2/2) itself would underflow.
+    q_m at the mode m = min(n_max, floor(alpha^2)) is taken from log space
+    (an exact sum of log(alpha / sqrt(n)) over n <= m, less alpha^2 / 2);
+    the rest is built outward by running products of alpha / sqrt(n) above
+    m and sqrt(n) / alpha below it.  No product grows, so nothing overflows
+    and the tails underflow to 0.  q_m's rounding is a factor common to
+    every q_n, which every program output normalizes away.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -99,19 +102,14 @@ def coherent_coefficients(alpha: float, n_max: int) -> np.ndarray:
         q = np.zeros(n_max + 1)
         q[0] = 1.0
         return q
-    half_nbar = 0.5 * alpha * alpha
-    if half_nbar < _RECURRENCE_EXPONENT_LIMIT:
-        q = np.empty(n_max + 1)
-        q[0] = math.exp(-half_nbar)
-        for n in range(n_max):
-            q[n + 1] = q[n] * alpha / math.sqrt(n + 1.0)
-        return q
-    # log q_n = -alpha^2/2 + n ln(alpha) - ln(n!)/2
-    ns = np.arange(n_max + 1, dtype=float)
-    log_q = -half_nbar + ns * math.log(alpha) - 0.5 * np.array(
-        [math.lgamma(n + 1.0) for n in range(n_max + 1)]
-    )
-    return np.where(log_q > _LOG_FLOOR, np.exp(np.maximum(log_q, _LOG_FLOOR)), 0.0)
+    m = int(min(alpha * alpha, n_max))
+    roots = np.sqrt(np.arange(1.0, n_max + 1.0))  # sqrt(n) for n = 1..n_max
+    rises = alpha / roots  # q_n / q_{n-1}
+    q = np.empty(n_max + 1)
+    q[m] = math.exp(math.fsum(np.log(rises[:m])) - 0.5 * alpha * alpha)
+    q[m + 1 :] = q[m] * np.cumprod(rises[m:])
+    q[:m] = q[m] * np.cumprod(roots[:m][::-1] / alpha)[::-1]
+    return q
 
 
 def normalization_constant(alpha: float, r: float) -> float:
@@ -179,5 +177,5 @@ def superposed_distribution(spec: FieldSpec) -> PhotonDistribution:
         n_max=n_max,
         weights=weights,
         norm_constant=B,
-        dropped_tail=max(0.0, 1.0 - kept),
+        dropped_tail=float(tail[n_max + 1] / tail[0]),
     )

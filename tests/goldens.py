@@ -6,7 +6,7 @@ every column must agree within the curve's ``VALUE_TOLERANCE``.  The sha256 pins
 ``golden/preset_hashes.json`` are exact, but CSV bytes depend on the numpy
 version and on the SIMD targets numpy dispatches to, so a pin is asserted
 only where the running environment's fingerprint equals the stored one.
-``golden/make_goldens.py`` regenerates both.
+``golden/make_goldens.py`` regenerates both, and ``golden/run_small.csv``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,12 @@ PINNED_PRESETS = {
     "fig5a": ("fig5a.csv",),
     "fig4b": ("fig4b_r0.csv", "fig4b_r1.csv"),
 }
+
+# A small numerically evolved run, pinned byte for byte as
+# ``golden/run_small.csv``: ``cascade-qed <RUN_SMALL_ARGV> --out <path>``.
+RUN_SMALL_PATH = GOLDEN_DIR / "run_small.csv"
+RUN_SMALL_ARGV = ("run", "--alpha", "2", "--theta", "0.6", "--r", "1", "--p", "2",
+                  "--tau-max", "3.0", "--steps", "12", "--dt", "0.01", "--engine", "numeric")
 
 # Absolute tolerance per column, for each pinned curve: above what rounding
 # moves, below what a changed integrator step moves.  Rounding alone moves

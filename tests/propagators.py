@@ -48,13 +48,21 @@ def cf4_lane_matrices(lam, n_ph: int, delta: float, h: float) -> np.ndarray:
 
 def truncated_at(spec: FieldSpec, n_max: int) -> PhotonDistribution:
     """``superposed_distribution(spec)`` cut at ``n_max`` instead of at its
-    tail bound: q_n (1 + r(-1)^n) / sqrt(B) for n = 0..n_max, renormalized."""
+    tail bound: q_n (1 + r(-1)^n) / sqrt(B) for n = 0..n_max, renormalized.
+    ``dropped_tail`` is the mass above ``n_max`` over the whole mass, both
+    summed top down over a window of 4 n_max + 200 states, whose top
+    weights must have underflowed."""
     B = normalization_constant(spec.alpha, spec.r)
-    parity = np.where(np.arange(n_max + 1) % 2 == 0, 1.0 + spec.r, 1.0 - spec.r)
-    raw = coherent_coefficients(spec.alpha, n_max) * parity / math.sqrt(B)
+    width = 4 * n_max + 200
+    parity = np.where(np.arange(width + 1) % 2 == 0, 1.0 + spec.r, 1.0 - spec.r)
+    raw = coherent_coefficients(spec.alpha, width) * parity
+    w = raw * raw / B
+    assert not np.any(w[-4:]), "the window does not hold the whole tail"
+    tail = np.cumsum(w[::-1])[::-1]
+    raw = raw[: n_max + 1] / math.sqrt(B)
     kept = float(np.add.reduce(raw * raw))
     return PhotonDistribution(n_max=n_max, weights=raw / math.sqrt(kept), norm_constant=B,
-                              dropped_tail=max(0.0, 1.0 - kept))
+                              dropped_tail=float(tail[n_max + 1] / tail[0]))
 
 
 def observables_from_states(states: np.ndarray):

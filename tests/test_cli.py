@@ -18,6 +18,7 @@ from cascade_qed.cli import (
     ConfigError, ScenarioConfig, _format_column, environment_fingerprint, list_presets,
     main, run_scenario,
 )
+from goldens import RUN_SMALL_ARGV, RUN_SMALL_PATH
 from propagators import observables_from_states
 
 EXPECTED_HEADER = (
@@ -49,6 +50,19 @@ def run_cli(*args, env_extra=None, cwd=None):
     return run_python("-m", "cascade_qed", *args, env_extra=env_extra, cwd=cwd)
 
 
+def run_main(capsys, *args):
+    """Run ``main(args)`` in this process, with its exit code and captured
+    output in the fields ``run_cli`` returns; argparse's exits arrive as
+    ``SystemExit``."""
+    capsys.readouterr()
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
 def test_help():
     cp = run_cli("--help")
     assert cp.returncode == 0, cp.stderr
@@ -56,8 +70,8 @@ def test_help():
         assert sub in cp.stdout
 
 
-def test_list_presets_frozen_parameters():
-    cp = run_cli("list-presets")
+def test_list_presets_frozen_parameters(capsys):
+    cp = run_main(capsys, "list-presets")
     assert cp.returncode == 0, cp.stderr
     lines = cp.stdout.strip().splitlines()
     names = {ln.split()[0] for ln in lines}
@@ -78,9 +92,9 @@ def test_list_presets_frozen_parameters():
 
 
 class TestRun:
-    def test_numeric_run_schema(self, tmp_path: Path):
+    def test_numeric_run_schema(self, tmp_path: Path, capsys):
         out = tmp_path / "run.csv"
-        cp = run_cli("run", *QUICK, "--engine", "numeric", "--out", str(out))
+        cp = run_main(capsys, "run", *QUICK, "--engine", "numeric", "--out", str(out))
         assert cp.returncode == 0, cp.stderr
         lines = out.read_text().splitlines()
         assert lines[0] == EXPECTED_HEADER
@@ -121,16 +135,16 @@ class TestRun:
         integrator = json.loads((tmp_path / "d.csv.meta.json").read_text())["integrator"]
         assert (integrator["substeps_total"], integrator["dt_internal"]) == (10000, 0.0005)
 
-    def test_seventeen_digit_roundtrip(self, tmp_path: Path):
+    def test_seventeen_digit_roundtrip(self, tmp_path: Path, capsys):
         out = tmp_path / "run.csv"
-        run_cli("run", *QUICK, "--engine", "numeric", "--out", str(out))
+        run_main(capsys, "run", *QUICK, "--engine", "numeric", "--out", str(out))
         row = out.read_text().splitlines()[7].split(",")
         x = float(row[1])
         assert format(x, ".17g") == row[1]
 
-    def test_analytic_run_empty_population_fields(self, tmp_path: Path):
+    def test_analytic_run_empty_population_fields(self, tmp_path: Path, capsys):
         out = tmp_path / "ana.csv"
-        cp = run_cli("run", *QUICK, "--engine", "analytic", "--out", str(out))
+        cp = run_main(capsys, "run", *QUICK, "--engine", "analytic", "--out", str(out))
         assert cp.returncode == 0, cp.stderr
         row = out.read_text().splitlines()[3].split(",")
         assert row[7] == "" and row[8] == "" and row[9] == "" and row[10] == ""
@@ -139,9 +153,9 @@ class TestRun:
         assert meta["integrator"]["dt_internal"] is None  # no numeric route
         assert meta["truncation"]["max_top_rung_population"] is None
 
-    def test_both_engine_writes_three_files(self, tmp_path: Path):
+    def test_both_engine_writes_three_files(self, tmp_path: Path, capsys):
         out = tmp_path / "b.csv"
-        cp = run_cli("run", *QUICK, "--engine", "both", "--out", str(out))
+        cp = run_main(capsys, "run", *QUICK, "--engine", "both", "--out", str(out))
         assert cp.returncode == 0, cp.stderr
         # a sidecar per series CSV, none for the deviation table
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -179,18 +193,18 @@ class TestRun:
         assert err == "numerical failure: norm drift 0.1 at tau = 1.5\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_emit_unwrapped_appends_columns(self, tmp_path: Path):
+    def test_emit_unwrapped_appends_columns(self, tmp_path: Path, capsys):
         out = tmp_path / "u.csv"
-        cp = run_cli("run", *QUICK, "--engine", "numeric", "--out", str(out),
-                     "--emit-unwrapped")
+        cp = run_main(capsys, "run", *QUICK, "--engine", "numeric", "--out", str(out),
+                      "--emit-unwrapped")
         assert cp.returncode == 0, cp.stderr
         header = out.read_text().splitlines()[0]
         assert header == (
             EXPECTED_HEADER + ",phi_pancharatnam_unwrapped,phi_geometric_unwrapped"
         )
 
-    def test_missing_out_is_config_error(self):
-        cp = run_cli("run", *QUICK, "--engine", "numeric")
+    def test_missing_out_is_config_error(self, capsys):
+        cp = run_main(capsys, "run", *QUICK, "--engine", "numeric")
         assert cp.returncode == 2
         assert "out" in cp.stderr
 
@@ -213,8 +227,8 @@ class TestRun:
         (("--theta", "nan"), "theta must be finite, got nan"),
         (("--theta", "inf"), "theta must be finite, got inf"),
     ], ids=["alpha-3", "alpha-200", "theta-nan", "theta-inf"])
-    def test_out_of_range_value_is_config_error(self, tmp_path: Path, args, message):
-        cp = run_cli("run", *args, "--out", str(tmp_path / "x.csv"))
+    def test_out_of_range_value_is_config_error(self, tmp_path: Path, capsys, args, message):
+        cp = run_main(capsys, "run", *args, "--out", str(tmp_path / "x.csv"))
         assert cp.returncode == 2
         assert cp.stderr == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
@@ -275,10 +289,10 @@ class TestRun:
         assert err == f"error: out must name a file, got {argv[argv.index('--out') + 1]!r}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_negative_r_parses(self, tmp_path: Path):
+    def test_negative_r_parses(self, tmp_path: Path, capsys):
         out = tmp_path / "odd.csv"
-        cp = run_cli("run", *QUICK, "--r", "-1", "--engine", "numeric",
-                     "--out", str(out))
+        cp = run_main(capsys, "run", *QUICK, "--r", "-1", "--engine", "numeric",
+                      "--out", str(out))
         assert cp.returncode == 0, cp.stderr
         meta = json.loads((tmp_path / "odd.csv.meta.json").read_text())
         assert meta["parameters"]["r"] == -1.0
@@ -312,8 +326,8 @@ class TestCeilings:
         (("--p", str(10**300), "--steps", "3", "--tau-max", "1e-300"), "inf"),
         (("--delta", "1e308", "--steps", "3", "--tau-max", "1"), "inf"),
     ], ids=["dt-1e-300", "p-1e300", "delta-1e308"])
-    def test_tiny_step_is_config_error(self, tmp_path: Path, args, count):
-        cp = run_cli("run", "--alpha", "5", *args, "--out", str(tmp_path / "x.csv"))
+    def test_tiny_step_is_config_error(self, tmp_path: Path, capsys, args, count):
+        cp = run_main(capsys, "run", "--alpha", "5", *args, "--out", str(tmp_path / "x.csv"))
         assert cp.returncode == 2
         assert cp.stderr == (
             f"error: run too large: {count} substeps exceed the ceiling of 1e+07; "
@@ -429,23 +443,23 @@ class TestCeilings:
 
 
 class TestConfigFile:
-    def test_config_file_loaded(self, tmp_path: Path):
+    def test_config_file_loaded(self, tmp_path: Path, capsys):
         cfg = dict(alpha=1.5, theta=0.6, tau_max=3.0, steps=25, dt=0.005,
                    engine="numeric", out=str(tmp_path / "cfg.csv"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        cp = run_cli("run", "--config", str(cfg_path))
+        cp = run_main(capsys, "run", "--config", str(cfg_path))
         assert cp.returncode == 0, cp.stderr
         assert len((tmp_path / "cfg.csv").read_text().splitlines()) == 26
 
-    def test_flags_override_config_file(self, tmp_path: Path):
+    def test_flags_override_config_file(self, tmp_path: Path, capsys):
         cfg = dict(alpha=1.5, theta=0.6, tau_max=3.0, steps=25, dt=0.005,
                    engine="numeric", out=str(tmp_path / "a.csv"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         override = tmp_path / "b.csv"
-        cp = run_cli("run", "--config", str(cfg_path), "--steps", "12",
-                     "--out", str(override))
+        cp = run_main(capsys, "run", "--config", str(cfg_path), "--steps", "12",
+                      "--out", str(override))
         assert cp.returncode == 0, cp.stderr
         assert len(override.read_text().splitlines()) == 13
         meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
@@ -457,10 +471,12 @@ class TestConfigFile:
         ("run", "bogus", 1), ("run", "preset", "fig1a"), ("compare", "out", "x.csv"),
         ("compare", "engine", "both"), ("compare", "emit_unwrapped", True),
     ])
-    def test_unknown_config_key_rejected(self, tmp_path: Path, command, key, value):
+    def test_unknown_config_key_rejected(self, tmp_path: Path, monkeypatch, capsys, command,
+                                         key, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alpha": 1.5, key: value}))
-        cp = run_cli(command, *QUICK, "--config", str(cfg_path), cwd=tmp_path)
+        monkeypatch.chdir(tmp_path)
+        cp = run_main(capsys, command, *QUICK, "--config", str(cfg_path))
         assert cp.returncode == 2
         assert cp.stderr == f"error: unknown config keys for {command}: [{key!r}]\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
@@ -502,7 +518,7 @@ class TestConfigFile:
     # a file that cannot be read, and JSON that holds no object of keys
     @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable", "array",
                                       "number"])
-    def test_unreadable_config_file_rejected(self, tmp_path: Path, kind):
+    def test_unreadable_config_file_rejected(self, tmp_path: Path, capsys, kind):
         cfg_path = tmp_path / "cfg.json"
         message = f"error: cannot read config file {cfg_path}: "
         if kind == "directory":
@@ -512,7 +528,7 @@ class TestConfigFile:
         elif kind != "missing":
             cfg_path.write_text('[{"alpha": 2}]' if kind == "array" else "2.5")
             message = "error: config file must hold a JSON object of flat keys\n"
-        cp = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+        cp = run_main(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
         assert cp.returncode == 2
         assert cp.stderr.startswith(message)
         assert len(cp.stderr.splitlines()) == 1
@@ -520,11 +536,11 @@ class TestConfigFile:
 
 
 class TestCompare:
-    def test_within_tolerance(self):
+    def test_within_tolerance(self, capsys):
         # large alpha: the omitted vacuum rung is ~e^-25 and both engines
         # agree to integrator accuracy
-        cp = run_cli(
-            "compare", "--alpha", "5.0", "--theta", "0.785398163",
+        cp = run_main(
+            capsys, "compare", "--alpha", "5.0", "--theta", "0.785398163",
             "--tau-max", "6.283185307", "--steps", "200", "--tolerance", "1e-6",
         )
         assert cp.returncode == 0, cp.stderr
@@ -532,9 +548,9 @@ class TestCompare:
         assert report["within_tolerance"] is True
         assert report["max_abs_dev"] < 1e-6
 
-    def test_tolerance_breach_exits_3(self):
-        cp = run_cli(
-            "compare", "--alpha", "2.0", "--theta", "0.785398163",
+    def test_tolerance_breach_exits_3(self, capsys):
+        cp = run_main(
+            capsys, "compare", "--alpha", "2.0", "--theta", "0.785398163",
             "--tau-max", "6.283185307", "--steps", "100", "--tolerance", "1e-6",
         )
         assert cp.returncode == 3
@@ -547,22 +563,24 @@ class TestCompare:
 
     @pytest.mark.parametrize("flag", [["--out", "x.csv"], ["--engine", "numeric"],
                                       ["--emit-unwrapped"]])
-    def test_write_flags_rejected(self, tmp_path: Path, flag):
+    def test_write_flags_rejected(self, tmp_path: Path, monkeypatch, capsys, flag):
         # compare writes nothing and always runs both engines
-        cp = run_cli("compare", *QUICK, *flag, cwd=tmp_path)
+        monkeypatch.chdir(tmp_path)
+        cp = run_main(capsys, "compare", *QUICK, *flag)
         assert cp.returncode == 2
         assert f"error: unrecognized arguments: {' '.join(flag)}" in cp.stderr
         assert cp.stdout == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
-    def test_bad_tolerance_is_config_error(self, tolerance):
-        cp = run_cli("compare", *QUICK, "--tolerance", tolerance)
+    def test_bad_tolerance_is_config_error(self, capsys, tolerance):
+        cp = run_main(capsys, "compare", *QUICK, "--tolerance", tolerance)
         assert cp.returncode == 2
         assert cp.stderr.startswith("error: tolerance must be finite and >= 0")
         assert cp.stdout == ""
 
-    def test_compare_writes_no_files(self, tmp_path: Path):
-        cp = run_cli("compare", *QUICK, "--tolerance", "1", cwd=tmp_path)
+    def test_compare_writes_no_files(self, tmp_path: Path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cp = run_main(capsys, "compare", *QUICK, "--tolerance", "1")
         assert cp.returncode == 0, cp.stderr
         assert json.loads(cp.stdout)["grid_points"] == 40
         assert list(tmp_path.iterdir()) == []
@@ -696,16 +714,11 @@ def test_package_exports_each_module_interface():
 
 
 class TestDeterminism:
-    def test_small_run_matches_golden_file(self, tmp_path: Path):
+    def test_small_run_matches_golden_file(self, tmp_path: Path, capsys):
         out = tmp_path / "small.csv"
-        cp = run_cli(
-            "run", "--alpha", "2", "--theta", "0.6", "--r", "1", "--p", "2",
-            "--tau-max", "3.0", "--steps", "12", "--dt", "0.01",
-            "--engine", "numeric", "--out", str(out),
-        )
+        cp = run_main(capsys, *RUN_SMALL_ARGV, "--out", str(out))
         assert cp.returncode == 0, cp.stderr
-        golden = Path(__file__).parent / "golden" / "run_small.csv"
-        assert out.read_bytes() == golden.read_bytes()
+        assert out.read_bytes() == RUN_SMALL_PATH.read_bytes()
 
     # analytic at alpha = 40 (~600 kept rungs, 400 rows over several row
     # blocks) is the largest sum the sweeps run

@@ -21,6 +21,16 @@ from propagators import truncated_at
 
 # e^{-12.5}, frozen from a 40-digit evaluation of the closed form
 Q0_ALPHA5 = 3.7266531720786709929e-06
+# Frozen from mpmath evaluations of the untruncated coherent state (alpha is
+# the double nearest the decimal, r = 0): q_n by the recurrence
+# q_n = q_{n-1} alpha / sqrt(n) from exp(-alpha^2/2) at 60 digits, 3,000
+# states past n_max.  The normalized mode weight at alpha = 39.6 is
+# q_1568 / sqrt(sum_{n <= 1857} q_n^2) to 40 digits; the tail masses are
+# sum_{n > n_max} q_n^2 to 50 digits, at n_max = 70 (alpha = 5) and 1857
+# (alpha = 39.6).
+MODE_WEIGHT_ALPHA39_6 = 0.1003702960761693608633240172315499580152
+TAIL_ALPHA5 = 4.4702017602587688069482861222286462378025154711e-14
+TAIL_ALPHA39_6 = 6.1633180133303039258553798153544121699740541893e-13
 # frozen tail-scan constants (brute force over the untruncated distribution,
 # criterion: smallest n with mass above n below 1e-12, then +2)
 TRUNC_ALPHA5 = 68 + 2
@@ -54,14 +64,16 @@ class TestCoherentCoefficients:
         q = coherent_coefficients(5.0, 80)
         assert int(np.argmax(q)) in (24, 25)
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0, 12.0])
-    def test_recurrence_matches_log_space(self, alpha):
+    # 37.3 and 37.5 lie on either side of alpha^2 / 2 = 700, close to where
+    # exp(-alpha^2 / 2) underflows (about 745)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0, 12.0, 37.3, 37.5])
+    def test_matches_direct_log_space_evaluation(self, alpha):
         q = coherent_coefficients(alpha, 200)
         ref = log_space_coefficients(alpha, 200)
         mask = ref > 1e-280
         assert np.max(np.abs(q[mask] / ref[mask] - 1.0)) < 1e-12
 
-    def test_log_space_branch_for_huge_alpha(self):
+    def test_peak_amplitudes_finite_where_vacuum_amplitude_underflows(self):
         # exp(-alpha^2/2) underflows, yet the peak amplitudes are finite
         q = coherent_coefficients(60.0, 4500)
         assert q[0] == 0.0
@@ -179,7 +191,6 @@ class TestSuperposedDistribution:
         with pytest.raises(ZeroFieldError):
             superposed_distribution(FieldSpec(alpha=0.0, r=-1.0))
 
-    # alpha = 37 still takes the recurrence, alpha = 40 the log-space branch
     @pytest.mark.parametrize("alpha", [1.0, 5.0, 37.0, 40.0])
     @pytest.mark.parametrize("r", [0.0, 1.0, -1.0])
     def test_automatic_cutoff_reuses_scan_amplitudes_exactly(self, alpha, r):
@@ -201,6 +212,19 @@ class TestSuperposedDistribution:
     def test_dropped_tail_reported(self):
         dist = superposed_distribution(FieldSpec(alpha=5.0, r=0.0))
         assert 0.0 <= dist.dropped_tail < EPSILON_TAIL
+
+    @pytest.mark.parametrize("alpha,n_max,tail", [
+        (5.0, 70, TAIL_ALPHA5), (39.6, 1857, TAIL_ALPHA39_6),
+    ], ids=["5", "39.6"])
+    def test_dropped_tail_frozen(self, alpha, n_max, tail):
+        dist = superposed_distribution(FieldSpec(alpha=alpha))
+        assert dist.n_max == n_max
+        assert abs(dist.dropped_tail / tail - 1.0) < 1e-13
+
+    def test_mode_weight_alpha39_6_frozen(self):
+        dist = superposed_distribution(FieldSpec(alpha=39.6))
+        assert dist.n_max == 1857
+        assert abs(dist.weights[1568] - MODE_WEIGHT_ALPHA39_6) < 1e-15
 
     def test_weights_read_only(self):
         dist = superposed_distribution(FieldSpec(alpha=1.0, r=0.0))
