@@ -24,9 +24,9 @@ whose frequencies span a narrow band (about 11 wide at alpha = 40).  So
 where the grid holds many more points than the band needs nodes (a moving
 atom's areas span at most 2 / p), S is summed at a few Chebyshev points in
 A only and carried to the grid by barycentric interpolation; elsewhere
-each rung is summed at each point (``_ladder_sums``).  References:
-Trefethen, Approximation Theory and Approximation Practice (SIAM 2013),
-chs. 3, 5 and 8; Berrut & Trefethen, SIAM Rev. 46 (2004) 501.
+the same routine sums each rung at each point (``_ladder_sums``).
+References: Trefethen, Approximation Theory and Approximation Practice
+(SIAM 2013), chs. 3, 5 and 8; Berrut & Trefethen, SIAM Rev. 46 (2004) 501.
 """
 
 from __future__ import annotations
@@ -68,37 +68,18 @@ def _chebyshev_degree(c):
     return np.ceil(c + 12.0 * np.cbrt(c) + 16.0)
 
 
-def _trig_sum(area: np.ndarray, omega: np.ndarray, weights: np.ndarray, trig) -> np.ndarray:
-    """sum_n weights[n] trig(area omega[n]) per area, over the nonzero weights.
-
-    The phases are formed a block of rows at a time, and each row is reduced
-    on its own along the contiguous ladder axis, so the result does not
-    depend on the block size.
-    """
-    kept = np.nonzero(weights)[0]
-    omega, weights = omega[kept], weights[kept]
-    out = np.empty(area.shape)
-    rows = max(1, _BLOCK // max(1, kept.size))
-    for lo in range(0, area.size, rows):
-        block = np.multiply.outer(area[lo : lo + rows], omega)
-        trig(block, out=block)
-        block *= weights
-        out[lo : lo + rows] = np.add.reduce(block, axis=1)
-    return out
-
-
-def _phase_sums(points: np.ndarray, omega: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Re and Im of sum_n weights[r, n] exp(i points omega[n]) for each row r
-    of ``weights``: a real (2 rows, points) array, Re of row r in row 2r.
-    One cos and one sin serve every row; each sum is reduced pairwise along
-    the ladder axis."""
-    out = np.empty((2 * len(weights), points.size))
-    rows = max(1, _BLOCK // omega.size)
+def _trig_sums(points: np.ndarray, omega: np.ndarray, terms) -> np.ndarray:
+    """sum_n w[n] trig(points omega[n]) for each (trig, w) of ``terms``: a
+    (len(terms), points) array.  Each distinct trig runs once per block of
+    points; each sum is reduced pairwise along the ladder axis, so it does
+    not depend on the block size."""
+    out = np.empty((len(terms), points.size))
+    rows = max(1, _BLOCK // max(1, omega.size))
     for lo in range(0, points.size, rows):
         phase = np.multiply.outer(points[lo : lo + rows], omega)
-        trig = np.cos(phase), np.sin(phase, out=phase)
-        for k in range(out.shape[0]):
-            out[k, lo : lo + rows] = np.add.reduce(trig[k % 2] * weights[k // 2], axis=1)
+        values = {trig: trig(phase) for trig in {trig for trig, _ in terms}}
+        for k, (trig, w) in enumerate(terms):
+            out[k, lo : lo + rows] = np.add.reduce(values[trig] * w, axis=1)
     return out
 
 
@@ -137,7 +118,7 @@ def _ladder_sums(area: np.ndarray, omega: np.ndarray, wx: np.ndarray, wy: np.nda
     barycentric interpolation; as sum_n |w_n| <= 1, the error is a few 1e-17.
     Where that would cost more than one trig call per kept rung and area
     (many nodes against few areas), or where the area range is too narrow
-    for distinct nodes, the sums are taken directly.
+    for distinct nodes, the same trig sums are taken at the areas directly.
     """
     kept = np.nonzero((wx != 0.0) | (wy != 0.0))[0]
     rows = [wx[kept], wy[kept]] if wy.any() else [wx[kept]]
@@ -157,13 +138,15 @@ def _ladder_sums(area: np.ndarray, omega: np.ndarray, wx: np.ndarray, wy: np.nda
             n = int(n)
             t = np.sin(0.5 * math.pi * np.arange(n, -n - 1, -2) / n)  # cos(pi j / n)
             nodes = 0.5 * (a_lo + a_hi) + 0.5 * (a_hi - a_lo) * t
-            band = _barycentric(area, nodes, _phase_sums(nodes, offset, rows))
+            terms = [(trig, w) for w in rows for trig in (np.cos, np.sin)]
+            band = _barycentric(area, nodes, _trig_sums(nodes, offset, terms))
             cos, sin = np.cos(centre * area), np.sin(centre * area)
             x = cos * band[0] - sin * band[1]
             if len(rows) == 1:
                 return x, np.zeros(area.shape)
             return x, sin * band[2] + cos * band[3]
-    return _trig_sum(area, omega, wx, np.cos), _trig_sum(area, omega, wy, np.sin)
+    sums = _trig_sums(area, omega[kept], list(zip((np.cos, np.sin), rows)))
+    return sums[0], sums[1] if len(rows) == 2 else np.zeros(area.shape)
 
 
 def overlap_series(

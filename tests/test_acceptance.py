@@ -180,7 +180,7 @@ def test_criterion_5_detuned_phase_suppression(detuned_run):
 
     # verify the default-step series against a finer-step run before trusting
     # the ratio
-    fine_config = replace(config, dt_internal=2.5e-4)
+    fine_config = replace(config, dt_internal=1e-3)
     fine = series_from_trajectory(
         evolve(initial_state(fine_config, dist), fine_config)
     )
@@ -245,7 +245,7 @@ def test_criterion_7_frame_correctness():
     state = CompositeState(amps)
     config = SystemConfig(
         field=FieldSpec(alpha=1.0, r=0.0), delta=20.0, theta=0.0, p=1,
-        tau_max=5.0, n_steps=26, dt_internal=2e-5,
+        tau_max=5.0, n_steps=26, dt_internal=1e-3,
     )
     trajectory = evolve(state, config, keep_states=True)
     reference = lab_frame_reference(state, config, trajectory.taus)

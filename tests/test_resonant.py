@@ -249,18 +249,22 @@ class TestInterpolatedSums:
             assert abs(y[k] - y_ref) <= 1e-14
 
     @pytest.mark.parametrize(
-        "taus,motion",
+        "taus,motion,theta",
         [
-            (np.zeros(20), Motion.MOVING),  # one area: every node would coincide
-            (np.full(30, 1.0), Motion.NEGLECTED),
-            (1.0 + np.arange(40) * 2.0**-52, Motion.NEGLECTED),  # 39 ulps wide
+            (np.zeros(20), Motion.MOVING, 0.6),  # one area: every node would coincide
+            (np.full(30, 1.0), Motion.NEGLECTED, 0.6),
+            (1.0 + np.arange(40) * 2.0**-52, Motion.NEGLECTED, 0.6),  # 39 ulps wide
             # 1,515 nodes against 2,000 points: more work than the direct sums
-            (np.linspace(0.0, 64.0 * math.pi, 2000), Motion.NEGLECTED),
+            (np.linspace(0.0, 64.0 * math.pi, 2000), Motion.NEGLECTED, 0.6),
+            # sin(2 theta) = 0.14 keeps 612 rungs of wy against 624 of wx, so the
+            # sine sums run over zero weights at 12 of the kept rungs
+            (np.linspace(0.0, 64.0 * math.pi, 2000), Motion.NEGLECTED, 1.5),
         ],
-        ids=["constant-moving", "constant-neglected", "ulps", "long-neglected"],
+        ids=["constant-moving", "constant-neglected", "ulps", "long-neglected",
+             "long-neglected-theta1.5"],
     )
-    def test_direct_sums(self, monkeypatch, taus, motion):
-        config = make_config(40.0, 0.0, 0.6, motion=motion)
+    def test_direct_sums(self, monkeypatch, taus, motion, theta):
+        config = make_config(40.0, 0.0, theta, motion=motion)
         dist = superposed_distribution(config.field)
         monkeypatch.setattr(resonant, "_barycentric", None)  # must not be called
         x, y = overlap_series(taus, config, dist)
@@ -268,6 +272,27 @@ class TestInterpolatedSums:
             x_ref, y_ref = fsum_of_kept_terms(config, dist, taus[k])
             assert abs(x[k] - x_ref) <= 1e-14
             assert abs(y[k] - y_ref) <= 1e-14
+
+    def test_each_trig_runs_once_per_block(self):
+        calls = {np.cos: 0, np.sin: 0}
+
+        def counting(trig):
+            def counted(phase):
+                calls[trig] += 1
+                return trig(phase)
+            return counted
+
+        rng = np.random.default_rng(17)
+        points, omega = rng.uniform(0.0, 50.0, 5000), np.sqrt(2.0 * np.arange(100) + 3.0)
+        terms = [(trig, rng.normal(size=omega.size)) for trig in (np.cos, np.sin) * 2]
+        counted = {trig: counting(trig) for trig in calls}
+        sums = resonant._trig_sums(points, omega, [(counted[t], w) for t, w in terms])
+        blocks = -(-points.size // (resonant._BLOCK // omega.size))
+        assert blocks > 2
+        assert calls == {np.cos: blocks, np.sin: blocks}
+        for row, (trig, w) in zip(sums, terms):
+            expected = np.add.reduce(trig(np.multiply.outer(points, omega)) * w, axis=1)
+            assert np.array_equal(row, expected)
 
     def test_node_count_bound(self):
         # the interpolation error is bounded by the Chebyshev coefficients
