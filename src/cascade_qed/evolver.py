@@ -24,16 +24,15 @@ The dynamical phase is integrated on the same step grid, to the same
 order: the trapezoid sum of <H> with the Euler-Maclaurin endpoint
 correction, which takes the exact derivative d<H>/dtau at every node.
 
-``evolve`` works a chunk of steps at a time: it builds the chunk's
-substep grid, mode-shape samples and plane maps, applies them, and reduces
-the states to the ``Trajectory`` observables and the dynamical-phase sum
-while they are still in cache.  A chunk holds about a fixed number of
-lane entries, so memory grows with neither the substep count nor the
-basis, and states are kept only on request.
-
-Each block is a lane (``_lanes``): the two truncation-edge pairs are
-triples with one coupling zero, so one elementwise update advances every
-block at once, and no lane's amplitudes depend on another's.  All
+Each block is a lane (``system._lanes``), whose dark combination of its
+level-1 and level-3 amplitudes is stationary: a lane advances as its
+(bright, middle) pair, one 2x2 map per step, and the states are rebuilt
+from the pairs and the dark amplitudes only on the output grid.
+``evolve`` works a chunk of steps at a time: it builds the chunk's substep
+grid, mode-shape samples and plane maps, applies them, and reduces the
+pairs to <A> and the states to the ``Trajectory`` observables while they
+are still in cache.  A chunk holds about a fixed number of lane entries,
+so memory grows with neither the substep count nor the basis.  All
 reductions use a fixed deterministic order.  Curves that differ only in
 their initial state advance together as a batch that shares each
 propagator.
@@ -48,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import CompositeState, Motion, SystemConfig, ladder_expectation, mode_shape
+from .system import _lane_split, _lanes
 
 __all__ = [
     "NormDriftError",
@@ -69,7 +69,8 @@ _CF4_SKEW = 1.0 / math.sqrt(3.0)
 # lanes), so that its arrays keep about one size whatever the basis.  The
 # plane build's complex arrays, 32 bytes per lane entry, then reach the 256 KiB
 # from which numpy reuses a temporary in place; below it, each chunk's
-# temporaries fault fresh pages.
+# temporaries fault fresh pages.  The maps (64 bytes per lane entry) and the
+# per-node lane pairs (32 per curve) take 516 and 520 KiB for the fig4b pair.
 _CHUNK_LANES = 1 << 13
 
 
@@ -158,34 +159,12 @@ def _plane_sums(r, delta: float, dtau):
     return s0_minus_1, rs1, s2
 
 
-def _rotate_planes(u, v, w, m, xi, eta) -> None:
-    """Apply [[1 + m[0], m[1]], [m[2], m[3]]] to the (bright, middle) plane of
-    the lanes (u, v, w) in place; the dark combination is untouched.  The
-    entries, ``xi`` and ``eta`` broadcast against the lanes, which may carry
-    leading curve axes."""
-    bright = xi * u + eta * w
-    shift = m[0] * bright + m[1] * v
-    np.add(m[2] * bright, m[3] * v, out=v)
-    u += xi * shift
-    w += eta * shift
-
-
-def _lanes(n_ph: int):
-    """(sqrt_r, xi, eta) of the lanes j = 0..n_ph of a basis cut at n_ph.
-
-    Lane j holds |1, j-1>, |2, j>, |3, j+1> with couplings lambda sqrt(j) and
-    lambda sqrt(j+1), that is lambda sqrt_r (xi, eta): lanes 1..n_ph-1 are
-    the full triples, lane 0 is the bottom pair (|2,0>, |3,1>) and lane n_ph
-    the top pair (|1,n_ph-1>, |2,n_ph>); the singletons |3,0> and |1,n_ph>
-    are stationary and in no lane.
-    """
-    a2 = np.arange(n_ph + 1, dtype=float)
-    b2 = np.where(a2 < n_ph, a2 + 1.0, 0.0)
-    sqrt_r = np.sqrt(a2 + b2)
-    xi = np.sqrt(a2) / sqrt_r
-    eta = np.sqrt(b2) / sqrt_r
-    # complex dtype, so that the lane updates multiply without a cast
-    return sqrt_r, xi.astype(complex), eta.astype(complex)
+def _step(x, m, out) -> None:
+    """Write [[1 + m00, m01], [m10, m11]] (b, v) into ``out``, with ``m`` of
+    shape (2, 2, lanes) and the lane pairs x = (b, v) of (2, curves, lanes)."""
+    terms = m[:, :, None] * x
+    np.add(terms[:, 0], terms[:, 1], out=out)
+    out[0] += x[0]
 
 
 def _cf4_amplitudes(t, h, config: SystemConfig) -> np.ndarray:
@@ -205,19 +184,19 @@ def _cf4_planes(lam, sqrt_r, delta: float, half_h):
     ``lam`` has shape (n, 2), the effective mode amplitudes of n steps with
     the factor applied first in column 0; ``half_h`` has shape (n,), half
     of each step.  Both factors act on the same plane of every lane, so a
-    step is one 2x2 map, returned as the four entries of ``_rotate_planes``,
-    each of shape (n, lanes).
+    step is one 2x2 map, less 1 in the corner as ``_step`` takes it, and the
+    maps have shape (n, 2, 2, lanes).
     """
     sums = _plane_sums(lam[:, :, None] * sqrt_r, delta, half_h[:, None, None])
     a0, a1, a2 = (x[:, 0] for x in sums)
     b0, b1, b2 = (x[:, 1] for x in sums)
-    # [[1 + b0, b1], [b1, b2]] @ [[1 + a0, a1], [a1, a2]], less 1 in the corner
-    return (
-        a0 + b0 + b0 * a0 + b1 * a1,
-        a1 + b0 * a1 + b1 * a2,
-        b1 + b1 * a0 + b2 * a1,
-        b1 * a1 + b2 * a2,
-    )
+    # [[1 + b0, b1], [b1, b2]] @ [[1 + a0, a1], [a1, a2]]
+    maps = np.empty((len(lam), 2, 2, sqrt_r.size), dtype=complex)
+    maps[:, 0, 0] = a0 + b0 + b0 * a0 + b1 * a1
+    maps[:, 0, 1] = a1 + b0 * a1 + b1 * a2
+    maps[:, 1, 0] = b1 + b1 * a0 + b2 * a1
+    maps[:, 1, 1] = b1 * a1 + b2 * a2
+    return maps
 
 
 def _norms(states: np.ndarray) -> np.ndarray:
@@ -246,12 +225,12 @@ def evolve(
     grid drifts beyond 1e-6, and ``ValueError`` when the step is so far
     below the grid spacing that no integer counts the substeps.
 
-    The steps are built, and the states on the output grid reduced to the
-    ``Trajectory`` observables, a chunk of steps at a time, and then
-    dropped, so memory grows with the output grid only.  ``keep_states``
-    also keeps them, which costs n_out * 3 * (n_ph + 1) * 16 bytes per
-    curve (14 MB for the two fig4b curves); the observables are the same
-    bits either way.
+    Each lane is stepped as its (bright, middle) pair, and the states on
+    the output grid are rebuilt from the pairs and reduced to the
+    ``Trajectory`` observables a chunk of steps at a time, then dropped, so
+    memory grows with the output grid only.  ``keep_states`` also keeps
+    them, which costs n_out * 3 * (n_ph + 1) * 16 bytes per curve (14 MB for
+    the two fig4b curves); the observables are the same bits either way.
 
     A sequence of states on one basis evolves as a batch: they share every
     propagator, and each curve's amplitudes equal those of evolving it
@@ -287,20 +266,18 @@ def evolve(
     # the last node, tau_max, starts one of width 0
     step_widths = np.append(np.diff(taus) / m, 0.0)
 
-    # Each curve's state sits in a row of ``buffer`` padded with a zero
-    # before and two after, so that the lanes of ``_lanes`` are a strided
-    # view of the same memory, with the missing partners of the edge pairs
-    # falling on the padding.
-    buffer = np.zeros((n_curves, 3 * (width + 1)), dtype=complex)
-    psi = buffer[:, 1 : 1 + 3 * width].reshape(n_curves, 3, width)
-    psi[...] = amps
-    u, v, w = np.moveaxis(buffer.reshape(n_curves, 3, width + 1)[:, :, :width], 1, 0)
     sqrt_r, xi, eta = _lanes(n_ph)
+    bright, middle, dark = _lane_split(amps, xi, eta)  # the dark amplitudes stay as they start
+
+    def rebuild(b, v):
+        """States (k, n_curves, 3, width) of lane pairs (k, n_curves, width)."""
+        u, w = xi * b + eta * dark, eta * b - xi * dark
+        return np.stack((np.roll(u, -1, axis=-1), v, np.roll(w, 1, axis=-1)), axis=-2)
 
     # the interaction picture: level-2 amplitudes carry exp(+i delta tau)
     # relative to the rotating frame, so <A> there carries exp(-i delta tau)
     frame = np.exp(1j * delta * taus)
-    ref = psi.copy()  # the conjugated initial states, framed as every node is
+    ref = amps.copy()  # the conjugated initial states, framed as every node is
     ref[:, 1] *= frame[0]
     np.conjugate(ref, out=ref)
     norm_err = np.empty((n_curves, n_out))
@@ -328,11 +305,13 @@ def evolve(
         if keep_states:
             states[:, ks] = stored.swapaxes(0, 1)
 
-    a_lo = ladder_expectation(psi)[None]  # <A> at a chunk's first node, rotating frame
-    observe(np.arange(1), psi[None].copy(), a_lo)
+    # tau = 0 is the initial states themselves; a row rebuilt from lanes may round
+    observe(np.arange(1), amps[None].copy(), ladder_expectation(sqrt_r, bright, middle)[None])
     phase = np.full((n_curves, 1), -0.0)  # the phase sum so far; -0.0 + x is x
     chunk = math.ceil(_CHUNK_LANES / width)
-    node_psi = np.empty((min(chunk, n_sub), n_curves, 3, width), dtype=complex)
+    # row 0 holds the lane pairs at a chunk's first node, row i + 1 those after its step i
+    node = np.empty((min(chunk, n_sub) + 1, 2, n_curves, width), dtype=complex)
+    node[0] = bright, middle
     for lo in range(0, n_sub, chunk):
         hi = min(lo + chunk, n_sub)
         nodes = np.arange(lo, hi + 1)
@@ -340,14 +319,13 @@ def evolve(
         t = taus[interval] + offset * step_widths[interval]
         h = step_widths[interval[:-1]]
         maps = _cf4_planes(_cf4_amplitudes(t[:-1], h, config), sqrt_r, delta, 0.5 * h)
-        for i, step in enumerate(zip(*maps)):
-            _rotate_planes(u, v, w, step, xi, eta)
-            node_psi[i] = psi
-        done = node_psi[: hi - lo]
-        a = np.concatenate((a_lo, ladder_expectation(done)))
+        n = hi - lo
+        for i in range(n):
+            _step(node[i], maps[i], node[i + 1])
+        a = ladder_expectation(sqrt_r, node[: n + 1, 0], node[: n + 1, 1])  # rotating frame
         ks = np.arange(lo // m + 1, hi // m + 1)  # the output nodes in (lo, hi]
         at = ks * m - lo
-        observe(ks, done[at - 1], a[at])
+        observe(ks, rebuild(node[at, 0], node[at, 1]), a[at])
         drift = norm_err[:, ks].T
         if np.any(drift > _NORM_DRIFT_LIMIT):
             k, worst = np.unravel_index(np.argmax(drift > _NORM_DRIFT_LIMIT), drift.shape)
@@ -369,7 +347,7 @@ def evolve(
         pieces = 0.5 * h * (f[:, 1:] + f[:, :-1]) - (h * h / 12.0) * (df[:, 1:] - df[:, :-1])
         phase = np.cumsum(np.concatenate((phase[:, -1:], pieces), axis=1), axis=1)
         phi_dyn[:, ks] = -phase[:, at]
-        a_lo = a[-1:]
+        node[0] = node[n]
 
     states.setflags(write=False)
     curves = tuple(

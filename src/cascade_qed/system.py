@@ -178,22 +178,42 @@ def initial_state(config: SystemConfig, dist: PhotonDistribution) -> CompositeSt
     return CompositeState(amps)
 
 
-def ladder_expectation(a: np.ndarray) -> np.ndarray:
+def _lanes(n_ph: int):
+    """(r, xi, eta) of the lanes j = 0..n_ph of a basis cut at n_ph.
+
+    Lane j holds |1, j-1>, |2, j>, |3, j+1> with couplings lambda r (xi, eta)
+    = lambda (sqrt(j), sqrt(j+1)): lanes 1..n_ph-1 are full triples, lane 0
+    the pair (|2,0>, |3,1>) and lane n_ph the pair (|1,n_ph-1>, |2,n_ph>).
+    """
+    a2 = np.arange(n_ph + 1, dtype=float)
+    b2 = np.where(a2 < n_ph, a2 + 1.0, 0.0)
+    r = np.sqrt(a2 + b2)
+    return r, np.sqrt(a2) / r, np.sqrt(b2) / r
+
+
+def _lane_split(a: np.ndarray, xi, eta):
+    """Bright, middle and dark amplitudes (xi u + eta w, v, eta u - xi w) of
+    the lanes (u, v, w) of amplitudes ``a``, shape (..., 3, n_ph + 1), each
+    of shape (..., n_ph + 1); only the first two mix.  The singletons |1,n_ph>
+    and |3,0> stand in for the edge lanes' missing partners, where they are
+    dark.  The inverse is u = xi b + eta d, w = eta b - xi d.
+    """
+    u = np.concatenate((a[..., 0, -1:], a[..., 0, :-1]), axis=-1)  # np.roll, without its cost
+    w = np.concatenate((a[..., 2, 1:], a[..., 2, :1]), axis=-1)
+    return xi * u + eta * w, a[..., 1, :], eta * u - xi * w
+
+
+def ladder_expectation(r, bright: np.ndarray, middle: np.ndarray) -> np.ndarray:
     """Expectation of the raising half A of the coupling operator V = A + A^dagger,
 
-        A = sum_n sqrt(n+1) (|2,n+1><1,n| + |2,n><3,n+1|).
+        A = sum_n sqrt(n+1) (|2,n+1><1,n| + |2,n><3,n+1|) = sum_j r_j |v_j><b_j|,
 
-    2 Re<A> is <V>; under H' = lambda V + delta P2 (the rotating frame,
-    P2 the level-2 projector) d<V>/dtau = i delta <[P2, V]> = -2 delta Im<A>.
-    The complex amplitudes ``a``, shape (..., 3, n_ph + 1), give one value
-    per leading index, shape (...).  The couplings sqrt(n + 1) are complex,
-    so that the amplitudes multiply them without a cast.
+    from the lanes' r (``_lanes``) and bright and middle amplitudes
+    (``_lane_split``): one value per leading index.  2 Re<A> is <V>; under
+    H' = lambda V + delta P2 (P2 the level-2 projector) d<V>/dtau =
+    i delta <[P2, V]> = -2 delta Im<A>.
     """
-    mid = a[..., 1, :].conj()
-    terms = mid[..., 1:] * a[..., 0, :-1]
-    terms += mid[..., :-1] * a[..., 2, 1:]
-    roots = np.sqrt(np.arange(1.0, a.shape[-1])).astype(complex)
-    return np.add.reduce(terms * roots, axis=-1)
+    return np.add.reduce(r * (middle.conj() * bright), axis=-1)
 
 
 def coupling_expectation(state: CompositeState) -> float:
@@ -202,4 +222,5 @@ def coupling_expectation(state: CompositeState) -> float:
     V connects |1,n> <-> |2,n+1> with sqrt(n+1) and |2,m> <-> |3,m+1> with
     sqrt(m+1); its expectation is conserved under resonant evolution.
     """
-    return float(2.0 * ladder_expectation(state.amplitudes).real)
+    r, xi, eta = _lanes(state.n_ph)
+    return float(2.0 * ladder_expectation(r, *_lane_split(state.amplitudes, xi, eta)[:2]).real)

@@ -2,7 +2,8 @@
 tests check them against.
 
 ``cf4_lane_matrices`` runs the code ``evolve`` runs (``_lanes``,
-``_cf4_planes`` and ``_rotate_planes``) on unit-vector lanes.
+``_cf4_planes`` and ``_step``) on unit-vector lanes, each split into its
+bright, middle and dark amplitudes and rebuilt after the step.
 ``dense_hamiltonian`` and ``lab_frame_reference`` share no code with the
 evolver: the first writes the rotating-frame Hamiltonian out as a dense
 matrix on the whole (level, photon) rectangle, the second integrates the
@@ -31,19 +32,24 @@ from cascade_qed import (
     normalization_constant,
     superposed_distribution,
 )
-from cascade_qed import evolver
+from cascade_qed import evolver, system
 
 
 def cf4_lane_matrices(lam, n_ph: int, delta: float, h: float) -> np.ndarray:
     """The maps of one CF4 step of width h, shape (n_ph + 1, 3, 3): lane j's
     matrix over (|1, j-1>, |2, j>, |3, j+1>).  ``lam`` is the pair of
     effective mode amplitudes, the factor applied first in ``lam[0]``."""
-    sqrt_r, xi, eta = evolver._lanes(n_ph)
+    sqrt_r, xi, eta = system._lanes(n_ph)
     maps = evolver._cf4_planes(np.array([lam], dtype=float), sqrt_r, delta, np.array([0.5 * h]))
-    # columns[c, k, j]: component k of lane j, started from unit vector c
-    columns = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_ph + 1, axis=2)
-    evolver._rotate_planes(*columns.swapaxes(0, 1), [m[0] for m in maps], xi, eta)
-    return columns.transpose(2, 1, 0)
+    # u[c, j], v[c, j], w[c, j]: lane j started from unit vector c, the
+    # three starts taking the place of curves
+    u, v, w = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_ph + 1, axis=2).swapaxes(0, 1)
+    pair, dark = np.array([xi * u + eta * w, v]), eta * u - xi * w
+    out = np.empty_like(pair)
+    evolver._step(pair, maps[0], out)
+    b, v = out
+    columns = np.stack((xi * b + eta * dark, v, eta * b - xi * dark))
+    return columns.transpose(2, 0, 1)
 
 
 def truncated_at(spec: FieldSpec, n_max: int) -> PhotonDistribution:
@@ -111,9 +117,10 @@ def lab_frame_reference(
 ) -> np.ndarray:
     """Independent oracle: integrate with the oscillating phases kept.
 
-    Builds the dense interaction Hamiltonian with its explicit
-    exp(+-i delta tau) factors (no rotating frame, no block splitting) and
-    integrates the Schroedinger equation adaptively to ~1e-11 tolerance.
+    Writes the dense interaction Hamiltonian, with its explicit
+    exp(+-i delta tau) factors, as the two constant coupling matrices those
+    factors multiply (no rotating frame, no block splitting), and integrates
+    the Schroedinger equation adaptively to ~1e-11 tolerance.
     Intended for small toy bases; returns states of shape
     (len(taus), 3, n_ph + 1) in the same picture as ``evolve`` output.
     """
@@ -122,31 +129,23 @@ def lab_frame_reference(
     taus = np.asarray(taus, dtype=float)
     amps = np.asarray(initial.amplitudes, dtype=complex)
     n_ph = amps.shape[1] - 1
-    dim = 3 * (n_ph + 1)
+    width = n_ph + 1
     delta = float(config.delta)
     moving = config.motion is Motion.MOVING
     p = config.p
-    roots = np.sqrt(np.arange(1.0, n_ph + 1.0))
-
-    def hamiltonian(t: float) -> np.ndarray:
-        lam = math.sin(p * t) if moving else 1.0
-        ph = complex(math.cos(delta * t), math.sin(delta * t))
-        h = np.zeros((dim, dim), dtype=complex)
-        for n in range(n_ph):
-            # <2, n+1| H |1, n> = lam sqrt(n+1) exp(+i delta t)
-            i_up = n
-            i_mid = (n_ph + 1) + n + 1
-            h[i_mid, i_up] = lam * roots[n] * ph
-            h[i_up, i_mid] = np.conj(h[i_mid, i_up])
-            # <3, n+1| H |2, n> = lam sqrt(n+1) exp(-i delta t)
-            j_mid = (n_ph + 1) + n
-            j_gnd = 2 * (n_ph + 1) + n + 1
-            h[j_gnd, j_mid] = lam * roots[n] * np.conj(ph)
-            h[j_mid, j_gnd] = np.conj(h[j_gnd, j_mid])
-        return h
+    # the couplings that carry exp(+i delta t): <2, n+1| H |1, n> and
+    # <2, n| H |3, n+1>, each lam sqrt(n+1) exp(+i delta t); their
+    # conjugates, on the transpose, carry exp(-i delta t)
+    raising = np.zeros((3 * width, 3 * width))
+    for n in range(n_ph):
+        raising[width + n + 1, n] = math.sqrt(n + 1.0)
+        raising[width + n, 2 * width + n + 1] = math.sqrt(n + 1.0)
+    lowering = raising.T.copy()
 
     def rhs(t, psi):
-        return -1j * (hamiltonian(t) @ psi)
+        lam = math.sin(p * t) if moving else 1.0
+        ph = complex(math.cos(delta * t), math.sin(delta * t))
+        return -1j * lam * (ph * (raising @ psi) + ph.conjugate() * (lowering @ psi))
 
     sol = solve_ivp(
         rhs,

@@ -14,11 +14,12 @@ from cascade_qed import (
     FieldSpec,
     Motion,
     SystemConfig,
+    coupling_expectation,
     evolve,
     initial_state,
     superposed_distribution,
 )
-from cascade_qed import evolver
+from cascade_qed import evolver, system
 from cascade_qed.cli import ScenarioConfig, list_presets
 from cascade_qed.evolver import NormDriftError, Trajectory, TrajectoryBatch
 from propagators import (
@@ -111,14 +112,14 @@ class TestLanes:
     def lane_members(n_ph):
         # flat row-major indices of |1, j-1>, |2, j>, |3, j+1> that lane j
         # holds: an edge lane's missing partner has a zero coupling
-        sqrt_r, xi, eta = evolver._lanes(n_ph)
+        sqrt_r, xi, eta = system._lanes(n_ph)
         width = n_ph + 1
         for j in range(width):
             members = [(width + j, None)]
             if xi[j] != 0:
-                members.append((j - 1, sqrt_r[j] * xi[j].real))
+                members.append((j - 1, sqrt_r[j] * xi[j]))
             if eta[j] != 0:
-                members.append((2 * width + j + 1, sqrt_r[j] * eta[j].real))
+                members.append((2 * width + j + 1, sqrt_r[j] * eta[j]))
             yield members
 
     @pytest.mark.parametrize("n_ph", [2, 3, 5, 10])
@@ -248,13 +249,14 @@ class TestEvolve:
 
     def test_norm_drift_aborts_at_first_breach(self, monkeypatch):
         # a propagator that leaks norm: each step scales level 2 by 1 + 1e-7
-        rotate = evolver._rotate_planes
+        planes = evolver._cf4_planes
 
-        def leaky(u, v, w, m, xi, eta):
-            rotate(u, v, w, m, xi, eta)
-            v *= 1.0 + 1e-7
+        def leaky(*args):
+            maps = planes(*args)
+            maps[:, 1] *= 1.0 + 1e-7  # the entries that produce v
+            return maps
 
-        monkeypatch.setattr(evolver, "_rotate_planes", leaky)
+        monkeypatch.setattr(evolver, "_cf4_planes", leaky)
         cfg = make_config(theta=math.pi / 2, tau_max=2.0, n_steps=401, dt_internal=0.005)
         with pytest.raises(NormDriftError) as caught:
             evolve(initial_state(cfg, superposed_distribution(cfg.field)), cfg)
@@ -301,19 +303,17 @@ class TestBatch:
     @pytest.mark.parametrize("delta", [6.0, -6.0, 0.0])
     def test_mode_node_step_matches_single_lanes(self, delta):
         # at a node (lambda = 0) only the level-2 detuning phase advances
+        # (bright, middle) pairs of 2 curves x 4 lanes
         rng = np.random.default_rng(9)
-        lanes = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
-        xi = np.array([0.0, 0.6, 0.8, 1.0], dtype=complex)
-        eta = np.sqrt(1.0 - np.abs(xi) ** 2).astype(complex)
+        lanes = rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4))
         maps = evolver._cf4_planes(np.zeros((1, 2)), np.arange(4.0), delta, np.array([0.01]))
-        step = [m[0] for m in maps]
-        together = lanes.copy()
-        evolver._rotate_planes(*together, step, xi, eta)
+        together = np.empty_like(lanes)
+        evolver._step(lanes, maps[0], together)
         for c in range(2):
-            alone = lanes[:, c].copy()
-            evolver._rotate_planes(*alone, step, xi, eta)
-            assert np.max(np.abs(together[:, c] - alone)) <= 1e-13
-        expected = lanes * np.array([1.0, np.exp(-0.02j * delta), 1.0])[:, None, None]
+            alone = np.empty_like(lanes[:, c : c + 1])
+            evolver._step(lanes[:, c : c + 1], maps[0], alone)
+            assert np.max(np.abs(together[:, c] - alone[:, 0])) <= 1e-13
+        expected = lanes * np.array([1.0, np.exp(-0.02j * delta)])[:, None, None]
         assert np.max(np.abs(together - expected)) < 1e-15
 
     def test_group_needs_one_basis(self):
@@ -330,25 +330,28 @@ class TestLaneIndependence:
         a lane's amplitudes come out bit for bit the same."""
         cfg = make_config(delta=7.0, p=1)
         n_ph = 6
-        sqrt_r, xi, eta = evolver._lanes(n_ph)
+        sqrt_r = system._lanes(n_ph)[0]
         t = np.array([0.0, 0.01, 0.02])
         h = np.full(3, 0.01)
         maps = evolver._cf4_planes(evolver._cf4_amplitudes(t, h, cfg), sqrt_r, cfg.delta, 0.5 * h)
         rng = np.random.default_rng(11)
-        start = rng.normal(size=(3, n_ph + 1)) + 1j * rng.normal(size=(3, n_ph + 1))
+        # the (bright, middle) pair of each lane, of one curve
+        start = rng.normal(size=(2, 1, n_ph + 1)) + 1j * rng.normal(size=(2, 1, n_ph + 1))
 
         def run(lanes):
-            for step in zip(*maps):
-                evolver._rotate_planes(*lanes, step, xi, eta)
+            for step in maps:
+                out = np.empty_like(lanes)
+                evolver._step(lanes, step, out)
+                lanes = out
             return lanes
 
         together = run(start.copy())
         for k in range(n_ph + 1):
             alone = np.zeros_like(start)
-            alone[:, k] = start[:, k]
+            alone[..., k] = start[..., k]
             alone = run(alone)
-            assert np.array_equal(alone[:, k], together[:, k])
-            assert not np.any(np.delete(alone, k, axis=1))
+            assert np.array_equal(alone[..., k], together[..., k])
+            assert not np.any(np.delete(alone, k, axis=-1))
 
 
 class TestConvergence:
@@ -497,6 +500,21 @@ class TestStreamedObservables:
         for state, curve in zip(group, batch.curves):
             alone = evolve(state, cfg, keep_states=True)
             self.check(alone, curve)
+
+    @pytest.mark.parametrize("case", ["fig4b", "negative-delta", "resonant"])
+    def test_expectation_matches_kept_states(self, case):
+        # one definition of <A>: the streamed <V> is coupling_expectation of
+        # each kept state, which rebuilds its lanes from the whole state
+        if case == "fig4b":
+            states, cfg = fig4b_pair()
+            cfg = replace(cfg, n_steps=201)
+        else:
+            cfg = NEGATIVE_DELTA if case == "negative-delta" else make_config(
+                theta=0.7, tau_max=9.0, n_steps=91)
+            states = [initial_state(cfg, superposed_distribution(cfg.field))]
+        for curve in evolve(states, cfg, keep_states=True).curves:
+            from_states = [coupling_expectation(CompositeState(s)) for s in curve.states]
+            assert np.max(np.abs(from_states - curve.expectation_V)) <= 1e-13
 
     @pytest.mark.parametrize("case", ["fig4b", "negative-delta"])
     def test_one_step_chunks_change_no_bits(self, monkeypatch, case):
