@@ -11,11 +11,10 @@ whose only time dependence is the smooth mode shape.  Propagation uses the
 fourth-order commutator-free Magnus scheme CF4 (Blanes & Moan, Appl. Numer.
 Math. 56 (2006) 1519): over a step [t, t + h] it samples lambda at the two
 Gauss nodes and applies two exact exponentials of H' with effective mode
-amplitudes, each over h/2.  Both have the coupling-triple form, whose
-exponential is built in closed form from the block spectrum (the
-characteristic polynomial of a triple factors as E (E^2 - delta E - R^2),
-so no iterative eigensolver is needed on the hot path).  The frame is
-undone before observables are taken, so overlaps, phases and any kept
+amplitudes, each over h/2.  On a lane's (bright, middle) plane each is an
+SU(2) matrix, built in closed form, times a phase that every lane shares;
+that phase, exp(-i delta tau / 2) in all, is applied exactly on the output
+grid.  The frame is undone there too, so overlaps, phases and any kept
 states live in the same interaction picture as the closed-form resonant
 route; the tests pin the sign convention of the frame map against a direct
 integration of the original Hamiltonian with its oscillating phases.
@@ -26,16 +25,14 @@ correction, which takes the exact derivative d<H>/dtau at every node.
 
 Each block is a lane (``system._lanes``), whose dark combination of its
 level-1 and level-3 amplitudes is stationary: a lane advances as its
-(bright, middle) pair, one 2x2 map per step, and the states are rebuilt
-from the pairs and the dark amplitudes only on the output grid.
-``evolve`` works a chunk of steps at a time: it builds the chunk's substep
-grid, mode-shape samples and plane maps, applies them, and reduces the
-pairs to <A> and the states to the ``Trajectory`` observables while they
-are still in cache.  A chunk holds about a fixed number of lane entries,
-so memory grows with neither the substep count nor the basis.  All
-reductions use a fixed deterministic order.  Curves that differ only in
-their initial state advance together as a batch that shares each
-propagator.
+(bright, middle) pair, one 2x2 map per step.  ``evolve`` works a chunk of
+steps at a time: it builds the chunk's substep grid, mode-shape samples
+and plane maps, applies them, and reduces the pairs to <A> and to the
+``Trajectory`` observables while they are still in cache.  A chunk holds
+about a fixed number of lane entries, so memory grows with neither the
+substep count nor the basis.  All reductions use a fixed deterministic
+order.  Curves that differ only in their initial state advance together
+as a batch that shares each propagator.
 """
 
 from __future__ import annotations
@@ -66,11 +63,9 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _CF4_SKEW = 1.0 / math.sqrt(3.0)
 # A chunk of steps is built and applied together: the fewest steps that hold
 # _CHUNK_LANES lane entries (113 for fig4b's 73 lanes, one on a basis of more
-# lanes), so that its arrays keep about one size whatever the basis.  The
-# plane build's complex arrays, 32 bytes per lane entry, then reach the 256 KiB
-# from which numpy reuses a temporary in place; below it, each chunk's
-# temporaries fault fresh pages.  The maps (64 bytes per lane entry) and the
-# per-node lane pairs (32 per curve) take 516 and 520 KiB for the fig4b pair.
+# lanes), so that its arrays keep about one size whatever the basis.  For the
+# fig4b pair the maps (64 bytes per lane entry) take 516 KiB, the lane pairs
+# (32 per curve) 520 KiB, and a whole call peaks at 2.1 MiB (tracemalloc).
 _CHUNK_LANES = 1 << 13
 
 
@@ -109,11 +104,9 @@ class Trajectory:
 class TrajectoryBatch:
     """Curves evolved together through shared propagators.
 
-    ``states`` stacks the curves' kept states, shape
-    (n_curves, n_out, 3, n_ph + 1), or is empty, shape
-    (n_curves, 0, 3, n_ph + 1), when they were not kept; ``curves`` holds
-    one ``Trajectory`` per curve, in input order, whose arrays are views
-    into the batch's.
+    ``states`` stacks the curves' kept states, shape (n_curves, n_out, 3,
+    n_ph + 1), or is empty, (n_curves, 0, 3, n_ph + 1); ``curves`` holds one
+    ``Trajectory`` per curve, in input order, with views into the batch's.
     """
 
     states: np.ndarray
@@ -121,42 +114,35 @@ class TrajectoryBatch:
 
 
 def _plane_sums(r, delta: float, dtau):
-    """Action of exp(-i dtau M) on the (bright, middle) plane of triple lanes,
+    """exp(-i dtau M) less its phase exp(-i delta dtau / 2) on the plane of
+    the bright b = xi u + eta w and the middle v of lanes (u, v, w),
 
-        M = [[0, r xi, 0], [r xi, delta, r eta], [0, r eta, 0]],  xi^2 + eta^2 = 1.
+        M = [[0, r xi, 0], [r xi, delta, r eta], [0, r eta, 0]],  xi^2 + eta^2 = 1,
 
-    The dark combination eta u - xi w of a lane (u, v, w) is stationary; the
-    bright one b = xi u + eta w and v mix through [[S0, r S1], [r S1, S2]],
-    the spectral sums over the roots E+- of E^2 - delta E - r^2 with
-    s = sqrt(delta^2 / 4 + r^2) and w+- = exp(-i dtau E+-):
+    where eta u - xi w stays: with s^2 = r^2 + delta^2 / 4 and x = dtau s,
 
-        S0 = (w- E+ - w+ E-) / 2s,  S1 = (w+ - w-) / 2s,  S2 = (w+ E+ - w- E-) / 2s.
+        [[p + i q, -i w], [-i w, p - i q]],  p = 1 - 2 sin^2(x / 2),
+        q = (delta / 2) sin(x) / s,  w = r sin(x) / s.
 
-    Returns (S0 - 1, r S1, S2).  The root of smaller magnitude is formed as
-    -r^2 over the larger, so no subtraction cancels for either sign of
-    delta; at delta = 0 the sums are cos(r dtau) and -i sin(r dtau), which
-    stay defined where r = 0.  ``r`` and ``dtau`` broadcast.
+    Returns the real (sin^2(x / 2), q, w), both sines rational in tan(x / 2)
+    (numpy's tan takes a fraction of sin's time), so p^2 + q^2 + w^2 = 1 to
+    rounding whatever tan's error; at s = 0 the identity.  ``r`` and
+    ``dtau`` broadcast.
     """
-    if delta == 0.0:
-        x = r * dtau
-        half = np.sin(0.5 * x)
-        return -2.0 * half * half, -1j * np.sin(x), np.cos(x)
-    r2 = r * r
-    s = np.sqrt(r2 + 0.25 * delta * delta)
-    if delta > 0.0:
-        e_p = s + 0.5 * delta
-        e_m = -r2 / e_p
-    else:
-        e_m = 0.5 * delta - s
-        e_p = -r2 / e_m
-    half_inv_s = 0.5 / s
-    phase = -1j * dtau
-    w_p = np.exp(e_p * phase)
-    w_m = np.exp(e_m * phase)
-    s0_minus_1 = (w_m * e_p - w_p * e_m) * half_inv_s - 1.0
-    rs1 = (w_p - w_m) * (r * half_inv_s)
-    s2 = (w_p * e_p - w_m * e_m) * half_inv_s
-    return s0_minus_1, rs1, s2
+    # in place, so that a chunk faults fewer fresh pages
+    s = r * r
+    s += 0.25 * delta * delta
+    np.sqrt(s, out=s)
+    t = (0.5 * dtau) * s
+    np.tan(t, out=t)
+    half2 = t * t
+    inv = half2 + 1.0
+    np.reciprocal(inv, out=inv)
+    half2 *= inv  # sin^2(x / 2)
+    t *= inv
+    t *= 2.0
+    t /= np.maximum(s, np.finfo(float).tiny, out=s)  # sin(x) / s, 0 at s = 0
+    return half2, (0.5 * delta) * t, r * t
 
 
 def _step(x, m, out) -> None:
@@ -179,31 +165,33 @@ def _cf4_amplitudes(t, h, config: SystemConfig) -> np.ndarray:
 
 
 def _cf4_planes(lam, sqrt_r, delta: float, half_h):
-    """Plane maps of CF4 steps: the product of the two exponentials.
+    """Plane maps of CF4 steps less their phase exp(-i delta h / 2), shape
+    (n, 2, 2, lanes), 1 less in the corner as ``_step`` takes them.
 
-    ``lam`` has shape (n, 2), the effective mode amplitudes of n steps with
-    the factor applied first in column 0; ``half_h`` has shape (n,), half
-    of each step.  Both factors act on the same plane of every lane, so a
-    step is one 2x2 map, less 1 in the corner as ``_step`` takes it, and the
-    maps have shape (n, 2, 2, lanes).
+    ``lam`` (n, 2) holds the effective mode amplitudes of n steps, the factor
+    applied first in column 0, and ``half_h`` (n,) half of each step.  The
+    product of the two ``_plane_sums`` factors is [[1 + c, m], [-conj(m),
+    conj(1 + c)]]; with h1, h2 their sin^2(x / 2), c = 4 h1 h2 - 2 (h1 + h2)
+    - q2 q1 - w2 w1 + i (p2 q1 + q2 p1) adds like-signed terms for small
+    steps, so nothing cancels.
     """
-    sums = _plane_sums(lam[:, :, None] * sqrt_r, delta, half_h[:, None, None])
-    a0, a1, a2 = (x[:, 0] for x in sums)
-    b0, b1, b2 = (x[:, 1] for x in sums)
-    # [[1 + b0, b1], [b1, b2]] @ [[1 + a0, a1], [a1, a2]]
+    (h1, h2), (q1, q2), (w1, w2) = (x.swapaxes(0, 1) for x in _plane_sums(
+        lam[:, :, None] * sqrt_r, delta, half_h[:, None, None]))
+    p1, p2 = 1.0 - 2.0 * h1, 1.0 - 2.0 * h2
     maps = np.empty((len(lam), 2, 2, sqrt_r.size), dtype=complex)
-    maps[:, 0, 0] = a0 + b0 + b0 * a0 + b1 * a1
-    maps[:, 0, 1] = a1 + b0 * a1 + b1 * a2
-    maps[:, 1, 0] = b1 + b1 * a0 + b2 * a1
-    maps[:, 1, 1] = b1 * a1 + b2 * a2
+    corner, off = maps[:, 0, 0], maps[:, 0, 1]
+    corner.real = 4.0 * h1 * h2 - 2.0 * (h1 + h2) - q2 * q1 - w2 * w1
+    corner.imag = p2 * q1 + q2 * p1
+    off.real = q2 * w1 - w2 * q1
+    off.imag = -(p2 * w1 + w2 * p1)
+    np.negative(off.conj(), out=maps[:, 1, 0])
+    np.conjugate(corner + 1.0, out=maps[:, 1, 1])
     return maps
 
 
-def _norms(states: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each state in a stack of shape (..., 3, n_ph + 1)."""
-    *lead, levels, width = states.shape
-    flat = np.abs(states).reshape(*lead, levels * width)
-    return np.sqrt(np.add.reduce(np.square(flat), axis=-1))
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of a complex array."""
+    return (z * z.conj()).real
 
 
 def evolve(
@@ -225,12 +213,11 @@ def evolve(
     grid drifts beyond 1e-6, and ``ValueError`` when the step is so far
     below the grid spacing that no integer counts the substeps.
 
-    Each lane is stepped as its (bright, middle) pair, and the states on
-    the output grid are rebuilt from the pairs and reduced to the
-    ``Trajectory`` observables a chunk of steps at a time, then dropped, so
-    memory grows with the output grid only.  ``keep_states`` also keeps
-    them, which costs n_out * 3 * (n_ph + 1) * 16 bytes per curve (14 MB for
-    the two fig4b curves); the observables are the same bits either way.
+    The lane pairs are reduced to the ``Trajectory`` observables a chunk of
+    steps at a time and dropped, so memory grows with the output grid only.
+    ``keep_states`` also rebuilds the states, n_out * 3 * (n_ph + 1) * 16
+    bytes per curve (14 MB for the two fig4b curves); the observables are
+    the same bits either way.
 
     A sequence of states on one basis evolves as a batch: they share every
     propagator, and each curve's amplitudes equal those of evolving it
@@ -244,9 +231,6 @@ def evolve(
     amps = np.array([m.amplitudes for m in members], dtype=complex)
     n_curves, _, width = amps.shape
     n_ph = width - 1
-    norm0 = _norms(amps)
-    if np.any(np.abs(norm0 - 1.0) > _NORM_DRIFT_LIMIT):
-        raise ValueError(f"initial states must be unit norm, got norms {norm0.tolist()}")
 
     delta = float(config.delta)
     moving = config.motion is Motion.MOVING
@@ -267,19 +251,13 @@ def evolve(
     step_widths = np.append(np.diff(taus) / m, 0.0)
 
     sqrt_r, xi, eta = _lanes(n_ph)
-    bright, middle, dark = _lane_split(amps, xi, eta)  # the dark amplitudes stay as they start
-
-    def rebuild(b, v):
-        """States (k, n_curves, 3, width) of lane pairs (k, n_curves, width)."""
-        u, w = xi * b + eta * dark, eta * b - xi * dark
-        return np.stack((np.roll(u, -1, axis=-1), v, np.roll(w, 1, axis=-1)), axis=-2)
-
-    # the interaction picture: level-2 amplitudes carry exp(+i delta tau)
-    # relative to the rotating frame, so <A> there carries exp(-i delta tau)
-    frame = np.exp(1j * delta * taus)
-    ref = amps.copy()  # the conjugated initial states, framed as every node is
-    ref[:, 1] *= frame[0]
-    np.conjugate(ref, out=ref)
+    bright, middle, dark = _lane_split(amps, xi, eta)
+    dark2 = _abs2(dark)
+    # the dark shares of the norm, level 1 and level 3, and level 1's cross term
+    dark_sums = [np.add.reduce(x, axis=-1) for x in (dark2, eta * eta * dark2, xi * xi * dark2)]
+    dark_cross = 2.0 * xi * eta * dark.conj()
+    ref = np.stack((bright, middle)).conj()
+    turn = np.exp(-0.5j * delta * taus)  # the rotating frame's phase that the pairs lack
     norm_err = np.empty((n_curves, n_out))
     overlap = np.empty((n_curves, n_out), dtype=complex)
     populations = np.empty((n_curves, n_out, 3))
@@ -288,30 +266,43 @@ def evolve(
     phi_dyn = np.zeros((n_curves, n_out))
     states = np.empty((n_curves, n_out if keep_states else 0, 3, width), dtype=complex)
 
-    def observe(ks, stored, a):
-        """Reduce the rotating-frame states at output nodes ``ks``, shape
-        (len(ks), n_curves, 3, width), and their <A>, to the observables.
-        Each overlap and population is one pairwise ``np.add.reduce`` over a
-        contiguous row, so its bits do not depend on how many nodes a call
-        takes."""
-        norm_err[:, ks] = np.abs(_norms(stored) - 1.0).T
-        exp_v[:, ks] = 2.0 * (a * frame.conj()[ks, None]).real.T
-        stored[:, :, 1] *= frame[ks, None, None]
-        rows = (ref * stored).reshape(len(ks), n_curves, 3 * width)
-        overlap[:, ks] = np.add.reduce(rows, axis=-1).T
-        prob = np.abs(stored) ** 2
-        populations[:, ks] = np.add.reduce(prob, axis=-1).swapaxes(0, 1)
-        top_rung[:, ks] = np.add.reduce(prob[..., -1], axis=-1).T
+    def observe(ks, pairs, a):
+        """Reduce the lane pairs at output nodes ``ks``, shape (len(ks), 2,
+        n_curves, width), and their <A>, to the observables.  (u, w) -> (b, d)
+        is orthogonal and d constant, so the norm, overlap and populations
+        sum |b|^2, |v|^2, |d|^2 and Re(conj(d) b) over the lanes, turned by
+        the phase the pairs lack.  Each is one pairwise ``np.add.reduce``
+        over a row of lanes: its bits do not depend on the nodes or curves."""
+        # b to the rotating frame; v (times exp(i delta tau)) and <A> to the interaction picture
+        back = turn[ks, None]
+        square = _abs2(pairs)
+        sums = np.add.reduce(square, axis=-1)
+        level1 = np.add.reduce(xi * xi * square[:, 0], axis=-1) + dark_sums[1]
+        level3 = np.add.reduce(eta * eta * square[:, 0], axis=-1) + dark_sums[2]
+        cross = (back * np.add.reduce(dark_cross * pairs[:, 0], axis=-1)).real
+        with_ref = np.add.reduce(ref * pairs, axis=-1)
+        norm_err[:, ks] = np.abs(np.sqrt(sums[:, 0] + sums[:, 1] + dark_sums[0]) - 1.0).T
+        overlap[:, ks] = (back * with_ref[:, 0] + back.conj() * with_ref[:, 1] + dark_sums[0]).T
+        rho = level1 + cross, sums[:, 1], level3 - cross
+        populations[:, ks] = np.stack(rho, axis=-1).swapaxes(0, 1)
+        # the top photon column: |1,n_ph> is lane 0's d, |3,n_ph> lane n_ph - 1's w
+        top = _abs2(eta[-2] * back * pairs[:, 0, :, -2] - xi[-2] * dark[:, -2])
+        top_rung[:, ks] = (dark2[:, 0] + square[:, 1, :, -1] + top).T
+        exp_v[:, ks] = 2.0 * (a * back * back).real.T
         if keep_states:
-            states[:, ks] = stored.swapaxes(0, 1)
+            b, v = pairs[:, 0] * back[..., None], pairs[:, 1] * back.conj()[..., None]
+            u, w = xi * b + eta * dark, eta * b - xi * dark
+            rows = np.roll(u, -1, axis=-1), v, np.roll(w, 1, axis=-1)
+            states[:, ks] = np.stack(rows, axis=-2).swapaxes(0, 1)
 
-    # tau = 0 is the initial states themselves; a row rebuilt from lanes may round
-    observe(np.arange(1), amps[None].copy(), ladder_expectation(sqrt_r, bright, middle)[None])
-    phase = np.full((n_curves, 1), -0.0)  # the phase sum so far; -0.0 + x is x
     chunk = math.ceil(_CHUNK_LANES / width)
     # row 0 holds the lane pairs at a chunk's first node, row i + 1 those after its step i
     node = np.empty((min(chunk, n_sub) + 1, 2, n_curves, width), dtype=complex)
     node[0] = bright, middle
+    observe(np.arange(1), node[:1], ladder_expectation(sqrt_r, bright, middle)[None])
+    if np.any(norm_err[:, 0] > _NORM_DRIFT_LIMIT):
+        raise ValueError(f"initial states must be unit norm, norm errors {norm_err[:, 0].tolist()}")
+    phase = np.full((n_curves, 1), -0.0)  # the phase sum so far; -0.0 + x is x
     for lo in range(0, n_sub, chunk):
         hi = min(lo + chunk, n_sub)
         nodes = np.arange(lo, hi + 1)
@@ -319,13 +310,14 @@ def evolve(
         t = taus[interval] + offset * step_widths[interval]
         h = step_widths[interval[:-1]]
         maps = _cf4_planes(_cf4_amplitudes(t[:-1], h, config), sqrt_r, delta, 0.5 * h)
+        for i, step in enumerate(maps):
+            _step(node[i], step, node[i + 1])
+        del maps  # so that the reductions reuse its memory
         n = hi - lo
-        for i in range(n):
-            _step(node[i], maps[i], node[i + 1])
-        a = ladder_expectation(sqrt_r, node[: n + 1, 0], node[: n + 1, 1])  # rotating frame
+        a = ladder_expectation(sqrt_r, node[: n + 1, 0], node[: n + 1, 1])
         ks = np.arange(lo // m + 1, hi // m + 1)  # the output nodes in (lo, hi]
-        at = ks * m - lo
-        observe(ks, rebuild(node[at, 0], node[at, 1]), a[at])
+        at = slice(m - lo % m, n + 1, m)  # and their rows
+        observe(ks, node[at], a[at])
         drift = norm_err[:, ks].T
         if np.any(drift > _NORM_DRIFT_LIMIT):
             k, worst = np.unravel_index(np.argmax(drift > _NORM_DRIFT_LIMIT), drift.shape)

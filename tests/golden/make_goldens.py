@@ -17,7 +17,11 @@ unless all four independent cross-checks pass:
 
 On success it writes ``preset_hashes.json`` (the CSV sha256 values with the
 environment fingerprint they hold for) and ``run_small.csv`` (the small
-run's bytes), and prints every measured deviation.  A curve's
+run's bytes), and prints every measured deviation.  For each file whose
+pin changes it prints the largest move of every column, the wrapped
+phases by wrapped difference: ``run_small.csv`` against the bytes it
+replaces, and a preset CSV, whose replaced bytes are on record only as a
+sha256, against its value golden.  A curve's
 ``<curve>.npz`` (every CSV column at full float64 precision) is written
 only where there is none yet or the curve no longer matches it within its
 ``VALUE_TOLERANCE``: a value golden that still holds is kept as committed,
@@ -48,6 +52,7 @@ from goldens import (  # noqa: E402
     RUN_SMALL_PATH,
     VALUE_TOLERANCE,
     compare_values,
+    deviation,
     environment_fingerprint,
     load_golden,
     read_csv,
@@ -149,6 +154,15 @@ def run_small_failures(path: Path) -> list[str]:
     return failures
 
 
+def print_moves(label: str, got: dict[str, np.ndarray], was: dict[str, np.ndarray]) -> None:
+    """Print the largest move of each column from ``was`` to ``got``."""
+    if list(got) != list(was) or len(got["tau"]) != len(was["tau"]):
+        print(f"{label}: the columns or rows differ")
+        return
+    moves = ", ".join(f"{c} {float(np.max(deviation(c, got[c], was[c]))):.2e}" for c in was)
+    print(f"{label}, largest move per column: {moves}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -164,7 +178,7 @@ def main() -> int:
             print("the small run failed", file=sys.stderr)
             return 1
         small_failures = run_small_failures(small)
-        small_bytes = small.read_bytes()
+        small_bytes, small_columns = small.read_bytes(), read_csv(small)
 
     closed = closed_form_deviation(curves["fig5a.csv"])
     print(f"fig5a x/y vs closed form: max |dev| {closed:.3e} (bound {CLOSED_FORM_BOUND:.0e})")
@@ -176,6 +190,13 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
+    pinned = json.loads(HASHES_PATH.read_text(encoding="utf-8"))["sha256"]
+    for name, columns in curves.items():
+        if hashes[name] != pinned.get(name):
+            print_moves(f"{name} re-pinned, against its value golden", columns, load_golden(name))
+    if small_bytes != RUN_SMALL_PATH.read_bytes():
+        print_moves(f"{RUN_SMALL_PATH.name} re-pinned, against the bytes it replaces",
+                    small_columns, read_csv(RUN_SMALL_PATH))
     for name, columns in curves.items():
         path = HERE / Path(name).with_suffix(".npz")
         if path.exists() and compare_values(columns, load_golden(name), VALUE_TOLERANCE[name])[0]:

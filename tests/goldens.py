@@ -77,7 +77,9 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _deviation(column: str, got: np.ndarray, want: np.ndarray) -> np.ndarray:
+def deviation(column: str, got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """|got - want| of a CSV column, by wrapped difference for the wrapped
+    phases; a NaN on both sides is 0 and on one side only infinite."""
     dev = got - want
     if column in WRAPPED_COLUMNS:
         dev = (dev + math.pi) % (2.0 * math.pi) - math.pi
@@ -107,7 +109,7 @@ def compare_values(got: dict[str, np.ndarray], golden: dict[str, np.ndarray],
         if column == "norm_error":
             dev, bound = np.where(np.isnan(values), math.inf, np.abs(values)), NORM_ERROR_BOUND
         else:
-            dev, bound = _deviation(column, values, want), tolerance
+            dev, bound = deviation(column, values, want), tolerance
             gaps = np.flatnonzero(np.isnan(values) != np.isnan(want))
             if gaps.size:
                 failures.append(f"{column}: NaN gaps differ in {gaps.size} row(s), "
