@@ -2,29 +2,27 @@
 
 On resonance the Hamiltonian is proportional to a fixed coupling operator V
 scaled by the mode shape, so the evolution is exp(-i A(tau) V) with A the
-accumulated pulse area.  The survival amplitude <psi(0)|psi(tau)> then
-reduces to sums over the photon ladder with frequencies sqrt(2n+3):
+accumulated pulse area.  V splits into the lanes of ``system._lanes``: on
+lane j it couples the bright amplitude b_j to the middle one v_j with
+strength r_j and leaves the dark one d_j still.  The initial amplitudes are
+real, so the survival amplitude <psi(0)|psi(tau)> is
 
-  x(tau) = sum_n c_n^2 cos^2(theta) [n+2 + (n+1) cos(A w_n)] / (2n+3)
-         + sum_n c_{n+1}^2 sin^2(theta) cos(A w_n)
-  y(tau) = sum_n c_n c_{n+1} sin(2 theta) sqrt((n+1)/(2n+3)) sin(A w_n)
+  x(tau) = sum_j d_j^2 + sum_j (b_j^2 + v_j^2) cos(r_j A)
+  y(tau) = -sum_j 2 b_j v_j sin(r_j A)
 
-with w_n = sqrt(2n+3) and c_n the normalized photon amplitudes.  The second
-x sum starts one rung up the ladder, so the closed form drops the
-middle-level vacuum contribution sin^2(theta) c_0^2 cos(A); this is
-invisible at large alpha (c_0^2 = e^-25 at alpha = 5) but measurable at
-alpha ~ 1, where the numerical route is the reference.
+In the paper's photon-ladder form lane j = n + 1 has r = sqrt(2n+3),
+xi^2 = (n+1)/(2n+3) and eta^2 = (n+2)/(2n+3).  The closed form drops lane
+0's middle rung |2,0>, the vacuum contribution sin^2(theta) c_0^2 cos(A)
+with c_n the normalized photon amplitudes; this is invisible at large
+alpha (c_0^2 = e^-25 at alpha = 5) but measurable at alpha ~ 1, where the
+numerical route is the reference.
 
-Both x sums share the frequencies, so x is the constant sum of
-c_n^2 cos^2(theta) (n+2)/(2n+3) plus one cosine sum with the folded weight
-c_n^2 cos^2(theta) (n+1)/(2n+3) + c_{n+1}^2 sin^2(theta) per rung.
-
-Each sum is Re or Im of S(A) = sum_n w_n exp(i A w_n) over the kept rungs,
+Each sum is Re or Im of S(A) = sum_j w_j exp(i A r_j) over the kept lanes,
 whose frequencies span a narrow band (about 11 wide at alpha = 40).  So
 where the grid holds many more points than the band needs nodes (a moving
 atom's areas span at most 2 / p), S is summed at a few Chebyshev points in
 A only and carried to the grid by barycentric interpolation; elsewhere
-the same routine sums each rung at each point (``_ladder_sums``).
+the same routine sums each lane at each point (``_ladder_sums``).
 References: Trefethen, Approximation Theory and Approximation Practice
 (SIAM 2013), chs. 3, 5 and 8; Berrut & Trefethen, SIAM Rev. 46 (2004) 501.
 """
@@ -37,6 +35,7 @@ import numpy as np
 
 from .field_states import PhotonDistribution
 from .system import SystemConfig, coupling_expectation, initial_state, pulse_area
+from .system import _lane_split, _lanes
 
 __all__ = [
     "overlap_series",
@@ -155,32 +154,23 @@ def overlap_series(
     """Evaluate x(tau), y(tau) on a 1-D grid of scaled times.
 
     Weights below ``_TERM_SKIP`` are dropped.  x adds the cosine sum of the
-    folded weights to the constant sum, y is the sine sum of the cross
-    weights: exactly 0 when none is kept (theta = 0, cat states).  Every
+    lanes' b^2 + v^2 to the dark weights' sum, y is the sine sum of their
+    -2 b v: exactly 0 when none is kept (theta = 0, cat states).  Every
     reduction is ``np.add.reduce`` in a fixed order on one thread, with no
     BLAS call, so the bytes do not depend on the thread count.
     """
     _require_resonance(config)
     area = pulse_area(taus, config)
-    c = dist.weights
-    ns = np.arange(dist.n_max + 1, dtype=float)
-    omega = np.sqrt(2.0 * ns + 3.0)
-    cos_t = math.cos(config.theta)
-    sin_t = math.sin(config.theta)
-
-    # upper-level ladder anchors, and the middle-level ladder one rung up
-    w1 = c * c * (cos_t * cos_t)
-    w1[w1 < _TERM_SKIP] = 0.0
-    w2 = np.append(c[1:] * c[1:] * (sin_t * sin_t), 0.0)
-    w2[w2 < _TERM_SKIP] = 0.0
-    x0 = np.add.reduce(w1 * (ns + 2.0) / (2.0 * ns + 3.0))
-
-    # upper/middle cross terms, up to the second-to-last rung
-    wy = np.append(c[:-1] * c[1:] * math.sin(2.0 * config.theta), 0.0)
-    wy *= np.sqrt((ns + 1.0) / (2.0 * ns + 3.0))
+    state = initial_state(config, dist)
+    r, xi, eta = _lanes(state.n_ph)
+    b, v, d = _lane_split(state.amplitudes.real, xi, eta)  # real at tau = 0
+    wx = b * b + v * v
+    wx[0] = 0.0  # the closed form omits the vacuum term, lane 0's |2,0>
+    wx[wx < _TERM_SKIP] = 0.0
+    wy = -2.0 * b * v
     wy[np.abs(wy) < _TERM_SKIP] = 0.0
-    x, y = _ladder_sums(area, omega, w1 * (ns + 1.0) / (2.0 * ns + 3.0) + w2, wy)
-    return x0 + x, y
+    x, y = _ladder_sums(area, r, wx, wy)
+    return np.add.reduce(d * d) + x, y
 
 
 def dynamical_phase_resonant(tau, config: SystemConfig, dist: PhotonDistribution):

@@ -224,6 +224,14 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(bad, cfg)
 
+    def test_nan_initial_rejected(self):
+        # nan fails every comparison, so a "> limit" guard would let it through
+        cfg = make_config(tau_max=1.0, n_steps=5)
+        amps = initial_state(cfg, superposed_distribution(cfg.field)).amplitudes.copy()
+        amps[2, 0] = math.nan
+        with pytest.raises(ValueError, match="unit norm"):
+            evolve(CompositeState(amps), cfg)
+
     def test_output_grid_and_substep_count(self):
         # each 0.1-wide output interval splits into ten equal 0.01 substeps;
         # at the default step a 2000-point preset grid takes one per interval
@@ -286,7 +294,7 @@ class TestEvolve:
         # all weight starts on level 2 and some leaves it, so ten steps (one
         # per output interval) grow the norm by a little under 1e-6 and the
         # eleventh crosses the limit: the abort names that node and no later one
-        assert "at tau = 0.055000 (curve 0," in str(caught.value)
+        assert "at tau = 0.055 (curve 0," in str(caught.value)
 
     def test_states_read_only(self):
         cfg = make_config(tau_max=1.0, n_steps=5)

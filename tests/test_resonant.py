@@ -78,11 +78,16 @@ class TestOverlapAgainstBruteForce:
             (1.2, -1.0, math.pi / 3),
             (1.2, 0.5, 0.9),
             (2.0, 0.0, 0.3),
+            # the middle-level vacuum alone: the omitted term is all of x
+            (0.0, 0.0, math.pi / 2),
+            # level 1 empty: every lane's bright amplitude is 0
+            (1.2, 0.0, math.pi / 2),
         ],
     )
+    @pytest.mark.parametrize("motion", [Motion.MOVING, Motion.NEGLECTED])
     @pytest.mark.parametrize("tau", [0.35, 1.1, 2.6])
-    def test_series_matches_matrix_exponential(self, alpha, r, theta, tau):
-        config = make_config(alpha, r, theta)
+    def test_series_matches_matrix_exponential(self, alpha, r, theta, motion, tau):
+        config = make_config(alpha, r, theta, motion=motion)
         dist = superposed_distribution(config.field)
         z = brute_force_overlap(config, dist, tau)
         val = overlap_at(tau, config, dist)
