@@ -40,7 +40,7 @@ from .phases import (
     series_from_trajectory,
     unwrap_with_gaps,
 )
-from .system import Motion, SystemConfig, initial_state, pulse_area
+from .system import Motion, SystemConfig, _edge_weight, initial_state, pulse_area
 
 __all__ = [
     "ConfigError",
@@ -394,16 +394,16 @@ def _compute(
             field = replace(config.field, alpha=0.0, r=0.0)
             shared = replace(config, theta=0.0, field=field)
             groups.setdefault((shared, dist.n_max), []).append(i)
-    trajectories, integrators = {}, {}
+    trajectories, integrators, edge_weights = {}, {}, {}
     for members in groups.values():
         t_evolve = time.perf_counter()
-        evolved = evolve(
-            [initial_state(configs[i], dists[i]) for i in members], configs[members[0]]
-        )
+        states = [initial_state(configs[i], dists[i]) for i in members]
+        evolved = evolve(states, configs[members[0]])
         evolve_s = time.perf_counter() - t_evolve
-        for i, trajectory in zip(members, evolved.curves):
+        for i, state, trajectory in zip(members, states, evolved.curves):
             worst = int(np.argmax(trajectory.norm_error))
             trajectories[i] = trajectory
+            edge_weights[i] = _edge_weight(state.amplitudes)
             integrators[i] = {
                 # every output interval takes the same number of equal substeps
                 "dt_internal": float(trajectory.taus[-1] / trajectory.substeps),
@@ -421,10 +421,9 @@ def _compute(
     for i, (scenario, config, dist) in enumerate(zip(scenarios, configs, dists)):
         series: dict[str, PhaseTimeSeries] = {}
         t_series = time.perf_counter()
-        top_rung, deviation = None, {}
+        deviation = {}
         if i in trajectories:
             series["numeric"] = series_from_trajectory(trajectories[i])
-            top_rung = float(np.max(trajectories[i].top_rung_population))
         if scenario.engine != "numeric":
             series["analytic"] = series_from_closed_form(config, dist)
         if len(series) == 2:
@@ -442,7 +441,7 @@ def _compute(
                 "dropped_tail": dist.dropped_tail,
                 "epsilon_tail": EPSILON_TAIL,
                 "norm_constant": dist.norm_constant,
-                "max_top_rung_population": top_rung,
+                "max_top_rung_population": edge_weights.get(i),
             },
             "integrator": {
                 "scheme": "cf4",

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import CompositeState, Motion, SystemConfig, ladder_expectation, mode_shape
-from .system import _lane_split, _lanes
+from .system import _abs2, _lane_split, _lanes
 
 __all__ = [
     "NormDriftError",
@@ -78,11 +78,9 @@ class NormDriftError(RuntimeError):
 class Trajectory:
     """Observables of an evolution on the output grid, plus diagnostics.
 
-    ``overlap`` is the survival amplitude <psi(0)|psi(tau)>, ``populations``
-    the level populations, shape (n_out, 3), and ``top_rung_population``
-    the population of the basis's top photon column summed over the levels,
-    which is leakage into the truncation edge.  ``norm_error`` is each
-    state's norm drift.  ``expectation_V`` is the coupling-operator
+    ``overlap`` is the survival amplitude <psi(0)|psi(tau)> and
+    ``populations`` the level populations, shape (n_out, 3).  ``norm_error``
+    is each state's norm drift.  ``expectation_V`` is the coupling-operator
     expectation (conserved on resonance) and ``phi_dynamical`` the
     accumulated dynamical phase, minus the integral of <H>/g from 0.
     ``substeps`` counts the integrator steps taken.  ``states`` holds the
@@ -93,7 +91,6 @@ class Trajectory:
     taus: np.ndarray
     overlap: np.ndarray
     populations: np.ndarray
-    top_rung_population: np.ndarray
     norm_error: np.ndarray
     expectation_V: np.ndarray
     phi_dynamical: np.ndarray
@@ -190,11 +187,6 @@ def _cf4_planes(lam, sqrt_r, delta: float, half_h):
     return maps
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of a complex array."""
-    return (z * z.conj()).real
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the norm check reports a blow-up
 def evolve(
     initial: CompositeState | Sequence[CompositeState],
@@ -263,7 +255,6 @@ def evolve(
     norm_err = np.empty((n_curves, n_out))
     overlap = np.empty((n_curves, n_out), dtype=complex)
     populations = np.empty((n_curves, n_out, 3))
-    top_rung = np.empty((n_curves, n_out))
     exp_v = np.empty((n_curves, n_out))
     phi_dyn = np.zeros((n_curves, n_out))
     states = np.empty((n_curves, n_out if keep_states else 0, 3, width), dtype=complex)
@@ -287,9 +278,6 @@ def evolve(
         overlap[:, ks] = (back * with_ref[:, 0] + back.conj() * with_ref[:, 1] + dark_sums[0]).T
         rho = level1 + cross, sums[:, 1], level3 - cross
         populations[:, ks] = np.stack(rho, axis=-1).swapaxes(0, 1)
-        # the top photon column: |1,n_ph> is lane 0's d, |3,n_ph> lane n_ph - 1's w
-        top = _abs2(eta[-2] * back * pairs[:, 0, :, -2] - xi[-2] * dark[:, -2])
-        top_rung[:, ks] = (dark2[:, 0] + square[:, 1, :, -1] + top).T
         exp_v[:, ks] = 2.0 * (a * back * back).real.T
         if keep_states:
             b, v = pairs[:, 0] * back[..., None], pairs[:, 1] * back.conj()[..., None]
@@ -350,7 +338,6 @@ def evolve(
             taus=taus,
             overlap=overlap[c],
             populations=populations[c],
-            top_rung_population=top_rung[c],
             norm_error=norm_err[c],
             expectation_V=exp_v[c],
             phi_dynamical=phi_dyn[c],

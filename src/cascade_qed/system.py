@@ -191,6 +191,20 @@ def _lanes(n_ph: int):
     return r, np.sqrt(a2) / r, np.sqrt(b2) / r
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of a complex array."""
+    return (z * z.conj()).real
+
+
+def _edge_weight(a: np.ndarray) -> float:
+    """Weight of amplitudes ``a`` (3, n_ph + 1) in the only lanes that reach
+    the top photon column: lanes n_ph - 1 and n_ph and the singleton
+    |1,n_ph>.  Lanes never couple, so no evolution puts more than this in
+    the column; for ``initial_state`` it is cos^2(theta) c_{n_max}^2.
+    """
+    return float(np.add.reduce(_abs2(np.concatenate((a[0, -3:], a[1, -2:], a[2, -1:])))))
+
+
 def _lane_split(a: np.ndarray, xi, eta):
     """Bright, middle and dark amplitudes (xi u + eta w, v, eta u - xi w) of
     the lanes (u, v, w) of amplitudes ``a``, shape (..., 3, n_ph + 1), each

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cascade_qed
 from cascade_qed import (
     CompositeState,
     FieldSpec,
@@ -265,6 +266,9 @@ def test_criterion_8_cross_ladder_identity(alpha):
 
 def _run_preset(name: str, out: Path, threads: str) -> list[Path]:
     env = dict(os.environ)
+    # the package under test first: pytest's pythonpath setting does not reach the child
+    src = str(Path(cascade_qed.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env["OMP_NUM_THREADS"] = threads
     env["OPENBLAS_NUM_THREADS"] = threads
     start = time.perf_counter()

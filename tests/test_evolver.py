@@ -324,8 +324,8 @@ class TestBatch:
         assert batch.states.shape == (3, 21, 3, 6)
         for state, curve in zip(group, batch.curves):
             alone = evolve(state, cfg, keep_states=True)
-            for field in ("states", "overlap", "populations", "top_rung_population",
-                          "expectation_V", "norm_error", "phi_dynamical"):
+            for field in ("states", "overlap", "populations", "expectation_V",
+                          "norm_error", "phi_dynamical"):
                 assert np.max(np.abs(getattr(curve, field) - getattr(alone, field))) <= 1e-13
             assert curve.substeps == alone.substeps
         with pytest.raises(ValueError):
@@ -384,6 +384,37 @@ class TestLaneIndependence:
             alone = run(alone)
             assert np.array_equal(alone[..., k], together[..., k])
             assert not np.any(np.delete(alone, k, axis=-1))
+
+
+class TestTruncationEdge:
+    """Lanes never couple, so the top photon column never holds more than
+    the initial weight of the lanes that reach it, ``system._edge_weight``."""
+
+    @staticmethod
+    def top_column(state, cfg):
+        kept = evolve(state, cfg, keep_states=True)
+        return observables_from_states(kept.states)[2]
+
+    def test_bound_reached_and_kept(self):
+        # |1,2> alone lies in lane 3 of n_ph = 4, r^2 = 7; on resonance with
+        # the motion neglected its |3,4> = xi eta (cos(sqrt(7) tau) - 1) peaks
+        # at 4 xi^2 eta^2 = 48/49 at tau = pi / sqrt(7)
+        amps = np.zeros((3, 5), dtype=complex)
+        amps[0, 2] = 1.0
+        state = CompositeState(amps)
+        bound = system._edge_weight(state.amplitudes)
+        assert bound == 1.0
+        still = make_config(motion=Motion.NEGLECTED, tau_max=3.0, n_steps=301)
+        assert np.max(self.top_column(state, still)) == pytest.approx(48.0 / 49.0, abs=1e-4)
+        moving = make_config(delta=-5.0, p=2, tau_max=3.0, n_steps=301)
+        assert 0.5 < np.max(self.top_column(state, moving)) < bound
+
+    @pytest.mark.parametrize("n_ph", [4, 12])
+    def test_random_state_stays_below(self, n_ph):
+        state = random_state(n_ph, seed=1)
+        cfg = make_config(delta=7.0, tau_max=3.0, n_steps=301)
+        column = self.top_column(state, cfg)
+        assert 0.0 < np.max(column) < system._edge_weight(state.amplitudes)
 
 
 class TestConvergence:
@@ -463,8 +494,7 @@ class TestFrameCorrectness:
         assert np.max(np.abs(traj.states - ref)) < 1e-9
 
 
-STREAMED = ("overlap", "populations", "top_rung_population", "norm_error",
-            "expectation_V", "phi_dynamical")
+STREAMED = ("overlap", "populations", "norm_error", "expectation_V", "phi_dynamical")
 
 
 def assert_same_bits(a, b):
@@ -495,8 +525,9 @@ class TestStreamedObservables:
     def check(kept, streamed):
         # evolve sums |b|^2, |v|^2, |d|^2 and Re(conj(d) b) over the lanes,
         # the formulas |u|^2, |v|^2 and |w|^2 over the rebuilt states
-        expected = observables_from_states(kept.states)
-        got = kept.overlap, kept.populations, kept.top_rung_population, kept.norm_error
+        overlap, populations, _, norm_error = observables_from_states(kept.states)
+        expected = overlap, populations, norm_error
+        got = kept.overlap, kept.populations, kept.norm_error
         for ours, theirs in zip(got, expected, strict=True):
             assert np.max(np.abs(ours - theirs)) <= 1e-15
         for field in STREAMED:

@@ -36,10 +36,10 @@ def stored(states, phi_dynamical=None):
     formulas applied to them."""
     states = np.array(states, dtype=complex)
     n = len(states)
-    overlap, populations, top_rung, norm_error = observables_from_states(states)
+    overlap, populations, _, norm_error = observables_from_states(states)
     return Trajectory(
         taus=np.arange(float(n)), overlap=overlap, populations=populations,
-        top_rung_population=top_rung, norm_error=norm_error, expectation_V=np.zeros(n),
+        norm_error=norm_error, expectation_V=np.zeros(n),
         phi_dynamical=np.zeros(n) if phi_dynamical is None else np.asarray(phi_dynamical),
         substeps=max(1, n - 1), states=states,
     )
