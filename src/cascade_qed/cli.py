@@ -40,7 +40,7 @@ from .phases import (
     series_from_trajectory,
     unwrap_with_gaps,
 )
-from .system import Motion, SystemConfig, _edge_weight, initial_state, pulse_area
+from .system import Motion, SystemConfig, _edge_weight, initial_state
 
 __all__ = [
     "ConfigError",
@@ -199,14 +199,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Series per engine plus the files written.
+    """The files written and the sidecar metadata.
 
-    For a batch of scenarios, ``series`` is keyed by ``<curve>/<engine>``
-    (the curve label, or the scenario's index when it has none) and
-    ``metadata`` holds every curve's sidecar under ``curves``.
+    For a batch of scenarios, ``metadata`` holds every curve's sidecar
+    under ``curves``.
     """
 
-    series: dict[str, PhaseTimeSeries]
     paths: tuple[Path, ...]
     metadata: dict
 
@@ -319,18 +317,18 @@ def environment_fingerprint() -> dict:
 
 
 def _write_outputs(scenario: ScenarioConfig, series: dict[str, PhaseTimeSeries]):
-    """Write a scenario's CSV files; return their paths and, of those, the
-    series files that get a sidecar (the ``.compare.csv`` table gets none)."""
+    """Write a scenario's CSV files; return their paths, the series files
+    first (the ``.compare.csv`` table follows them)."""
     out = Path(scenario.out)
     if scenario.engine != "both":
         write_series_csv(out, series[scenario.engine], scenario.emit_unwrapped)
-        return [out], [out]
+        return [out]
     num, ana = series["numeric"], series["analytic"]
     paths = [_derived_path(out, tag) for tag in ("numeric", "analytic", "compare")]
     write_series_csv(paths[0], num, scenario.emit_unwrapped)
     write_series_csv(paths[1], ana, scenario.emit_unwrapped)
     _write_csv(paths[2], ("tau", "dev_x", "dev_y"), (num.tau, num.x - ana.x, num.y - ana.y))
-    return paths, paths[:2]
+    return paths
 
 
 def _preflight(scenario: ScenarioConfig, config: SystemConfig, n_max: int) -> None:
@@ -341,9 +339,10 @@ def _preflight(scenario: ScenarioConfig, config: SystemConfig, n_max: int) -> No
     substep count is its evolve call's.  The count is a float, so a step far
     below the grid spacing cannot overflow.  A sqrt(2 n_max + 5), with A the
     largest pulse area, bounds both the largest ladder phase A sqrt(2 n + 3)
-    and |<V>_0| A; a moving atom's A is at most 2 / p."""
-    if scenario.engine != "numeric":
-        area = float(np.max(pulse_area(config.taus(), config)))
+    and |<V>_0| A.  A moving atom's A is at most 2 / p, so only a neglected
+    motion's can overflow: its area is tau, so A is tau_max."""
+    if scenario.engine != "numeric" and config.motion is Motion.NEGLECTED:
+        area = config.tau_max
         if not math.isfinite(area * math.sqrt(2.0 * n_max + 5.0)):
             raise ConfigError(
                 f"the closed-form phases overflow: a pulse area of {area:.3g} "
@@ -394,7 +393,9 @@ def _compute(
             field = replace(config.field, alpha=0.0, r=0.0)
             shared = replace(config, theta=0.0, field=field)
             groups.setdefault((shared, dist.n_max), []).append(i)
-    trajectories, integrators, edge_weights = {}, {}, {}
+    # per curve: its trajectory, integrator record and top-rung weight
+    records = [(None, {"dt_internal": None, "substeps_total": 0, "evolve_s": 0.0,
+                       "batch_size": 0}, None)] * len(scenarios)
     for members in groups.values():
         t_evolve = time.perf_counter()
         states = [initial_state(configs[i], dists[i]) for i in members]
@@ -402,9 +403,7 @@ def _compute(
         evolve_s = time.perf_counter() - t_evolve
         for i, state, trajectory in zip(members, states, evolved.curves):
             worst = int(np.argmax(trajectory.norm_error))
-            trajectories[i] = trajectory
-            edge_weights[i] = _edge_weight(state.amplitudes)
-            integrators[i] = {
+            integrator = {
                 # every output interval takes the same number of equal substeps
                 "dt_internal": float(trajectory.taus[-1] / trajectory.substeps),
                 "substeps_total": trajectory.substeps,
@@ -415,24 +414,23 @@ def _compute(
             }
             if configs[i].delta == 0.0:
                 v = trajectory.expectation_V
-                integrators[i]["max_v_drift"] = float(np.max(np.abs(v - v[0])))
+                integrator["max_v_drift"] = float(np.max(np.abs(v - v[0])))
+            records[i] = (trajectory, integrator, _edge_weight(state.amplitudes))
 
     curves = []
     for i, (scenario, config, dist) in enumerate(zip(scenarios, configs, dists)):
+        trajectory, integrator, edge_weight = records[i]
         series: dict[str, PhaseTimeSeries] = {}
         t_series = time.perf_counter()
         deviation = {}
-        if i in trajectories:
-            series["numeric"] = series_from_trajectory(trajectories[i])
+        if trajectory is not None:
+            series["numeric"] = series_from_trajectory(trajectory)
         if scenario.engine != "numeric":
             series["analytic"] = series_from_closed_form(config, dist)
         if len(series) == 2:
             num, ana = series["numeric"], series["analytic"]
             deviation = {"max_abs_dev_x": float(np.max(np.abs(num.x - ana.x))),
                          "max_abs_dev_y": float(np.max(np.abs(num.y - ana.y)))}
-        integrator = integrators.get(
-            i, {"dt_internal": None, "substeps_total": 0, "evolve_s": 0.0, "batch_size": 0}
-        )
         metadata = {
             "version": __version__,
             "parameters": {k: v for k, v in asdict(scenario).items() if k != "out"},
@@ -441,7 +439,7 @@ def _compute(
                 "dropped_tail": dist.dropped_tail,
                 "epsilon_tail": EPSILON_TAIL,
                 "norm_constant": dist.norm_constant,
-                "max_top_rung_population": edge_weights.get(i),
+                "max_top_rung_population": edge_weight,
             },
             "integrator": {
                 "scheme": "cf4",
@@ -469,37 +467,28 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
     if any(scenario.out is None for scenario in scenarios):
         raise ConfigError("an output path is required (--out)")
     t_start = time.perf_counter()
-    curves, sidecars = [], []
+    paths, curves = [], []
     for scenario, (series, metadata) in zip(scenarios, _compute(scenarios)):
         t_csv = time.perf_counter()
-        paths, series_paths = _write_outputs(scenario, series)
+        written = _write_outputs(scenario, series)
         metadata["integrator"]["csv_s"] = time.perf_counter() - t_csv
-        metadata["files"] = [str(p) for p in paths]
-        curves.append(RunResult(series=series, paths=tuple(paths), metadata=metadata))
-        sidecars.append(series_paths)
+        metadata["files"] = [str(p) for p in written]
+        paths += written
+        curves.append((written[: len(series)], metadata))
 
     wall = time.perf_counter() - t_start
-    substeps_total = sum(c.metadata["integrator"]["substeps_total"] for c in curves)
     environment = environment_fingerprint()
-    for curve, series_paths in zip(curves, sidecars):
-        curve.metadata.update(wall_time_s=wall, environment=environment)
+    for series_paths, metadata in curves:
+        metadata.update(wall_time_s=wall, environment=environment)
         for p in series_paths:
-            _write_meta(p, curve.metadata)
+            _write_meta(p, metadata)
+    per_curve = [metadata for _, metadata in curves]
     if not batch:
-        return curves[0]
-    return RunResult(
-        series={
-            f"{scenario.curve or i}/{engine}": s
-            for i, (scenario, curve) in enumerate(zip(scenarios, curves))
-            for engine, s in curve.series.items()
-        },
-        paths=tuple(p for curve in curves for p in curve.paths),
-        metadata={
-            "curves": [curve.metadata for curve in curves],
-            "integrator": {"substeps_total": substeps_total},
-            "wall_time_s": wall,
-        },
-    )
+        return RunResult(paths=tuple(paths), metadata=per_curve[0])
+    substeps_total = sum(m["integrator"]["substeps_total"] for m in per_curve)
+    batch_metadata = {"curves": per_curve, "integrator": {"substeps_total": substeps_total},
+                      "wall_time_s": wall}
+    return RunResult(paths=tuple(paths), metadata=batch_metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ level-1 and level-3 amplitudes is stationary: a lane advances as its
 steps at a time: it builds the chunk's substep grid, mode-shape samples
 and plane maps, applies them, and reduces the pairs to <A> and to the
 ``Trajectory`` observables while they are still in cache.  A chunk holds
-about a fixed number of lane entries, so memory grows with neither the
-substep count nor the basis.  All reductions use a fixed deterministic
-order.  Curves that differ only in their initial state advance together
-as a batch that shares each propagator.
+about a fixed number of lane entries, so memory does not grow with the
+substep count, nor with the basis up to that many lanes; a larger basis
+takes one step per chunk, and memory grows with it.  All reductions use a
+fixed deterministic order.  Curves that differ only in their initial
+state advance together as a batch that shares each propagator.
 """
 
 from __future__ import annotations
@@ -62,11 +63,13 @@ _NORM_DRIFT_LIMIT = 1e-6
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _CF4_SKEW = 1.0 / math.sqrt(3.0)
 # A chunk of steps is built and applied together: the fewest steps that hold
-# _CHUNK_LANES lane entries (113 for fig4b's 73 lanes, one on a basis of more
-# lanes), so that its arrays keep about one size whatever the basis.  For the
-# fig4b pair the maps (64 bytes per lane entry) take 516 KiB, the lane pairs
-# (32 per curve) 520 KiB, and one warm call, its states built beforehand,
-# peaks at 2.7 MiB (tracemalloc, numpy 2.4).
+# _CHUNK_LANES lane entries (113 for fig4b's 73 lanes), so that its arrays
+# keep one size up to _CHUNK_LANES lanes (alpha about 88).  For the fig4b
+# pair the maps (64 bytes per lane entry) take 516 KiB, the lane pairs (32
+# per curve) 520 KiB, and one warm call, its states built beforehand, peaks
+# at 2.7 MiB (tracemalloc, numpy 2.4).  A larger basis takes one step per
+# chunk, so its arrays grow with the basis: a whole alpha = 137 run, inside
+# the CLI's photon-cutoff ceiling, peaks at 10 MB.
 _CHUNK_LANES = 1 << 13
 
 
@@ -208,7 +211,8 @@ def evolve(
     so far below the grid spacing that no integer counts the substeps.
 
     The lane pairs are reduced to the ``Trajectory`` observables a chunk of
-    steps at a time and dropped, so memory grows with the output grid only.
+    steps at a time and dropped, so memory grows with the output grid and,
+    above ``_CHUNK_LANES`` lanes, with the basis.
     ``keep_states`` also rebuilds the states, n_out * 3 * (n_ph + 1) * 16
     bytes per curve (14 MB for the two fig4b curves); the observables are
     the same bits either way.

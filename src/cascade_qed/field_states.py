@@ -98,10 +98,6 @@ def coherent_coefficients(alpha: float, n_max: int) -> np.ndarray:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    if alpha == 0.0:
-        q = np.zeros(n_max + 1)
-        q[0] = 1.0
-        return q
     m = int(min(alpha * alpha, n_max))
     roots = np.sqrt(np.arange(1.0, n_max + 1.0))  # sqrt(n) for n = 1..n_max
     rises = alpha / roots  # q_n / q_{n-1}

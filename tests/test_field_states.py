@@ -11,6 +11,7 @@ from cascade_qed import (
     EPSILON_TAIL,
     FieldSpec,
     FieldSpecError,
+    PhotonDistribution,
     ZeroFieldError,
     coherent_coefficients,
     normalization_constant,
@@ -51,10 +52,13 @@ def log_space_coefficients(alpha, n_max):
 
 
 class TestCoherentCoefficients:
-    def test_vacuum(self):
-        q = coherent_coefficients(0.0, 5)
-        assert q[0] == 1.0
-        assert np.all(q[1:] == 0.0)
+    # the general path: q_0 = exp of an empty log sum, and every outward
+    # product holds a factor alpha / sqrt(n) = 0
+    @pytest.mark.parametrize("n_max", [0, 1, 40])
+    def test_vacuum(self, n_max):
+        expected = np.zeros(n_max + 1)
+        expected[0] = 1.0
+        assert np.array_equal(coherent_coefficients(0.0, n_max), expected)
 
     def test_q0_alpha5_frozen(self):
         q = coherent_coefficients(5.0, 0)
@@ -230,6 +234,10 @@ class TestSuperposedDistribution:
         dist = superposed_distribution(FieldSpec(alpha=1.0, r=0.0))
         with pytest.raises(ValueError):
             dist.weights[0] = 0.0
+
+    def test_weights_must_match_n_max(self):
+        with pytest.raises(ValueError, match="does not match n_max=3"):
+            PhotonDistribution(n_max=3, weights=np.ones(3), norm_constant=1.0)
 
 
 class TestFieldSpecValidation:
