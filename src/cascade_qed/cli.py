@@ -255,19 +255,129 @@ def list_presets() -> dict[str, tuple[tuple[str, dict], ...]]:
 # ---------------------------------------------------------------------------
 # CSV / metadata emission
 
-def _format_column(col: np.ndarray) -> list[str]:
-    """17 significant digits per value, "" for NaN; +0.0 folds negative zero."""
-    return ["" if v != v else "%.17g" % v for v in (col + 0.0).tolist()]
+_G17 = "%.17g"  # every CSV value is this format's text; NaN is the empty field
+# Unit roundoff of the one rounded product that scales a value to its 17
+# digits.  Where long double is a plain double, it is too coarse to settle
+# any rounding, and every value is formatted by _G17 itself.
+_UNIT_ROUNDOFF = float(np.finfo(np.longdouble).epsneg)
+_POW10 = 10.0 ** np.arange(21)  # 10**0 .. 10**20, each an exact double
+_CELL = 25  # the longest text, "-2.2250738585072014e-308", and its separator
+# the ASCII digits of 0 .. 99 as one uint16 each, and of 0 .. 9999 as one uint32
+_PAIRS = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
+_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np.uint32).ravel()
+
+
+def _words(text: bytes) -> np.ndarray:
+    """24 bytes of text as three little-endian words (byte j is bits 8j .. 8j+7)."""
+    return np.frombuffer(text.ljust(24, b"\0"), "<u8")
+
+
+# Fixed-notation text layout, by decimal exponent e = -4 .. 16 (row e + 4):
+# the bytes kept in place, the bits by which the bytes above them move up,
+# and what fills the gap ("." after digit e; "0." and -e - 1 zeros before
+# the digits when e < 0).  _KEEP[n] keeps the first n bytes.
+_EXPONENTS = range(-4, 17)
+_LOW = np.array([_words(b"\xff" * (3 if e < 0 else e + 4)) for e in _EXPONENTS])
+_SHIFT = np.array([8 * (-e - 1 if e < 0 else 1) for e in _EXPONENTS], np.uint64)
+_FILL = np.array([_words(b"\0" + b"0." + b"0" * (-e - 1) if e < 0 else b"\0" * (e + 4) + b".")
+                  for e in _EXPONENTS])
+_KEEP = np.array([_words(b"\xff" * n) for n in range(25)])
+
+
+def _fixed_notation(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the values of ``v`` whose ``_G17`` text is settled
+    here, and that text, left-aligned in 24 bytes with NUL padding.
+
+    A value is a candidate in _G17's fixed-notation range, 1e-4 <= |v| <
+    1e17.  Its 17-digit mantissa is D = rint(t), t = |v| 10**(16 - e) with
+    e = floor(log10 |v|), taken in long double, so t carries one rounding
+    of at most _UNIT_ROUNDOFF * t.  D is the correctly rounded mantissa,
+    and e the exponent of the text, unless t lies that close to a
+    half-integer, or t < 1e16 or D >= 1e17 (e off by one, or a carry to 18
+    digits); such a value is left out.
+    """
+    a = np.abs(v)
+    fixed = np.flatnonzero((a >= 1e-4) & (a < 1e17))  # NaN and inf compare False
+    a = a[fixed]
+    e = np.clip(np.floor(np.log10(a)), -4, 16)
+    t = a.astype(np.longdouble)
+    t *= _POW10[(16 - e).astype(np.intp)]
+    mantissa = np.rint(t)
+    sure = np.abs(t - mantissa) < 0.5 - _UNIT_ROUNDOFF * t
+    sure &= (t >= 1e16) & (mantissa < 1e17)
+    fast = fixed[sure]
+    mantissa = mantissa[sure].astype(np.uint64)
+    e = e[sure].astype(np.intp)
+    m = fast.size
+
+    # sign at byte 0, the leading digit at byte 3 and the other 16, as four
+    # ASCII quads, at bytes 4 .. 19
+    text = np.zeros((m, 24), np.uint8)
+    text[:, 0] = (v[fast] < 0) * ord("-")
+    lead = mantissa // 10**16
+    text[:, 3] = lead + ord("0")
+    mantissa -= lead * 10**16
+    halves = np.empty((m, 2), np.uint64)
+    halves[:, 0] = mantissa // 10**8
+    halves[:, 1] = mantissa - halves[:, 0] * 10**8
+    quads = text.view(np.uint32)[:, 1:5].reshape(m, 2, 2)
+    upper = halves // 10000
+    quads[:, :, 0] = _QUADS[upper]
+    quads[:, :, 1] = _QUADS[halves - upper * 10000]
+    kept = 17 - np.argmax(text[:, 19:2:-1] != ord("0"), axis=1)  # through the last nonzero digit
+
+    # insert the point (and a small value's leading zeros) by moving the
+    # bytes above it up, then clear what lies past the text
+    words = text.view("<u8")
+    low = _LOW[e + 4]
+    low &= words
+    words ^= low
+    shift = _SHIFT[e + 4][:, None]
+    moved = words << shift
+    words >>= 64 - shift  # the bytes that cross into the next word
+    moved[:, 1:] |= words[:, :2]
+    moved |= low
+    moved |= _FILL[e + 4]
+    moved &= _KEEP[np.where(e < 0, 2 - e + kept, np.where(kept <= e + 1, e + 4, kept + 4))]
+    return fast, moved.astype("<u8", copy=False).view(np.uint8)
+
+
+def _format_block(cols: Sequence[np.ndarray]) -> bytes:
+    """CSV rows of equal-length columns: each value as ``_G17 % v``, "" for
+    NaN, and negative zero as "0", byte for byte on every platform.
+
+    Values in fixed notation are formatted in whole-array passes
+    (``_fixed_notation``); the rest, and those whose rounding is in doubt,
+    by ``%`` itself.
+    """
+    rows, width = len(cols[0]), len(cols)
+    v = np.array(cols, dtype=np.float64).T.ravel()  # row-major
+    v += 0.0  # folds -0.0
+    fast, text = _fixed_notation(v)
+    # one cell per value: its text left-aligned, NUL-padded, then "," or "\n"
+    cells = np.zeros((v.size, _CELL), np.uint8)
+    cells[:, 0] = (v == 0) * ord("0")
+    ends = cells.reshape(rows, width, _CELL)[:, :, -1]
+    ends[:] = ord(",")
+    ends[:, -1] = ord("\n")
+    cells[fast, :24] = text
+    rest = ~np.isnan(v) & (v != 0)
+    rest[fast] = False
+    rest = np.flatnonzero(rest)
+    if rest.size:  # no _G17 text is longer than 24 bytes
+        texts = np.array([_G17 % x for x in v[rest].tolist()], "S24")
+        cells[rest, :24] = texts.view(np.uint8).reshape(-1, 24)
+    cells = cells.ravel()
+    return cells[cells != 0].tobytes()
 
 
 def _write_csv(path: Path, header: Sequence[str], cols: Sequence[np.ndarray]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        # a block of rows at a time, so that few formatted strings are alive at once
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        # a block of rows at a time, so that the working set stays small
         for lo in range(0, len(cols[0]), _CSV_ROWS):
-            rows = zip(*(_format_column(col[lo : lo + _CSV_ROWS]) for col in cols))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+            fh.write(_format_block([col[lo : lo + _CSV_ROWS] for col in cols]))
 
 
 def write_series_csv(
@@ -301,7 +411,9 @@ def environment_fingerprint() -> dict:
 
     Python and numpy versions, machine, libc and the SIMD targets numpy
     dispatches to at run time (these follow ``NPY_DISABLE_CPU_FEATURES`` as
-    well as the CPU).
+    well as the CPU).  The CSV formatter adds no platform dependence: it
+    writes ``"%.17g" % v`` exactly everywhere, and only its speed depends on
+    the width of ``np.longdouble``.
     """
     try:
         from numpy._core import _multiarray_umath as umath

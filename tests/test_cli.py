@@ -7,17 +7,22 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascade_qed
 from cascade_qed import NormDriftError, cli, evolve, initial_state, superposed_distribution, system
 from cascade_qed.cli import (
-    ConfigError, ScenarioConfig, _format_column, environment_fingerprint, list_presets,
+    ConfigError, ScenarioConfig, _format_block, environment_fingerprint, list_presets,
     main, run_scenario,
 )
+import csv_oracle
 from goldens import RUN_SMALL_ARGV, RUN_SMALL_PATH
 from propagators import observables_from_states
 
@@ -765,7 +770,7 @@ class TestDeterminism:
     def test_column_formatter_matches_per_value_format(self):
         col = np.array([math.nan, -0.0, 5e-324, -1e-300, 1e300, 0.1, -2.5, math.pi])
         expected = ["" if math.isnan(v) else format(v + 0.0, ".17g") for v in col.tolist()]
-        assert _format_column(col) == expected
+        assert _format_block([col]) == "".join(f + "\n" for f in expected).encode()
         assert expected[:2] == ["", "0"]
 
     def test_byte_identical_across_thread_counts(self, tmp_path: Path):
@@ -780,3 +785,141 @@ class TestDeterminism:
             assert cp.returncode == 0, cp.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# the block CSV formatter against the per-value one (csv_oracle)
+
+def _ties() -> tuple[list[float], list[float]]:
+    """Doubles of the fixed-notation range whose exact scaled mantissa
+    |v| 10**(16 - e) is a 17-digit tie, and others within 1e-3 of one.
+
+    a / 2**(17 - e) with a odd scales to a 5**(16 - e) / 2, a half-integer;
+    it is an exact double while a < 2**53 (e <= 15).  The near ties are
+    found among consecutive doubles and checked exactly."""
+    exact, near = [], []
+    for e in range(-4, 17):
+        scale = 2 ** (17 - e)
+        a = math.ceil(Fraction(10) ** e * scale) | 1
+        if a < 2**53:
+            exact.append(a / scale)
+        start = 1.5 * 10.0**e
+        run = start + np.spacing(start) * np.arange(4000)
+        t = run.astype(np.longdouble) * np.longdouble(10) ** (16 - e)
+        for v in run[np.abs(t % 1 - 0.5) < 2e-3][:12].tolist():
+            exact_t = Fraction(v) * Fraction(10) ** (16 - e)
+            if abs(exact_t - math.floor(exact_t) - Fraction(1, 2)) < Fraction(1, 1000):
+                near.append(v)
+    return exact, near
+
+
+TIES, NEAR_TIES = _ties()
+# with their neighbours, these hold both edges of %.17g's fixed notation,
+# 1e-4 <= |v| < 1e17
+POWERS = 10.0 ** np.arange(-6, 19)
+OUT_OF_RANGE = [1e-6, 9.99999999999999e-5, 1e17, 1.5e17, 1e18, 5e-324, 2.2250738585072014e-308,
+                1e308, math.inf]
+EDGES = np.concatenate([
+    POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, math.inf),
+    [0.0, 1.0, 2.0, 7.0, 10.0, 99.0, 101.0, 12345.0, 2.0**31, 2.0**53 - 1, 2.0**53,
+     2.0**53 + 2, 1e15 + 1, 1e16 + 2, 12345678901234567.0],
+    OUT_OF_RANGE, TIES, NEAR_TIES, [math.nan],
+])
+EDGES = np.concatenate([EDGES, -EDGES])
+
+
+class _SpyFormat(str):
+    """The format string ``cli._G17`` with a record of what ``%`` formatted."""
+
+    def __new__(cls):
+        spy = super().__new__(cls, "%.17g")
+        spy.formatted = []
+        return spy
+
+    def __mod__(self, value):
+        self.formatted.append(value)
+        return str.__mod__(self, value)
+
+
+def _blocks(values: np.ndarray, width: int) -> list[list[np.ndarray]]:
+    """``values`` row by row in ``width`` columns (NaN-padded), as blocks of
+    7 rows, the last one short."""
+    rows = -(-len(values) // width)
+    table = np.full(rows * width, math.nan)
+    table[: len(values)] = values
+    table = table.reshape(rows, width)
+    return [[table[lo : lo + 7, j] for j in range(width)] for lo in range(0, rows, 7)]
+
+
+def _canonical_nan(x: float) -> float:
+    # a signalling NaN raises on arithmetic, which the program never produces
+    return math.nan if math.isnan(x) else x
+
+
+class TestBlockFormatter:
+    def test_edges_match_the_per_value_format_and_reach_the_fallback(self, monkeypatch):
+        assert len(TIES) >= 15 and len(NEAR_TIES) >= 20
+        spy = _SpyFormat()
+        monkeypatch.setattr(cli, "_G17", spy)
+        for width in (1, 3, 11):
+            for cols in _blocks(EDGES, width):
+                assert _format_block(cols) == csv_oracle.format_block(cols)
+        fallback = set(spy.formatted)
+        assert fallback >= set(TIES) | {-v for v in TIES}
+        assert fallback >= set(OUT_OF_RANGE) | {-v for v in OUT_OF_RANGE}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats().map(_canonical_nan),
+                st.floats(1e-5, 1e18) | st.floats(-1e18, -1e-5),
+                st.integers(-10**17, 10**17).map(float),
+            ),
+            min_size=1, max_size=80,
+        ),
+        st.integers(1, 11),
+    )
+    def test_any_block_matches_the_per_value_format(self, values, width):
+        for cols in _blocks(np.array(values), width):
+            assert _format_block(cols) == csv_oracle.format_block(cols)
+
+    def test_without_extended_precision_every_value_takes_the_fallback(self, monkeypatch):
+        # where long double is a plain double, its unit roundoff is float64's
+        cols = _blocks(EDGES, 11)
+        expected = [_format_block(c) for c in cols]
+        spy = _SpyFormat()
+        monkeypatch.setattr(cli, "_G17", spy)
+        monkeypatch.setattr(cli, "_UNIT_ROUNDOFF", float(np.finfo(np.float64).eps))
+        assert [_format_block(c) for c in cols] == expected
+        finite = EDGES[~np.isnan(EDGES) & (EDGES != 0.0)]
+        assert sorted(spy.formatted) == sorted(finite.tolist())
+
+    def test_non_finite_and_extreme_values_raise_no_warning(self):
+        col = np.array([math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = _format_block([col, col[::-1]])
+        assert text == csv_oracle.format_block([col, col[::-1]])
+        assert text.startswith(b",\ninf,-1e+308\n-inf,1e+308\n4.9406564584124654e-324,")
+
+    # where the preset sha256 pins do not reach: scientific-notation
+    # deviations and empty fields, and the largest closed-form curve
+    @pytest.mark.parametrize("argv", [
+        ("--engine", "both", "--motion", "neglected", "--emit-unwrapped"),
+        ("--engine", "analytic", "--alpha", "40", "--steps", "400"),
+    ], ids=["both-neglected-unwrapped", "analytic-alpha40"])
+    def test_written_files_match_the_per_value_writer(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        written = {}
+        for tag in ("block", "per_value"):
+            if tag == "per_value":
+                monkeypatch.setattr(cli, "_format_block", csv_oracle.format_block)
+            out = tmp_path / tag / "run.csv"
+            cp = run_main(capsys, "run", *QUICK, *argv, "--out", str(out))
+            assert cp.returncode == 0, cp.stderr
+            written[tag] = {p.name: p.read_bytes() for p in sorted(out.parent.glob("*.csv"))}
+        assert written["block"] == written["per_value"]
+        if "both" in argv:
+            assert b"e-1" in written["block"]["run.compare.csv"]
+            assert b",,,," in written["block"]["run.analytic.csv"]
