@@ -256,11 +256,17 @@ def list_presets() -> dict[str, tuple[tuple[str, dict], ...]]:
 # CSV / metadata emission
 
 _G17 = "%.17g"  # every CSV value is this format's text; NaN is the empty field
-# Unit roundoff of the one rounded product that scales a value to its 17
-# digits.  Where long double is a plain double, it is too coarse to settle
-# any rounding, and every value is formatted by _G17 itself.
-_UNIT_ROUNDOFF = float(np.finfo(np.longdouble).epsneg)
-_POW10 = 10.0 ** np.arange(21)  # 10**0 .. 10**20, each an exact double
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x as hi + lo of 26 bits each (Veltkamp), whose products are exact."""
+    c = x * 134217729.0  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(21)])  # each an exact double
+_POW10_HI, _POW10_LO = _split(_POW10)
 _CELL = 25  # the longest text, "-2.2250738585072014e-308", and its separator
 # the ASCII digits of 0 .. 99 as one uint16 each, and of 0 .. 9999 as one uint32
 _PAIRS = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
@@ -289,25 +295,25 @@ def _fixed_notation(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     here, and that text, left-aligned in 24 bytes with NUL padding.
 
     A value is a candidate in _G17's fixed-notation range, 1e-4 <= |v| <
-    1e17.  Its 17-digit mantissa is D = rint(t), t = |v| 10**(16 - e) with
-    e = floor(log10 |v|), taken in long double, so t carries one rounding
-    of at most _UNIT_ROUNDOFF * t.  D is the correctly rounded mantissa,
-    and e the exponent of the text, unless t lies that close to a
-    half-integer, or t < 1e16 or D >= 1e17 (e off by one, or a carry to 18
-    digits); such a value is left out.
+    1e17.  With e = floor(log10 |v|), Dekker's error-free product gives
+    t = |v| 10**(16 - e) exactly in float64, as p + err with p = fl(t).
+    When t >= 1e16 > 2**53, p is an even integer, so D = p + rint(err) is
+    the 17-digit mantissa rounded half to even.  A value is left out if
+    t < 1e16 or D >= 1e17: e is then off by one, or D carries to 18 digits.
     """
     a = np.abs(v)
     fixed = np.flatnonzero((a >= 1e-4) & (a < 1e17))  # NaN and inf compare False
     a = a[fixed]
-    e = np.clip(np.floor(np.log10(a)), -4, 16)
-    t = a.astype(np.longdouble)
-    t *= _POW10[(16 - e).astype(np.intp)]
-    mantissa = np.rint(t)
-    sure = np.abs(t - mantissa) < 0.5 - _UNIT_ROUNDOFF * t
-    sure &= (t >= 1e16) & (mantissa < 1e17)
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    p = a * _POW10[16 - e]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[16 - e], _POW10_LO[16 - e]
+    err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    mantissa = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    sure = ((p > 1e16) | ((p == 1e16) & (err >= 0))) & (mantissa < 10**17)
     fast = fixed[sure]
     mantissa = mantissa[sure].astype(np.uint64)
-    e = e[sure].astype(np.intp)
+    e = e[sure]
     m = fast.size
 
     # sign at byte 0, the leading digit at byte 3 and the other 16, as four
@@ -347,8 +353,8 @@ def _format_block(cols: Sequence[np.ndarray]) -> bytes:
     NaN, and negative zero as "0", byte for byte on every platform.
 
     Values in fixed notation are formatted in whole-array passes
-    (``_fixed_notation``); the rest, and those whose rounding is in doubt,
-    by ``%`` itself.
+    (``_fixed_notation``); the rest, and those whose exponent estimate is
+    off by one, by ``%`` itself.
     """
     rows, width = len(cols[0]), len(cols)
     v = np.array(cols, dtype=np.float64).T.ravel()  # row-major
@@ -412,8 +418,7 @@ def environment_fingerprint() -> dict:
     Python and numpy versions, machine, libc and the SIMD targets numpy
     dispatches to at run time (these follow ``NPY_DISABLE_CPU_FEATURES`` as
     well as the CPU).  The CSV formatter adds no platform dependence: it
-    writes ``"%.17g" % v`` exactly everywhere, and only its speed depends on
-    the width of ``np.longdouble``.
+    writes ``"%.17g" % v`` exactly, by the same float64 passes, everywhere.
     """
     try:
         from numpy._core import _multiarray_umath as umath

@@ -23,7 +23,9 @@ from cascade_qed.cli import (
     main, run_scenario,
 )
 import csv_oracle
-from goldens import RUN_SMALL_ARGV, RUN_SMALL_PATH
+from goldens import (
+    HASHES_PATH, RUN_SMALL_ARGV, RUN_SMALL_PATH, RUN_SMALL_TOLERANCE, compare_values, read_csv,
+)
 from propagators import observables_from_states
 
 EXPECTED_HEADER = (
@@ -745,7 +747,11 @@ class TestDeterminism:
         out = tmp_path / "small.csv"
         cp = run_main(capsys, *RUN_SMALL_ARGV, "--out", str(out))
         assert cp.returncode == 0, cp.stderr
-        assert out.read_bytes() == RUN_SMALL_PATH.read_bytes()
+        ok, report = compare_values(read_csv(out), read_csv(RUN_SMALL_PATH), RUN_SMALL_TOLERANCE)
+        assert ok, report
+        # bytes depend on numpy's SIMD dispatch: exact only where the pins hold
+        if environment_fingerprint() == json.loads(HASHES_PATH.read_text())["fingerprint"]:
+            assert out.read_bytes() == RUN_SMALL_PATH.read_bytes()
 
     # analytic at alpha = 40 (~600 kept rungs, 400 rows over several row
     # blocks) is the largest sum the sweeps run
@@ -795,8 +801,9 @@ def _ties() -> tuple[list[float], list[float]]:
     |v| 10**(16 - e) is a 17-digit tie, and others within 1e-3 of one.
 
     a / 2**(17 - e) with a odd scales to a 5**(16 - e) / 2, a half-integer;
-    it is an exact double while a < 2**53 (e <= 15).  The near ties are
-    found among consecutive doubles and checked exactly."""
+    it is an exact double while a < 2**53 (e <= 15).  The near ties, up to
+    12 per exponent, are found among consecutive doubles in exact integer
+    arithmetic, so the set is the same on every platform."""
     exact, near = [], []
     for e in range(-4, 17):
         scale = 2 ** (17 - e)
@@ -804,12 +811,13 @@ def _ties() -> tuple[list[float], list[float]]:
         if a < 2**53:
             exact.append(a / scale)
         start = 1.5 * 10.0**e
-        run = start + np.spacing(start) * np.arange(4000)
-        t = run.astype(np.longdouble) * np.longdouble(10) ** (16 - e)
-        for v in run[np.abs(t % 1 - 0.5) < 2e-3][:12].tolist():
-            exact_t = Fraction(v) * Fraction(10) ** (16 - e)
-            if abs(exact_t - math.floor(exact_t) - Fraction(1, 2)) < Fraction(1, 1000):
-                near.append(v)
+        within = []
+        for v in (start + np.spacing(start) * np.arange(4000)).tolist():
+            num, den = v.as_integer_ratio()
+            # |t mod 1 - 1/2| < 1e-3, with t = v 10**(16 - e)
+            if 500 * abs(2 * (num * 10 ** (16 - e) % den) - den) < den:
+                within.append(v)
+        near += within[:12]
     return exact, near
 
 
@@ -865,8 +873,9 @@ class TestBlockFormatter:
             for cols in _blocks(EDGES, width):
                 assert _format_block(cols) == csv_oracle.format_block(cols)
         fallback = set(spy.formatted)
-        assert fallback >= set(TIES) | {-v for v in TIES}
         assert fallback >= set(OUT_OF_RANGE) | {-v for v in OUT_OF_RANGE}
+        # the exact product settles every tie: none is left to %
+        assert not fallback & {s * v for v in TIES + NEAR_TIES for s in (1.0, -1.0)}
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -884,16 +893,35 @@ class TestBlockFormatter:
         for cols in _blocks(np.array(values), width):
             assert _format_block(cols) == csv_oracle.format_block(cols)
 
-    def test_without_extended_precision_every_value_takes_the_fallback(self, monkeypatch):
-        # where long double is a plain double, its unit roundoff is float64's
-        cols = _blocks(EDGES, 11)
-        expected = [_format_block(c) for c in cols]
+    @pytest.mark.parametrize("shift", [1.0, -1.0, 1e-9])
+    def test_a_mis_estimated_exponent_reaches_the_fallback(self, monkeypatch, shift):
+        rng = np.random.default_rng(2011)
+        values = np.concatenate([EDGES, 10.0 ** rng.uniform(-5.0, 18.0, 1000),
+                                 -(10.0 ** rng.uniform(-5.0, 18.0, 1000))])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
         spy = _SpyFormat()
         monkeypatch.setattr(cli, "_G17", spy)
-        monkeypatch.setattr(cli, "_UNIT_ROUNDOFF", float(np.finfo(np.float64).eps))
-        assert [_format_block(c) for c in cols] == expected
-        finite = EDGES[~np.isnan(EDGES) & (EDGES != 0.0)]
-        assert sorted(spy.formatted) == sorted(finite.tolist())
+        for cols in _blocks(values, 11):
+            assert _format_block(cols) == csv_oracle.format_block(cols)
+
+        # what % must format: values outside fixed notation, and those whose
+        # exact scaled mantissa t at the estimated exponent is below 1e16 or
+        # rounds to 1e17
+        finite = values[~np.isnan(values) & (values != 0.0)]
+        estimates = np.clip(np.floor(log10(np.abs(finite)) + shift), -4, 16).astype(int)
+        expected, left_out = [], 0
+        for v, e in zip(finite.tolist(), estimates.tolist()):
+            if not 1e-4 <= abs(v) < 1e17:
+                expected.append(v)
+                continue
+            num, den = abs(v).as_integer_ratio()
+            t = Fraction(num * 10 ** (16 - e), den)
+            if t < 10**16 or round(t) >= 10**17:
+                expected.append(v)
+                left_out += 1
+        assert left_out >= 30
+        assert sorted(spy.formatted) == sorted(expected)
 
     def test_non_finite_and_extreme_values_raise_no_warning(self):
         col = np.array([math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, math.nan])
