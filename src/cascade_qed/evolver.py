@@ -28,12 +28,14 @@ level-1 and level-3 amplitudes is stationary: a lane advances as its
 (bright, middle) pair, one 2x2 map per step.  ``evolve`` works a chunk of
 steps at a time: it builds the chunk's substep grid, mode-shape samples
 and plane maps, applies them, and reduces the pairs to <A> and to the
-``Trajectory`` observables while they are still in cache.  A chunk holds
-about a fixed number of lane entries, so memory does not grow with the
-substep count, nor with the basis up to that many lanes; a larger basis
-takes one step per chunk, and memory grows with it.  All reductions use a
-fixed deterministic order.  Curves that differ only in their initial
-state advance together as a batch that shares each propagator.
+``Trajectory`` observables while they are still in cache.  The maps and
+then the reductions' complex products are written into one work buffer,
+allocated once per call.  A chunk holds about a fixed number of lane
+entries, so memory does not grow with the substep count, nor with the
+basis up to that many lanes; a larger basis takes one step per chunk, and
+memory grows with it.  All reductions use a fixed deterministic order.
+Curves that differ only in their initial state advance together as a
+batch that shares each propagator.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import CompositeState, Motion, SystemConfig, ladder_expectation, mode_shape
+from .system import CompositeState, Motion, SystemConfig, mode_shape
 from .system import _abs2, _lane_split, _lanes
 
 __all__ = [
@@ -65,11 +67,12 @@ _CF4_SKEW = 1.0 / math.sqrt(3.0)
 # A chunk of steps is built and applied together: the fewest steps that hold
 # _CHUNK_LANES lane entries (113 for fig4b's 73 lanes), so that its arrays
 # keep one size up to _CHUNK_LANES lanes (alpha about 88).  For the fig4b
-# pair the maps (64 bytes per lane entry) take 516 KiB, the lane pairs (32
-# per curve) 520 KiB, and one warm call, its states built beforehand, peaks
-# at 2.7 MiB (tracemalloc, numpy 2.4).  A larger basis takes one step per
-# chunk, so its arrays grow with the basis: a whole alpha = 137 run, inside
-# the CLI's photon-cutoff ceiling, peaks at 10 MB.
+# pair the lane pairs (32 bytes per lane entry and curve) take 520 KiB, and
+# the work buffer, which holds the maps (64 bytes per lane entry) and then
+# the reductions' products, 520 KiB; one warm call, its states built
+# beforehand, peaks at 2.3 MiB (tracemalloc, numpy 2.4).  A larger basis
+# takes one step per chunk, so its arrays grow with the basis: a whole
+# alpha = 137 run, inside the CLI's photon-cutoff ceiling, peaks at 9.4 MB.
 _CHUNK_LANES = 1 << 13
 
 
@@ -165,9 +168,10 @@ def _cf4_amplitudes(t, h, config: SystemConfig) -> np.ndarray:
     return np.stack((mean + skew, mean - skew), axis=1)
 
 
-def _cf4_planes(lam, sqrt_r, delta: float, half_h):
-    """Plane maps of CF4 steps less their phase exp(-i delta h / 2), shape
-    (n, 2, 2, lanes), 1 less in the corner as ``_step`` takes them.
+def _cf4_planes(lam, sqrt_r, delta: float, half_h, maps):
+    """Plane maps of CF4 steps less their phase exp(-i delta h / 2), written
+    into ``maps``, shape (n, 2, 2, lanes), and returned; 1 less in the corner
+    as ``_step`` takes them.
 
     ``lam`` (n, 2) holds the effective mode amplitudes of n steps, the factor
     applied first in column 0, and ``half_h`` (n,) half of each step.  The
@@ -179,7 +183,6 @@ def _cf4_planes(lam, sqrt_r, delta: float, half_h):
     (h1, h2), (q1, q2), (w1, w2) = (x.swapaxes(0, 1) for x in _plane_sums(
         lam[:, :, None] * sqrt_r, delta, half_h[:, None, None]))
     p1, p2 = 1.0 - 2.0 * h1, 1.0 - 2.0 * h2
-    maps = np.empty((len(lam), 2, 2, sqrt_r.size), dtype=complex)
     corner, off = maps[:, 0, 0], maps[:, 0, 1]
     corner.real = 4.0 * h1 * h2 - 2.0 * (h1 + h2) - q2 * q1 - w2 * w1
     corner.imag = p2 * q1 + q2 * p1
@@ -262,6 +265,22 @@ def evolve(
     exp_v = np.empty((n_curves, n_out))
     phi_dyn = np.zeros((n_curves, n_out))
     states = np.empty((n_curves, n_out if keep_states else 0, 3, width), dtype=complex)
+    chunk = math.ceil(_CHUNK_LANES / width)
+    # row 0 holds the lane pairs at a chunk's first node, row i + 1 those after its step i
+    node = np.empty((min(chunk, n_sub) + 1, 2, n_curves, width), dtype=complex)
+    # a chunk's plane maps while its steps are applied, then the reductions' products
+    work = np.empty(max((len(node) - 1) * 4 * width, node.size), dtype=complex)
+
+    def scratch(shape):
+        return work[: math.prod(shape)].reshape(shape)
+
+    def ladder(pairs):
+        """``system.ladder_expectation`` of lane pairs (k, 2, n_curves, width)."""
+        prod = scratch(pairs[:, 1].shape)
+        np.conjugate(pairs[:, 1], out=prod)
+        np.multiply(prod, pairs[:, 0], out=prod)
+        np.multiply(sqrt_r, prod, out=prod)
+        return np.add.reduce(prod, axis=-1)
 
     def observe(ks, pairs, a):
         """Reduce the lane pairs at output nodes ``ks``, shape (len(ks), 2,
@@ -272,12 +291,15 @@ def evolve(
         over a row of lanes: its bits do not depend on the nodes or curves."""
         # b to the rotating frame; v (times exp(i delta tau)) and <A> to the interaction picture
         back = turn[ks, None]
-        square = _abs2(pairs)
+        square = scratch(pairs.shape)
+        np.conjugate(pairs, out=square)
+        square = np.multiply(pairs, square, out=square).real  # _abs2
         sums = np.add.reduce(square, axis=-1)
         level1 = np.add.reduce(xi * xi * square[:, 0], axis=-1) + dark_sums[1]
         level3 = np.add.reduce(eta * eta * square[:, 0], axis=-1) + dark_sums[2]
-        cross = (back * np.add.reduce(dark_cross * pairs[:, 0], axis=-1)).real
-        with_ref = np.add.reduce(ref * pairs, axis=-1)
+        dark_part = np.multiply(dark_cross, pairs[:, 0], out=scratch(pairs[:, 0].shape))
+        cross = (back * np.add.reduce(dark_part, axis=-1)).real
+        with_ref = np.add.reduce(np.multiply(ref, pairs, out=scratch(pairs.shape)), axis=-1)
         norm_err[:, ks] = np.abs(np.sqrt(sums[:, 0] + sums[:, 1] + dark_sums[0]) - 1.0).T
         overlap[:, ks] = (back * with_ref[:, 0] + back.conj() * with_ref[:, 1] + dark_sums[0]).T
         rho = level1 + cross, sums[:, 1], level3 - cross
@@ -289,11 +311,8 @@ def evolve(
             rows = np.roll(u, -1, axis=-1), v, np.roll(w, 1, axis=-1)
             states[:, ks] = np.stack(rows, axis=-2).swapaxes(0, 1)
 
-    chunk = math.ceil(_CHUNK_LANES / width)
-    # row 0 holds the lane pairs at a chunk's first node, row i + 1 those after its step i
-    node = np.empty((min(chunk, n_sub) + 1, 2, n_curves, width), dtype=complex)
     node[0] = bright, middle
-    observe(np.arange(1), node[:1], ladder_expectation(sqrt_r, bright, middle)[None])
+    observe(np.arange(1), node[:1], ladder(node[:1]))
     if not np.all(norm_err[:, 0] <= _NORM_DRIFT_LIMIT):  # also refuses nan
         raise ValueError(f"initial states must be unit norm, norm errors {norm_err[:, 0].tolist()}")
     phase = np.full((n_curves, 1), -0.0)  # the phase sum so far; -0.0 + x is x
@@ -303,12 +322,12 @@ def evolve(
         interval, offset = np.divmod(nodes, m)
         t = taus[interval] + offset * step_widths[interval]
         h = step_widths[interval[:-1]]
-        maps = _cf4_planes(_cf4_amplitudes(t[:-1], h, config), sqrt_r, delta, 0.5 * h)
+        n = hi - lo
+        maps = _cf4_planes(_cf4_amplitudes(t[:-1], h, config), sqrt_r, delta, 0.5 * h,
+                           scratch((n, 2, 2, width)))
         for i, step in enumerate(maps):
             _step(node[i], step, node[i + 1])
-        del maps  # so that the reductions reuse its memory
-        n = hi - lo
-        a = ladder_expectation(sqrt_r, node[: n + 1, 0], node[: n + 1, 1])
+        a = ladder(node[: n + 1])
         ks = np.arange(lo // m + 1, hi // m + 1)  # the output nodes in (lo, hi]
         at = slice(m - lo % m, n + 1, m)  # and their rows
         observe(ks, node[at], a[at])

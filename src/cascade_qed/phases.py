@@ -6,8 +6,10 @@ energy-expectation integral (the dynamical phase) leaves the geometric
 part.  Wherever the survival amplitude collapses to the rounding floor the
 phase is undefined and the series records an explicit gap (NaN) rather
 than a guess.  The arcsine-convention phase -asin(y/|z|) of the paper's
-Eq. 5 is carried alongside as its own column: for x > 0 it is exactly minus
-the Pancharatnam phase, for x < 0 the two differ by the branch fold.
+Eq. 5 is carried alongside as its own column: for x > 0 it equals minus
+the Pancharatnam phase in exact arithmetic, and in floating point to about
+1e-12 (asin loses digits as |y|/|z| nears 1); for x < 0 the two differ by
+the branch fold.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 tests check them against.
 
 ``cf4_lane_matrices`` runs the code ``evolve`` runs (``_lanes``,
-``_cf4_planes`` and ``_step``) on unit-vector lanes, each split into its
-bright, middle and dark amplitudes and rebuilt after the step, once the
-pair has taken the step's phase exp(-i delta h / 2) that the maps leave out.
+``_cf4_planes``, through ``cf4_planes``, and ``_step``) on unit-vector
+lanes, each split into its bright, middle and dark amplitudes and rebuilt
+after the step, once the pair has taken the step's phase
+exp(-i delta h / 2) that the maps leave out.
 ``dense_hamiltonian`` and ``lab_frame_reference`` share no code with the
 evolver: the first writes the rotating-frame Hamiltonian out as a dense
 matrix on the whole (level, photon) rectangle, the second integrates the
@@ -36,12 +37,18 @@ from cascade_qed import (
 from cascade_qed import evolver, system
 
 
+def cf4_planes(lam, sqrt_r, delta: float, half_h) -> np.ndarray:
+    """``evolver._cf4_planes`` into maps of its own, shape (n, 2, 2, lanes)."""
+    maps = np.empty((len(lam), 2, 2, sqrt_r.size), dtype=complex)
+    return evolver._cf4_planes(lam, sqrt_r, delta, half_h, maps)
+
+
 def cf4_lane_matrices(lam, n_ph: int, delta: float, h: float) -> np.ndarray:
     """The maps of one CF4 step of width h, shape (n_ph + 1, 3, 3): lane j's
     matrix over (|1, j-1>, |2, j>, |3, j+1>).  ``lam`` is the pair of
     effective mode amplitudes, the factor applied first in ``lam[0]``."""
     sqrt_r, xi, eta = system._lanes(n_ph)
-    maps = evolver._cf4_planes(np.array([lam], dtype=float), sqrt_r, delta, np.array([0.5 * h]))
+    maps = cf4_planes(np.array([lam], dtype=float), sqrt_r, delta, np.array([0.5 * h]))
     # u[c, j], v[c, j], w[c, j]: lane j started from unit vector c, the
     # three starts taking the place of curves
     u, v, w = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_ph + 1, axis=2).swapaxes(0, 1)

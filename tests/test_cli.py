@@ -644,9 +644,9 @@ class TestBatchedCurves:
     # fig4b's two curves' states alone would take 14 MB, and one alpha = 40
     # curve's plane maps for 128 steps about 80 MB; evolved a chunk of a fixed
     # number of lane entries at a time, each run's tracemalloc peak is about
-    # 3.0 MB (2.84-3.02 MB for fig4b, 2.93 MB at alpha = 40, numpy 2.4).  Over
+    # 2.5 MB (2.41-2.44 MB for fig4b, 2.51 MB at alpha = 40, numpy 2.4).  Over
     # 8,192 lanes a chunk is one step and grows with the basis: alpha = 137,
-    # inside the photon-cutoff ceiling, peaks at 10.0 MB
+    # inside the photon-cutoff ceiling, peaks at 9.2 MB
     @pytest.mark.parametrize("argv,bound", [
         (["preset", "fig4b"], 6e6),
         (["run", "--alpha", "40", "--delta", "-5", "--tau-max", "1", "--steps", "11"], 6e6),

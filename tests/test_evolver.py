@@ -24,6 +24,7 @@ from cascade_qed.cli import ScenarioConfig, list_presets
 from cascade_qed.evolver import NormDriftError, Trajectory, TrajectoryBatch
 from propagators import (
     cf4_lane_matrices,
+    cf4_planes,
     convergence_probe,
     dense_hamiltonian,
     embed_lanes,
@@ -106,14 +107,14 @@ class TestLaneMaps:
         for delta in (0.0, 4.0, -4.0, 20.0, -20.0):
             for lam in (0.0, 1e-3, 1.0):
                 for lam2 in (lam, 0.7 * lam):
-                    maps = evolver._cf4_planes(np.array([[lam, lam2]]), sqrt_r, delta,
-                                               np.array([0.5 * h]))[0]
+                    maps = cf4_planes(np.array([[lam, lam2]]), sqrt_r, delta,
+                                      np.array([0.5 * h]))[0]
                     c, m = maps[0]
                     assert np.array_equal(maps[1, 1], np.conj(1.0 + c))
                     assert np.array_equal(maps[1, 0], -np.conj(m))
                     assert np.max(np.abs(2.0 * c.real + np.abs(c) ** 2 + np.abs(m) ** 2)) <= bound
         # lambda = delta = 0 is s = 0, the identity
-        maps = evolver._cf4_planes(np.zeros((1, 2)), sqrt_r, 0.0, np.array([0.5 * h]))[0]
+        maps = cf4_planes(np.zeros((1, 2)), sqrt_r, 0.0, np.array([0.5 * h]))[0]
         assert not np.any(maps[0])
         assert not np.any(maps[1, 0]) and np.all(maps[1, 1] == 1.0)
 
@@ -337,7 +338,7 @@ class TestBatch:
         # (bright, middle) pairs of 2 curves x 4 lanes
         rng = np.random.default_rng(9)
         lanes = rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4))
-        maps = evolver._cf4_planes(np.zeros((1, 2)), np.arange(4.0), delta, np.array([0.01]))
+        maps = cf4_planes(np.zeros((1, 2)), np.arange(4.0), delta, np.array([0.01]))
         together = np.empty_like(lanes)
         evolver._step(lanes, maps[0], together)
         for c in range(2):
@@ -365,7 +366,7 @@ class TestLaneIndependence:
         sqrt_r = system._lanes(n_ph)[0]
         t = np.array([0.0, 0.01, 0.02])
         h = np.full(3, 0.01)
-        maps = evolver._cf4_planes(evolver._cf4_amplitudes(t, h, cfg), sqrt_r, cfg.delta, 0.5 * h)
+        maps = cf4_planes(evolver._cf4_amplitudes(t, h, cfg), sqrt_r, cfg.delta, 0.5 * h)
         rng = np.random.default_rng(11)
         # the (bright, middle) pair of each lane, of one curve
         start = rng.normal(size=(2, 1, n_ph + 1)) + 1j * rng.normal(size=(2, 1, n_ph + 1))
@@ -574,24 +575,36 @@ class TestStreamedObservables:
             from_states = [coupling_expectation(CompositeState(s)) for s in curve.states]
             assert np.max(np.abs(from_states - curve.expectation_V)) <= 1e-13
 
-    @pytest.mark.parametrize("case", ["fig4b", "negative-delta"])
+    @pytest.mark.parametrize("case", ["fig4b", "fig4b-no-states", "three-curves", "repeated",
+                                      "negative-delta"])
     def test_one_step_chunks_change_no_bits(self, monkeypatch, case):
         # the grid, the mode shape, <A> and the phase sum are built a chunk at
-        # a time; a chunk of one step must give the bits of the default one
-        if case == "fig4b":
-            states, cfg = fig4b_pair()
-        else:
+        # a time, and a chunk's maps and products share one work buffer; a
+        # chunk of one step must give the bits of the default one, with the
+        # states kept or not, for any batch, and when a call repeats
+        keep = case != "fig4b-no-states"
+        if case == "negative-delta":
             # 3 of NEGATIVE_DELTA's intervals, 3,000 one-step chunks
             cfg = replace(NEGATIVE_DELTA, tau_max=0.3, n_steps=4)
             states = [initial_state(cfg, superposed_distribution(cfg.field))]
-        default = evolve(states, cfg, keep_states=True)
+        else:
+            states, cfg = fig4b_pair()
+        if case == "three-curves":
+            # fig4b's coherent state and even cat, and the coherent state at
+            # theta = 0, on one basis; 4 substeps per output interval
+            cfg = replace(cfg, tau_max=5.0, n_steps=101)
+            dist = superposed_distribution(cfg.field)
+            states.append(initial_state(replace(cfg, theta=0.0), dist))
+        calls = 2 if case == "repeated" else 1
+        runs = [evolve(states, cfg, keep_states=keep) for _ in range(calls)]
         monkeypatch.setattr(evolver, "_CHUNK_LANES", 1)
-        one_step = evolve(states, cfg, keep_states=True)
-        assert_same_bits(one_step.states, default.states)
-        for ours, theirs in zip(one_step.curves, default.curves, strict=True):
-            for field in fields(Trajectory):
-                a, b = getattr(ours, field.name), getattr(theirs, field.name)
-                if isinstance(a, np.ndarray):
-                    assert_same_bits(a, b)
-                else:
-                    assert a == b
+        one_step = evolve(states, cfg, keep_states=keep)
+        for default in runs:
+            assert_same_bits(one_step.states, default.states)
+            for ours, theirs in zip(one_step.curves, default.curves, strict=True):
+                for field in fields(Trajectory):
+                    a, b = getattr(ours, field.name), getattr(theirs, field.name)
+                    if isinstance(a, np.ndarray):
+                        assert_same_bits(a, b)
+                    else:
+                        assert a == b
