@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import CompositeState, Motion, SystemConfig, mode_shape
-from .system import _abs2, _lane_split, _lanes
+from .system import _abs2, _lane_split, _lanes, ladder_expectation
 
 __all__ = [
     "NormDriftError",
@@ -274,14 +274,6 @@ def evolve(
     def scratch(shape):
         return work[: math.prod(shape)].reshape(shape)
 
-    def ladder(pairs):
-        """``system.ladder_expectation`` of lane pairs (k, 2, n_curves, width)."""
-        prod = scratch(pairs[:, 1].shape)
-        np.conjugate(pairs[:, 1], out=prod)
-        np.multiply(prod, pairs[:, 0], out=prod)
-        np.multiply(sqrt_r, prod, out=prod)
-        return np.add.reduce(prod, axis=-1)
-
     def observe(ks, pairs, a):
         """Reduce the lane pairs at output nodes ``ks``, shape (len(ks), 2,
         n_curves, width), and their <A>, to the observables.  (u, w) -> (b, d)
@@ -291,9 +283,7 @@ def evolve(
         over a row of lanes: its bits do not depend on the nodes or curves."""
         # b to the rotating frame; v (times exp(i delta tau)) and <A> to the interaction picture
         back = turn[ks, None]
-        square = scratch(pairs.shape)
-        np.conjugate(pairs, out=square)
-        square = np.multiply(pairs, square, out=square).real  # _abs2
+        square = _abs2(pairs, scratch(pairs.shape))
         sums = np.add.reduce(square, axis=-1)
         level1 = np.add.reduce(xi * xi * square[:, 0], axis=-1) + dark_sums[1]
         level3 = np.add.reduce(eta * eta * square[:, 0], axis=-1) + dark_sums[2]
@@ -312,7 +302,7 @@ def evolve(
             states[:, ks] = np.stack(rows, axis=-2).swapaxes(0, 1)
 
     node[0] = bright, middle
-    observe(np.arange(1), node[:1], ladder(node[:1]))
+    observe(np.arange(1), node[:1], ladder_expectation(sqrt_r, bright, middle)[None])
     if not np.all(norm_err[:, 0] <= _NORM_DRIFT_LIMIT):  # also refuses nan
         raise ValueError(f"initial states must be unit norm, norm errors {norm_err[:, 0].tolist()}")
     phase = np.full((n_curves, 1), -0.0)  # the phase sum so far; -0.0 + x is x
@@ -327,7 +317,8 @@ def evolve(
                            scratch((n, 2, 2, width)))
         for i, step in enumerate(maps):
             _step(node[i], step, node[i + 1])
-        a = ladder(node[: n + 1])
+        a = ladder_expectation(sqrt_r, node[: n + 1, 0], node[: n + 1, 1],
+                               scratch((n + 1, n_curves, width)))
         ks = np.arange(lo // m + 1, hi // m + 1)  # the output nodes in (lo, hi]
         at = slice(m - lo % m, n + 1, m)  # and their rows
         observe(ks, node[at], a[at])

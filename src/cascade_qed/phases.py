@@ -6,10 +6,10 @@ energy-expectation integral (the dynamical phase) leaves the geometric
 part.  Wherever the survival amplitude collapses to the rounding floor the
 phase is undefined and the series records an explicit gap (NaN) rather
 than a guess.  The arcsine-convention phase -asin(y/|z|) of the paper's
-Eq. 5 is carried alongside as its own column: for x > 0 it equals minus
-the Pancharatnam phase in exact arithmetic, and in floating point to about
-1e-12 (asin loses digits as |y|/|z| nears 1); for x < 0 the two differ by
-the branch fold.
+Eq. 5 is carried alongside as its own column, folded from the Pancharatnam
+phase phi rather than taken through asin, which loses digits as |y|/|z|
+nears 1: it is -phi, bit for bit, where x >= 0, and phi -+ pi where x < 0,
+off the exact angle by phi's own rounding plus pi's (1.2e-16).
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ class PhaseTimeSeries:
 
     Each field is the CSV column of the same name, in column order.  Angles
     are radians; undefined phases are NaN (rendered as empty CSV fields).
-    ``phi_eq5`` is the paper's Eq. 5 phase, -asin(y/|z|).  Population and
-    norm columns are NaN for series built from the closed-form route, which
-    does not produce them.
+    ``phi_eq5`` is the paper's Eq. 5 phase, -asin(y/|z|), folded from
+    ``phi_pancharatnam``.  Population and norm columns are NaN for series
+    built from the closed-form route, which does not produce them.
     """
 
     tau: np.ndarray
@@ -81,14 +81,11 @@ def unwrap_with_gaps(phi: np.ndarray) -> np.ndarray:
 
 
 def _phase_columns(x: np.ndarray, y: np.ndarray, phi_dyn: np.ndarray):
-    """Pancharatnam, geometric and Eq. 5 (arcsine-convention) series with gaps."""
-    mod = np.hypot(x, y)
-    defined = mod > _OVERLAP_FLOOR
-    phi_total = np.where(defined, np.arctan2(y, x), np.nan)
-    phi_geo = np.where(defined, wrap_angle(phi_total - phi_dyn), np.nan)
-    with np.errstate(invalid="ignore"):
-        ratio = np.clip(np.where(defined, y / np.where(defined, mod, 1.0), np.nan), -1.0, 1.0)
-    return phi_total, phi_geo, -np.arcsin(ratio)
+    """Pancharatnam, geometric and Eq. 5 series with gaps; the sign of the
+    pi folded off the Eq. 5 phase is phi's, since atan2(-0.0, x < 0) = -pi."""
+    phi = np.where(np.hypot(x, y) > _OVERLAP_FLOOR, np.arctan2(y, x), np.nan)
+    phi_eq5 = np.where(x >= 0.0, -phi, np.where(phi > 0.0, phi - math.pi, phi + math.pi))
+    return phi, wrap_angle(phi - phi_dyn), phi_eq5
 
 
 def _series(tau, x, y, phi_dyn, rho, norm_error) -> PhaseTimeSeries:

@@ -191,9 +191,9 @@ def _lanes(n_ph: int):
     return r, np.sqrt(a2) / r, np.sqrt(b2) / r
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of a complex array."""
-    return (z * z.conj()).real
+def _abs2(z: np.ndarray, out=None) -> np.ndarray:
+    """|z|^2 of a complex array; ``out`` (complex, z's shape) takes the products."""
+    return np.multiply(z, np.conjugate(z, out=out), out=out).real
 
 
 def _edge_weight(a: np.ndarray) -> float:
@@ -217,7 +217,7 @@ def _lane_split(a: np.ndarray, xi, eta):
     return xi * u + eta * w, a[..., 1, :], eta * u - xi * w
 
 
-def ladder_expectation(r, bright: np.ndarray, middle: np.ndarray) -> np.ndarray:
+def ladder_expectation(r, bright: np.ndarray, middle: np.ndarray, out=None) -> np.ndarray:
     """Expectation of the raising half A of the coupling operator V = A + A^dagger,
 
         A = sum_n sqrt(n+1) (|2,n+1><1,n| + |2,n><3,n+1|) = sum_j r_j |v_j><b_j|,
@@ -225,9 +225,11 @@ def ladder_expectation(r, bright: np.ndarray, middle: np.ndarray) -> np.ndarray:
     from the lanes' r (``_lanes``) and bright and middle amplitudes
     (``_lane_split``): one value per leading index.  2 Re<A> is <V>; under
     H' = lambda V + delta P2 (P2 the level-2 projector) d<V>/dtau =
-    i delta <[P2, V]> = -2 delta Im<A>.
+    i delta <[P2, V]> = -2 delta Im<A>.  ``out`` (complex, middle's shape)
+    takes the products.
     """
-    return np.add.reduce(r * (middle.conj() * bright), axis=-1)
+    prod = np.multiply(np.conjugate(middle, out=out), bright, out=out)
+    return np.add.reduce(np.multiply(r, prod, out=prod), axis=-1)
 
 
 def coupling_expectation(state: CompositeState) -> float:

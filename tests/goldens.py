@@ -64,8 +64,9 @@ NORM_ERROR_BOUND = 1e-12
 
 # Columns the program reports modulo 2pi, in (-pi, pi]: rounding can carry a
 # value across the branch cut, so they are compared by wrapped difference.
-# phi_dynamical (an accumulated integral) and phi_eq5 (an arcsin) are not
-# reduced mod 2pi, so a 2pi difference in them is a real change.
+# phi_dynamical (an accumulated integral) and phi_eq5 (folded into
+# [-pi/2, pi/2], where it has no cut) are not reduced mod 2pi, so a 2pi
+# difference in them is a real change.
 WRAPPED_COLUMNS = ("phi_pancharatnam", "phi_geometric")
 
 

@@ -189,9 +189,10 @@ class TestSeriesAssembly:
         assert np.all(np.abs(series.phi_pancharatnam[finite]) <= math.pi + 1e-12)
         assert np.all(np.abs(series.phi_eq5[np.isfinite(series.phi_eq5)])
                       <= math.pi / 2 + 1e-12)
-        # branch consistency where the overlap sits in the right half plane
-        mask = (series.x > 0.0) & (np.hypot(series.x, series.y) > 1e-6)
-        assert np.max(np.abs(series.phi_pancharatnam[mask] + series.phi_eq5[mask])) < 1e-9
+        # in the right half plane the Eq. 5 phase is minus the Pancharatnam one, bit for bit
+        right = series.x >= 0.0
+        assert np.array_equal(series.phi_eq5[right], -series.phi_pancharatnam[right],
+                              equal_nan=True)
 
     def test_closed_form_series_gaps(self):
         cfg = SystemConfig(

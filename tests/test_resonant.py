@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -37,6 +38,31 @@ def overlap_at(tau, config, dist):
 def arcsin_phase(x, y):
     """The phi_eq5 column, -asin(y / |x + i y|), for one overlap."""
     return float(_phase_columns(np.array([x]), np.array([y]), np.zeros(1))[2][0])
+
+
+# -asin(y / |x + i y|) from a 40-digit evaluation (mpmath), frozen: x at and
+# beside 0, and the six fig2b rows nearest |y|/|z| = 1 (1 - |y|/|z| from
+# 3.1e-9 to 1.9e-4, two with x < 0), where a float64 asin of the ratio is
+# 3.5e-15 to 9.9e-13 off.  The last column is the row's tau.
+_PI2 = "1.570796326794896619231321691639751442099"
+EXACT_ARCSIN_PHASES = [
+    *((x, y, ("-" if y > 0 else "") + _PI2, f"x={x!r},y={y:+g}")
+      for x in (0.0, -0.0, 5e-324, -5e-324) for y in (1.0, -1.0)),
+    *((float.fromhex(x), float.fromhex(y), exact, f"fig2b tau={tau}") for x, y, exact, tau in (
+        ("0x1.8a818efc58000p-15", "-0x1.3052dbc7ba46fp-1",
+         "1.570717204651735745644163964392533068138", "2.2505055927666753"),
+        ("0x1.8a818efbc2000p-15", "-0x1.3052dbc7ba464p-1",
+         "1.570717204651742749958840150745907496266", "22.88223563595167"),
+        ("0x1.2b5fa5ba5f300p-10", "0x1.47c47aea36270p-1",
+         "-1.569012399207975674603192650266186035758", "9.9701169556646558"),
+        ("0x1.2b5fa5ba5a800p-10", "0x1.47c47aea36264p-1",
+         "-1.569012399207982174346358778429437900317", "15.162624273053689"),
+        ("-0x1.722f947b05880p-8", "0x1.4673a548c9af8p-1",
+         "-1.561937432790188627001750279191329885162", "12.019460037346041"),
+        ("-0x1.97067ac9c6400p-7", "0x1.4519e672026d8p-1",
+         "-1.551236386881900509911109443014092879016", "16.256445427079949"),
+    )),
+]
 
 
 def make_config(alpha, r, theta, p=1, motion=Motion.MOVING):
@@ -392,6 +418,11 @@ class TestArcsinPhase:
 
     def test_zero_vector_is_a_gap(self):
         assert math.isnan(arcsin_phase(0.0, 0.0))
+
+    @pytest.mark.parametrize("x, y, exact", [row[:3] for row in EXACT_ARCSIN_PHASES],
+                             ids=[row[3] for row in EXACT_ARCSIN_PHASES])
+    def test_exact_angle(self, x, y, exact):
+        assert abs(Decimal(arcsin_phase(x, y)) - Decimal(exact)) <= Decimal("4.5e-16")
 
     def test_range(self):
         rng = np.random.default_rng(7)
