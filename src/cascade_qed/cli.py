@@ -255,7 +255,7 @@ def list_presets() -> dict[str, tuple[tuple[str, dict], ...]]:
 # ---------------------------------------------------------------------------
 # CSV / metadata emission
 
-_G17 = "%.17g"  # every CSV value is this format's text; NaN is the empty field
+_FORMAT = "%.16e"  # every nonzero CSV value is this format's text; zero is "0", NaN empty
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,39 +271,26 @@ _CELL = 25  # the longest text, "-2.2250738585072014e-308", and its separator
 # the ASCII digits of 0 .. 99 as one uint16 each, and of 0 .. 9999 as one uint32
 _PAIRS = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
 _QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np.uint32).ravel()
+# "e-04" .. "e+16" as one uint32 each, by decimal exponent e = -4 .. 16 (entry e + 4)
+_EXPONENTS = np.frombuffer("".join("e%+03d" % e for e in range(-4, 17)).encode(), np.uint32)
 
 
-def _words(text: bytes) -> np.ndarray:
-    """24 bytes of text as three little-endian words (byte j is bits 8j .. 8j+7)."""
-    return np.frombuffer(text.ljust(24, b"\0"), "<u8")
+def _scientific(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the values of ``v`` whose ``_FORMAT`` text is settled
+    here, and that text in 24 bytes: the sign or NUL at byte 0, NUL at
+    byte 1, then the digits, point and exponent at bytes 2 .. 23.
 
-
-# Fixed-notation text layout, by decimal exponent e = -4 .. 16 (row e + 4):
-# the bytes kept in place, the bits by which the bytes above them move up,
-# and what fills the gap ("." after digit e; "0." and -e - 1 zeros before
-# the digits when e < 0).  _KEEP[n] keeps the first n bytes.
-_EXPONENTS = range(-4, 17)
-_LOW = np.array([_words(b"\xff" * (3 if e < 0 else e + 4)) for e in _EXPONENTS])
-_SHIFT = np.array([8 * (-e - 1 if e < 0 else 1) for e in _EXPONENTS], np.uint64)
-_FILL = np.array([_words(b"\0" + b"0." + b"0" * (-e - 1) if e < 0 else b"\0" * (e + 4) + b".")
-                  for e in _EXPONENTS])
-_KEEP = np.array([_words(b"\xff" * n) for n in range(25)])
-
-
-def _fixed_notation(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the values of ``v`` whose ``_G17`` text is settled
-    here, and that text, left-aligned in 24 bytes with NUL padding.
-
-    A value is a candidate in _G17's fixed-notation range, 1e-4 <= |v| <
-    1e17.  With e = floor(log10 |v|), Dekker's error-free product gives
-    t = |v| 10**(16 - e) exactly in float64, as p + err with p = fl(t).
-    When t >= 1e16 > 2**53, p is an even integer, so D = p + rint(err) is
-    the 17-digit mantissa rounded half to even.  A value is left out if
-    t < 1e16 or D >= 1e17: e is then off by one, or D carries to 18 digits.
+    A value is a candidate when 1e-4 <= |v| < 1e17, where 10**(16 - e) is an
+    exact double.  With e = floor(log10 |v|), Dekker's error-free product
+    gives t = |v| 10**(16 - e) exactly in float64, as p + err with
+    p = fl(t).  When t >= 1e16 > 2**53, p is an even integer, so
+    D = p + rint(err) is the 17-digit mantissa rounded half to even.  A value
+    is left out if t < 1e16 or D >= 1e17: e is then off by one, or D
+    carries to 18 digits.
     """
     a = np.abs(v)
-    fixed = np.flatnonzero((a >= 1e-4) & (a < 1e17))  # NaN and inf compare False
-    a = a[fixed]
+    candidates = np.flatnonzero((a >= 1e-4) & (a < 1e17))  # NaN and inf compare False
+    a = a[candidates]
     e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     p = a * _POW10[16 - e]
     a_hi, a_lo = _split(a)
@@ -311,56 +298,43 @@ def _fixed_notation(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
     mantissa = p.astype(np.int64) + np.rint(err).astype(np.int64)
     sure = ((p > 1e16) | ((p == 1e16) & (err >= 0))) & (mantissa < 10**17)
-    fast = fixed[sure]
+    fast = candidates[sure]
     mantissa = mantissa[sure].astype(np.uint64)
-    e = e[sure]
     m = fast.size
 
-    # sign at byte 0, the leading digit at byte 3 and the other 16, as four
-    # ASCII quads, at bytes 4 .. 19
+    # the leading digit and the point at bytes 2 .. 3, the other 16 digits
+    # as four ASCII quads at bytes 4 .. 19, and the exponent at bytes 20 .. 23
     text = np.zeros((m, 24), np.uint8)
     text[:, 0] = (v[fast] < 0) * ord("-")
     lead = mantissa // 10**16
-    text[:, 3] = lead + ord("0")
+    text[:, 2] = lead + ord("0")
+    text[:, 3] = ord(".")
     mantissa -= lead * 10**16
     halves = np.empty((m, 2), np.uint64)
     halves[:, 0] = mantissa // 10**8
     halves[:, 1] = mantissa - halves[:, 0] * 10**8
-    quads = text.view(np.uint32)[:, 1:5].reshape(m, 2, 2)
+    words = text.view(np.uint32)
+    quads = words[:, 1:5].reshape(m, 2, 2)
     upper = halves // 10000
     quads[:, :, 0] = _QUADS[upper]
     quads[:, :, 1] = _QUADS[halves - upper * 10000]
-    kept = 17 - np.argmax(text[:, 19:2:-1] != ord("0"), axis=1)  # through the last nonzero digit
-
-    # insert the point (and a small value's leading zeros) by moving the
-    # bytes above it up, then clear what lies past the text
-    words = text.view("<u8")
-    low = _LOW[e + 4]
-    low &= words
-    words ^= low
-    shift = _SHIFT[e + 4][:, None]
-    moved = words << shift
-    words >>= 64 - shift  # the bytes that cross into the next word
-    moved[:, 1:] |= words[:, :2]
-    moved |= low
-    moved |= _FILL[e + 4]
-    moved &= _KEEP[np.where(e < 0, 2 - e + kept, np.where(kept <= e + 1, e + 4, kept + 4))]
-    return fast, moved.astype("<u8", copy=False).view(np.uint8)
+    words[:, 5] = _EXPONENTS[e[sure] + 4]
+    return fast, text
 
 
 def _format_block(cols: Sequence[np.ndarray]) -> bytes:
-    """CSV rows of equal-length columns: each value as ``_G17 % v``, "" for
-    NaN, and negative zero as "0", byte for byte on every platform.
+    """CSV rows of equal-length columns: each nonzero value as
+    ``_FORMAT % v``, zero (negative zero too) as "0" and NaN as "", byte for
+    byte on every platform.
 
-    Values in fixed notation are formatted in whole-array passes
-    (``_fixed_notation``); the rest, and those whose exponent estimate is
-    off by one, by ``%`` itself.
+    Values of 1e-4 <= |v| < 1e17 are formatted in whole-array passes
+    (``_scientific``); the rest, and those whose exponent estimate is off by
+    one, by ``%`` itself.
     """
     rows, width = len(cols[0]), len(cols)
     v = np.array(cols, dtype=np.float64).T.ravel()  # row-major
-    v += 0.0  # folds -0.0
-    fast, text = _fixed_notation(v)
-    # one cell per value: its text left-aligned, NUL-padded, then "," or "\n"
+    fast, text = _scientific(v)
+    # one cell per value: its text NUL-padded, then "," or "\n"
     cells = np.zeros((v.size, _CELL), np.uint8)
     cells[:, 0] = (v == 0) * ord("0")
     ends = cells.reshape(rows, width, _CELL)[:, :, -1]
@@ -370,8 +344,8 @@ def _format_block(cols: Sequence[np.ndarray]) -> bytes:
     rest = ~np.isnan(v) & (v != 0)
     rest[fast] = False
     rest = np.flatnonzero(rest)
-    if rest.size:  # no _G17 text is longer than 24 bytes
-        texts = np.array([_G17 % x for x in v[rest].tolist()], "S24")
+    if rest.size:  # no _FORMAT text is longer than 24 bytes
+        texts = np.array([_FORMAT % x for x in v[rest].tolist()], "S24")
         cells[rest, :24] = texts.view(np.uint8).reshape(-1, 24)
     cells = cells.ravel()
     return cells[cells != 0].tobytes()
@@ -418,7 +392,7 @@ def environment_fingerprint() -> dict:
     Python and numpy versions, machine, libc and the SIMD targets numpy
     dispatches to at run time (these follow ``NPY_DISABLE_CPU_FEATURES`` as
     well as the CPU).  The CSV formatter adds no platform dependence: it
-    writes ``"%.17g" % v`` exactly, by the same float64 passes, everywhere.
+    writes ``"%.16e" % v`` exactly, by the same float64 passes, everywhere.
     """
     try:
         from numpy._core import _multiarray_umath as umath

@@ -1,8 +1,8 @@
 """Reference CSV formatter: one ``%`` per value, the bytes ``cli._format_block`` must write.
 
-``format_block`` is the per-value comprehension the CLI wrote its CSV with
-before the block formatter: "" for NaN, ``"%.17g" % v`` for every other value,
-negative zero folded by ``+ 0.0``, rows joined by "," and ended by "\\n".
+``format_block`` is the per-value comprehension of the CSV schema: "" for
+NaN, "0" for zero and negative zero, ``"%.16e" % v`` for every other value,
+rows joined by "," and ended by "\\n".
 """
 
 from __future__ import annotations
@@ -13,5 +13,6 @@ import numpy as np
 
 
 def format_block(cols: Sequence[np.ndarray]) -> bytes:
-    fields = [["" if v != v else "%.17g" % v for v in (col + 0.0).tolist()] for col in cols]
+    fields = [["" if v != v else "0" if v == 0 else "%.16e" % v for v in col.tolist()]
+              for col in cols]
     return "".join(",".join(row) + "\n" for row in zip(*fields)).encode()

@@ -146,8 +146,7 @@ class TestRun:
         out = tmp_path / "run.csv"
         run_main(capsys, "run", *QUICK, "--engine", "numeric", "--out", str(out))
         row = out.read_text().splitlines()[7].split(",")
-        x = float(row[1])
-        assert format(x, ".17g") == row[1]
+        assert row[1] == "%.16e" % float(row[1])
 
     def test_analytic_run_empty_population_fields(self, tmp_path: Path, capsys):
         out = tmp_path / "ana.csv"
@@ -753,6 +752,34 @@ class TestDeterminism:
         if environment_fingerprint() == json.loads(HASHES_PATH.read_text())["fingerprint"]:
             assert out.read_bytes() == RUN_SMALL_PATH.read_bytes()
 
+    def test_fingerprint_follows_the_simd_level(self):
+        # the byte pins above and CI's baseline pass both rely on this.  A
+        # child at the full level names NPY_DISABLE_CPU_FEATURES as the
+        # workflow does (every target this CPU offers above numpy's
+        # baseline); with those disabled, the fingerprint reports none.
+        script = """if True:
+            import json
+            try:
+                from numpy._core import _multiarray_umath as u
+            except ImportError:  # numpy < 2
+                from numpy.core import _multiarray_umath as u
+            from cascade_qed.cli import environment_fingerprint
+            above = [t for t in u.__cpu_dispatch__
+                     if u.__cpu_features__.get(t) and t not in u.__cpu_baseline__]
+            print(json.dumps([above, environment_fingerprint()["simd"]]))
+        """
+
+        def child(disable: str) -> list:
+            cp = run_python("-c", script, env_extra={"NPY_DISABLE_CPU_FEATURES": disable})
+            assert cp.returncode == 0, cp.stderr
+            return json.loads(cp.stdout)
+
+        disabled, full = child("")
+        if not disabled:
+            pytest.skip("this CPU offers no SIMD target above numpy's baseline")
+        assert set(disabled) <= set(full)
+        assert not set(disabled) & set(child(" ".join(disabled))[1])
+
     # analytic at alpha = 40 (~600 kept rungs, 400 rows over several row
     # blocks) is the largest sum the sweeps run
     @pytest.mark.parametrize("engine,extra", [
@@ -775,7 +802,7 @@ class TestDeterminism:
 
     def test_column_formatter_matches_per_value_format(self):
         col = np.array([math.nan, -0.0, 5e-324, -1e-300, 1e300, 0.1, -2.5, math.pi])
-        expected = ["" if math.isnan(v) else format(v + 0.0, ".17g") for v in col.tolist()]
+        expected = ["" if math.isnan(v) else "0" if v == 0 else "%.16e" % v for v in col.tolist()]
         assert _format_block([col]) == "".join(f + "\n" for f in expected).encode()
         assert expected[:2] == ["", "0"]
 
@@ -797,7 +824,7 @@ class TestDeterminism:
 # the block CSV formatter against the per-value one (csv_oracle)
 
 def _ties() -> tuple[list[float], list[float]]:
-    """Doubles of the fixed-notation range whose exact scaled mantissa
+    """Doubles of the candidate range whose exact scaled mantissa
     |v| 10**(16 - e) is a 17-digit tie, and others within 1e-3 of one.
 
     a / 2**(17 - e) with a odd scales to a 5**(16 - e) / 2, a half-integer;
@@ -822,8 +849,8 @@ def _ties() -> tuple[list[float], list[float]]:
 
 
 TIES, NEAR_TIES = _ties()
-# with their neighbours, these hold both edges of %.17g's fixed notation,
-# 1e-4 <= |v| < 1e17
+# with their neighbours, these hold both edges of the formatter's candidate
+# range, 1e-4 <= |v| < 1e17
 POWERS = 10.0 ** np.arange(-6, 19)
 OUT_OF_RANGE = [1e-6, 9.99999999999999e-5, 1e17, 1.5e17, 1e18, 5e-324, 2.2250738585072014e-308,
                 1e308, math.inf]
@@ -837,10 +864,10 @@ EDGES = np.concatenate([EDGES, -EDGES])
 
 
 class _SpyFormat(str):
-    """The format string ``cli._G17`` with a record of what ``%`` formatted."""
+    """The format string ``cli._FORMAT`` with a record of what ``%`` formatted."""
 
     def __new__(cls):
-        spy = super().__new__(cls, "%.17g")
+        spy = super().__new__(cls, "%.16e")
         spy.formatted = []
         return spy
 
@@ -868,7 +895,7 @@ class TestBlockFormatter:
     def test_edges_match_the_per_value_format_and_reach_the_fallback(self, monkeypatch):
         assert len(TIES) >= 15 and len(NEAR_TIES) >= 20
         spy = _SpyFormat()
-        monkeypatch.setattr(cli, "_G17", spy)
+        monkeypatch.setattr(cli, "_FORMAT", spy)
         for width in (1, 3, 11):
             for cols in _blocks(EDGES, width):
                 assert _format_block(cols) == csv_oracle.format_block(cols)
@@ -901,13 +928,13 @@ class TestBlockFormatter:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
         spy = _SpyFormat()
-        monkeypatch.setattr(cli, "_G17", spy)
+        monkeypatch.setattr(cli, "_FORMAT", spy)
         for cols in _blocks(values, 11):
             assert _format_block(cols) == csv_oracle.format_block(cols)
 
-        # what % must format: values outside fixed notation, and those whose
-        # exact scaled mantissa t at the estimated exponent is below 1e16 or
-        # rounds to 1e17
+        # what % must format: values outside the candidate range, and those
+        # whose exact scaled mantissa t at the estimated exponent is below 1e16
+        # or rounds to 1e17
         finite = values[~np.isnan(values) & (values != 0.0)]
         estimates = np.clip(np.floor(log10(np.abs(finite)) + shift), -4, 16).astype(int)
         expected, left_out = [], 0
@@ -929,7 +956,8 @@ class TestBlockFormatter:
             warnings.simplefilter("error")
             text = _format_block([col, col[::-1]])
         assert text == csv_oracle.format_block([col, col[::-1]])
-        assert text.startswith(b",\ninf,-1e+308\n-inf,1e+308\n4.9406564584124654e-324,")
+        assert text.startswith(b",\ninf,-1.0000000000000000e+308\n-inf,1.0000000000000000e+308\n"
+                               b"4.9406564584124654e-324,")
 
     # where the preset sha256 pins do not reach: scientific-notation
     # deviations and empty fields, and the largest closed-form curve
