@@ -464,8 +464,8 @@ def _compute(
     configurations differ only in theta and the field's alpha and r, and
     whose photon bases have the same size, evolve together through shared
     propagators.  A curve's integrator record is made as its trajectory
-    leaves ``evolve``: the step taken, the substep count and how far the
-    monitored invariants moved (the norm always, the conserved <V> on
+    leaves ``evolve``: the scheme, the step taken, the substep count and how
+    far the monitored invariants moved (the norm always, the conserved <V> on
     resonance).  Its ``deviation`` holds, when both routes ran, the largest
     numeric minus closed-form x and y."""
     configs = [scenario.system_config() for scenario in scenarios]
@@ -495,6 +495,7 @@ def _compute(
         for i, state, trajectory in zip(members, states, evolved.curves):
             worst = int(np.argmax(trajectory.norm_error))
             integrator = {
+                "scheme": "cf4",
                 # every output interval takes the same number of equal substeps
                 "dt_internal": float(trajectory.taus[-1] / trajectory.substeps),
                 "substeps_total": trajectory.substeps,
@@ -533,7 +534,6 @@ def _compute(
                 "max_top_rung_population": edge_weight,
             },
             "integrator": {
-                "scheme": "cf4",
                 **integrator,
                 "truncation_s": truncation_s[i],
                 "series_s": time.perf_counter() - t_series,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field_states import PhotonDistribution
-from .resonant import dynamical_phase_resonant, overlap_series
+from .resonant import overlap_series
 from .evolver import Trajectory
 from .system import SystemConfig
 
@@ -60,9 +60,18 @@ class PhaseTimeSeries:
 
 
 def wrap_angle(phi) -> np.ndarray:
-    """Map angles to the interval (-pi, pi], as an array of phi's shape."""
+    """Map angles to the interval (-pi, pi], as an array of phi's shape.
+
+    The subtracted multiple of 2 pi rounds (it takes 13 pi to pi + 4.4e-16);
+    what it carries past the cut takes pi - ((pi - phi) mod 2 pi) instead.
+    """
     phi = np.asarray(phi, dtype=float)
-    return phi - 2.0 * math.pi * np.ceil((phi - math.pi) / (2.0 * math.pi))
+    out = phi - 2.0 * math.pi * np.ceil((phi - math.pi) / (2.0 * math.pi))
+    past = (out <= -math.pi) | (out > math.pi)
+    if past.any():  # the mod is exact, but can round up to 2 pi
+        rest = np.remainder(math.pi - phi, 2.0 * math.pi)
+        out = np.where(past, np.where(rest == 2.0 * math.pi, math.pi, math.pi - rest), out)
+    return out
 
 
 def unwrap_with_gaps(phi: np.ndarray) -> np.ndarray:
@@ -129,7 +138,6 @@ def series_from_closed_form(
     emitted as gaps.
     """
     taus = config.taus()
-    x, y = overlap_series(taus, config, dist)
-    phi_dyn = dynamical_phase_resonant(taus, config, dist)
+    x, y, phi_dyn = overlap_series(taus, config, dist)
     n = len(taus)
     return _series(taus, x, y, phi_dyn, np.full((n, 3), np.nan), np.full(n, np.nan))

@@ -1,14 +1,16 @@
-"""Closed-form resonant solution: overlap series and derived phases.
+"""Closed-form resonant solution: overlap series and dynamical phase.
 
 On resonance the Hamiltonian is proportional to a fixed coupling operator V
 scaled by the mode shape, so the evolution is exp(-i A(tau) V) with A the
 accumulated pulse area.  V splits into the lanes of ``system._lanes``: on
 lane j it couples the bright amplitude b_j to the middle one v_j with
 strength r_j and leaves the dark one d_j still.  The initial amplitudes are
-real, so the survival amplitude <psi(0)|psi(tau)> is
+real, so the survival amplitude <psi(0)|psi(tau)> and the dynamical phase
+-<V>_0 A (<V> is conserved) are
 
   x(tau) = sum_j d_j^2 + sum_j (b_j^2 + v_j^2) cos(r_j A)
   y(tau) = -sum_j 2 b_j v_j sin(r_j A)
+  phi_dynamical(tau) = -A sum_j 2 r_j b_j v_j
 
 In the paper's photon-ladder form lane j = n + 1 has r = sqrt(2n+3),
 xi^2 = (n+1)/(2n+3) and eta^2 = (n+2)/(2n+3).  The closed form drops lane
@@ -34,13 +36,10 @@ import math
 import numpy as np
 
 from .field_states import PhotonDistribution
-from .system import SystemConfig, coupling_expectation, initial_state, pulse_area
+from .system import SystemConfig, initial_state, ladder_expectation, pulse_area
 from .system import _lane_split, _lanes
 
-__all__ = [
-    "overlap_series",
-    "dynamical_phase_resonant",
-]
+__all__ = ["overlap_series"]
 
 _TERM_SKIP = 1e-18  # weights below this (relative to unit norm) are dropped
 _BLOCK = 1 << 13  # terms per block: 64 KB of doubles, with its temporaries in cache
@@ -50,14 +49,6 @@ _BLOCK = 1 << 13  # terms per block: 64 KB of doubles, with its temporaries in c
 # formula, the upper ends of what was timed there
 _NODE_COST = 4.0
 _BARYCENTRIC_COST = 0.35
-
-
-def _require_resonance(config: SystemConfig) -> None:
-    if config.delta != 0.0:
-        raise ValueError(
-            f"closed-form overlap is resonant only (delta = 0); got "
-            f"delta = {config.delta!r} -- use the numerical evolver"
-        )
 
 
 def _chebyshev_degree(c):
@@ -150,8 +141,9 @@ def _ladder_sums(area: np.ndarray, omega: np.ndarray, wx: np.ndarray, wy: np.nda
 
 def overlap_series(
     taus, config: SystemConfig, dist: PhotonDistribution
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate x(tau), y(tau) on a 1-D grid of scaled times.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate x(tau), y(tau) and the dynamical phase -<V>_0 A(tau) on a
+    1-D grid of scaled times, from one lane split of the initial state.
 
     Weights below ``_TERM_SKIP`` are dropped.  x adds the cosine sum of the
     lanes' b^2 + v^2 to the dark weights' sum, y is the sine sum of their
@@ -159,28 +151,21 @@ def overlap_series(
     reduction is ``np.add.reduce`` in a fixed order on one thread, with no
     BLAS call, so the bytes do not depend on the thread count.
     """
-    _require_resonance(config)
+    if config.delta != 0.0:
+        raise ValueError(
+            f"closed-form overlap is resonant only (delta = 0); got "
+            f"delta = {config.delta!r} -- use the numerical evolver"
+        )
     area = pulse_area(taus, config)
     state = initial_state(config, dist)
     r, xi, eta = _lanes(state.n_ph)
-    b, v, d = _lane_split(state.amplitudes.real, xi, eta)  # real at tau = 0
+    b, v, d = _lane_split(state.amplitudes, xi, eta)  # complex, as in coupling_expectation
+    v0 = 2.0 * ladder_expectation(r, b, v).real
+    b, v, d = b.real, v.real, d.real
     wx = b * b + v * v
     wx[0] = 0.0  # the closed form omits the vacuum term, lane 0's |2,0>
     wx[wx < _TERM_SKIP] = 0.0
     wy = -2.0 * b * v
     wy[np.abs(wy) < _TERM_SKIP] = 0.0
     x, y = _ladder_sums(area, r, wx, wy)
-    return np.add.reduce(d * d) + x, y
-
-
-def dynamical_phase_resonant(tau, config: SystemConfig, dist: PhotonDistribution):
-    """Resonant dynamical phase, -<V>_0 times the accumulated pulse area.
-
-    On resonance <V> is a constant of the motion, so the energy-expectation
-    integral collapses to the initial expectation times the area.  For a
-    plain coherent field the identity sum_n q_n q_{n+1} sqrt(n+1) = alpha
-    makes this sin(2 theta) * alpha * area.
-    """
-    _require_resonance(config)
-    v0 = coupling_expectation(initial_state(config, dist))
-    return -v0 * pulse_area(tau, config)
+    return np.add.reduce(d * d) + x, y, -v0 * area

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, CSV schema, exit codes, determinism."""
 
+import importlib
 import json
 import math
 import os
@@ -75,6 +76,16 @@ def test_help():
     assert cp.returncode == 0, cp.stderr
     for sub in ("run", "preset", "compare", "list-presets"):
         assert sub in cp.stdout
+
+
+def test_console_script_entry_point(capsys):
+    # the installed cascade-qed command: pyproject's [project.scripts] target
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cascade-qed"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name)(["list-presets"]) == 0
+    assert "fig4b" in capsys.readouterr().out
 
 
 def test_list_presets_frozen_parameters(capsys):
@@ -157,6 +168,8 @@ class TestRun:
         assert row[1] != ""
         meta = json.loads((tmp_path / "ana.csv.meta.json").read_text())
         assert meta["integrator"]["dt_internal"] is None  # no numeric route
+        assert "scheme" not in meta["integrator"]  # nothing was stepped
+        assert meta["integrator"]["substeps_total"] == 0
         assert meta["truncation"]["max_top_rung_population"] is None
 
     def test_both_engine_writes_three_files(self, tmp_path: Path, capsys):
@@ -427,6 +440,20 @@ class TestCeilings:
             assert float(rows[-1][0]) == 1e307
             for row in rows:
                 assert all(math.isfinite(float(v)) for v in row[:5])
+
+    # far along a neglected motion phi_dynamical is huge and wrapping the
+    # geometric phase rounded past the cut: at tau_max = 1e14, 4 of 2000
+    # values lay outside (-pi, pi], up to 3.1875; at 1e300 one read -2.3e282
+    @pytest.mark.parametrize("tau_max", ["1e14", "1e16", "1e300"])
+    def test_geometric_phase_stays_in_its_interval(self, tmp_path: Path, capsys, tau_max):
+        out = tmp_path / "g.csv"
+        assert main(["run", "--motion", "neglected", "--engine", "analytic",
+                     "--tau-max", tau_max, "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        geometric = [float(row[5]) for row in rows if row[5]]
+        assert len(geometric) == len(rows) == 2000
+        assert all(-math.pi < value <= math.pi for value in geometric)
 
     def test_analytic_alpha_over_photon_ceiling_accepted(self, tmp_path: Path, capsys):
         alpha = math.nextafter(self.ALPHA_EDGE, math.inf)

@@ -9,9 +9,9 @@ from cascade_qed import (
     CompositeState,
     FieldSpec,
     SystemConfig,
-    dynamical_phase_resonant,
     evolve,
     initial_state,
+    overlap_series,
     series_from_closed_form,
     series_from_trajectory,
     superposed_distribution,
@@ -98,6 +98,31 @@ class TestWrapAndUnwrap:
         assert np.all(wrapped > -math.pi - 1e-12)
         assert np.all(wrapped <= math.pi + 1e-12)
 
+    def test_wrap_odd_multiples_of_pi(self):
+        # the subtracted multiple of 2 pi rounds: from 13 pi on, it carries
+        # 28,917 of these past pi, by up to 1.1e-10
+        wrapped = wrap_angle(np.arange(1, 400_000, 2) * math.pi)
+        assert np.all((wrapped > -math.pi) & (wrapped <= math.pi))
+        assert np.min(np.abs(wrapped)) > 3.14
+
+    def test_wrap_large_angles(self):
+        rng = np.random.default_rng(29)
+        phi = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-3.0, 17.0, 200_000)
+        phi = np.concatenate((phi, [np.nan, 1e17, -1e17, 1e300, -1e300]))
+        wrapped = wrap_angle(phi)
+        assert np.isnan(wrapped[-5])
+        finite = wrapped[~np.isnan(phi)]
+        assert np.all((finite > -math.pi) & (finite <= math.pi))
+        # entries the plain formula left inside keep its bits
+        plain = phi - 2.0 * math.pi * np.ceil((phi - math.pi) / (2.0 * math.pi))
+        inside = (plain > -math.pi) & (plain <= math.pi)
+        assert np.count_nonzero(~inside) > 1000
+        assert wrapped[inside].tobytes() == plain[inside].tobytes()
+        # and every entry is congruent to phi where 2 pi is still resolved
+        near = np.abs(phi) < 1e6
+        turns = (phi[near] - wrapped[near]) / (2.0 * math.pi)
+        assert np.max(np.abs(turns - np.round(turns))) < 1e-9
+
     def test_unwrap_with_gaps(self):
         phi = np.array([0.0, 3.0, 6.0 - 2 * math.pi, np.nan, 0.5, 0.6])
         out = unwrap_with_gaps(phi)
@@ -159,7 +184,7 @@ class TestDynamicalPhase:
     def test_quadrature_matches_resonant_closed_form(self):
         cfg, dist, traj = self.make_run(theta=math.pi / 4)
         numeric = series_from_trajectory(traj).phi_dynamical
-        closed = dynamical_phase_resonant(traj.taus, cfg, dist)
+        closed = overlap_series(traj.taus, cfg, dist)[2]
         assert np.max(np.abs(numeric - closed)) < 1e-6
 
     def test_stationary_state_has_zero_phase(self):

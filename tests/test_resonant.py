@@ -14,7 +14,7 @@ from cascade_qed import (
     Motion,
     SystemConfig,
     coherent_coefficients,
-    dynamical_phase_resonant,
+    coupling_expectation,
     initial_state,
     normalization_constant,
     overlap_series,
@@ -31,7 +31,7 @@ X0_DEFICIT_ALPHA5 = 6.9439719324815380016e-12
 
 def overlap_at(tau, config, dist):
     """x(tau) + i y(tau) from ``overlap_series`` on the one-point grid [tau]."""
-    x, y = overlap_series(np.array([tau]), config, dist)
+    x, y, _ = overlap_series(np.array([tau]), config, dist)
     return complex(x[0], y[0])
 
 
@@ -197,7 +197,7 @@ def interpolated_series(monkeypatch, taus, config, dist):
         return barycentric(*args)
 
     monkeypatch.setattr(resonant, "_barycentric", counted)
-    x, y = overlap_series(taus, config, dist)
+    x, y, _ = overlap_series(taus, config, dist)
     assert calls and max(calls) < taus.size  # fewer nodes than grid points
     return x, y
 
@@ -214,7 +214,7 @@ class TestPairwiseSums:
         dist = superposed_distribution(config.field)
         assert dist.n_max > 1800
         taus = np.linspace(0.0, 2.0 * math.pi / p, 23)
-        x, y = overlap_series(taus, config, dist)
+        x, y, _ = overlap_series(taus, config, dist)
         for k, tau in enumerate(taus):
             x_ref, y_ref = fsum_of_kept_terms(config, dist, tau)
             assert abs(x[k] - x_ref) <= 1e-14
@@ -298,7 +298,7 @@ class TestInterpolatedSums:
         config = make_config(40.0, 0.0, theta, motion=motion)
         dist = superposed_distribution(config.field)
         monkeypatch.setattr(resonant, "_barycentric", None)  # must not be called
-        x, y = overlap_series(taus, config, dist)
+        x, y, _ = overlap_series(taus, config, dist)
         for k in [0, taus.size - 1, *range(1, taus.size, 97)]:
             x_ref, y_ref = fsum_of_kept_terms(config, dist, taus[k])
             assert abs(x[k] - x_ref) <= 1e-14
@@ -361,14 +361,14 @@ class TestOverlapSpecialValues:
     def test_theta_zero_y_identically_zero(self):
         config = make_config(5.0, 0.0, 0.0)
         dist = superposed_distribution(config.field)
-        _, y = overlap_series(np.linspace(0.0, 12.0, 97), config, dist)
+        _, y, _ = overlap_series(np.linspace(0.0, 12.0, 97), config, dist)
         assert np.all(y == 0.0)
 
     @pytest.mark.parametrize("r", [1.0, -1.0])
     def test_cat_states_y_identically_zero(self, r):
         config = make_config(5.0, r, math.pi / 4)
         dist = superposed_distribution(config.field)
-        _, y = overlap_series(np.linspace(0.0, 12.0, 97), config, dist)
+        _, y, _ = overlap_series(np.linspace(0.0, 12.0, 97), config, dist)
         assert np.all(y == 0.0)
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -376,8 +376,8 @@ class TestOverlapSpecialValues:
         config = make_config(5.0, 0.0, math.pi / 4, p=p)
         dist = superposed_distribution(config.field)
         taus = np.linspace(0.0, 2.0 * math.pi / p, 50, endpoint=False)
-        x1, y1 = overlap_series(taus, config, dist)
-        x2, y2 = overlap_series(taus + 2.0 * math.pi / p, config, dist)
+        x1, y1, _ = overlap_series(taus, config, dist)
+        x2, y2, _ = overlap_series(taus + 2.0 * math.pi / p, config, dist)
         assert np.max(np.abs(x1 - x2)) < 1e-12
         assert np.max(np.abs(y1 - y2)) < 1e-12
 
@@ -392,7 +392,7 @@ class TestOverlapSpecialValues:
     def test_magnitude_bounded(self):
         config = make_config(3.0, 0.0, 0.7)
         dist = superposed_distribution(config.field)
-        x, y = overlap_series(np.linspace(0.0, 20.0, 301), config, dist)
+        x, y, _ = overlap_series(np.linspace(0.0, 20.0, 301), config, dist)
         assert np.all(x * x + y * y <= 1.0 + 1e-9)
 
     def test_detuned_config_rejected(self):
@@ -434,30 +434,39 @@ class TestArcsinPhase:
             assert -math.pi / 2 <= phi <= math.pi / 2
 
 
+def dynamical_phase(taus, config, dist):
+    """The dynamical phase column of ``overlap_series`` on the grid taus."""
+    return overlap_series(np.atleast_1d(taus), config, dist)[2]
+
+
 class TestDynamicalPhaseResonant:
+    """overlap_series' third column, -<V>_0 A(tau), from its one lane split."""
+
     def test_theta_zero_vanishes(self):
         config = make_config(5.0, 0.0, 0.0)
         dist = superposed_distribution(config.field)
-        assert dynamical_phase_resonant(3.3, config, dist) == 0.0
+        assert np.all(dynamical_phase(3.3, config, dist) == 0.0)
 
     @pytest.mark.parametrize("r", [1.0, -1.0])
     def test_cat_states_vanish(self, r):
         config = make_config(5.0, r, math.pi / 4)
         dist = superposed_distribution(config.field)
-        assert dynamical_phase_resonant(3.3, config, dist) == 0.0
+        assert np.all(dynamical_phase(3.3, config, dist) == 0.0)
 
     def test_alpha5_half_period_magnitude(self):
         # <V>_0 = -alpha at theta=pi/4, r=0; area(pi) = 2 for p=1
         config = make_config(5.0, 0.0, math.pi / 4, p=1)
         dist = superposed_distribution(config.field)
-        phi = dynamical_phase_resonant(math.pi, config, dist)
-        assert phi == pytest.approx(10.0, abs=1e-9)
+        phi = dynamical_phase(math.pi, config, dist)
+        assert phi.shape == (1,)
+        assert phi[0] == pytest.approx(10.0, abs=1e-9)
 
     def test_vectorized_follows_pulse_area(self):
         config = make_config(2.0, 0.0, 0.6, p=2)
         dist = superposed_distribution(config.field)
         taus = np.linspace(0.0, 5.0, 21)
-        phi = dynamical_phase_resonant(taus, config, dist)
+        phi = dynamical_phase(taus, config, dist)
+        assert phi.shape == taus.shape
         ratio = phi[1:] / pulse_area(taus[1:], config)
         assert np.max(np.abs(ratio - ratio[0])) < 1e-12
 
@@ -465,7 +474,26 @@ class TestDynamicalPhaseResonant:
         config = SystemConfig(field=FieldSpec(alpha=2.0, r=0.0), delta=2.0)
         dist = superposed_distribution(config.field)
         with pytest.raises(ValueError):
-            dynamical_phase_resonant(1.0, config, dist)
+            dynamical_phase(1.0, config, dist)
+
+    def test_bitwise_the_conserved_coupling_times_the_area(self):
+        # -<V>_0 A as system defines <V>: -coupling_expectation(initial
+        # state) times the pulse area, bit for bit.  <V>_0 comes from the
+        # complex lane split; in real arithmetic 2 sum r b v rounds differently
+        rng = np.random.default_rng(2029)
+        for k in range(36):  # each (r, p, motion) three times
+            config = make_config(
+                float(rng.uniform(0.5, 40.0)), (0.0, 1.0, -1.0)[k % 3],
+                float(rng.uniform(0.0, math.pi)), p=1 + k % 2,
+                motion=(Motion.MOVING, Motion.NEGLECTED)[k // 6 % 2],
+            )
+            dist = superposed_distribution(config.field)
+            taus = np.sort(rng.uniform(0.0, 40.0, 37))
+            expected = -coupling_expectation(initial_state(config, dist)) * pulse_area(
+                taus, config
+            )
+            got = overlap_series(taus, config, dist)[2]
+            assert got.tobytes() == expected.tobytes(), (k, config)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
