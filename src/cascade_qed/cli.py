@@ -193,7 +193,7 @@ class ScenarioConfig:
                 n_steps=self.steps,
                 dt_internal=self.dt,
             )
-        except (FieldSpecError, ValueError) as exc:
+        except ValueError as exc:  # FieldSpecError among them
             raise ConfigError(str(exc)) from exc
 
 
@@ -484,15 +484,15 @@ def _compute(
             field = replace(config.field, alpha=0.0, r=0.0)
             shared = replace(config, theta=0.0, field=field)
             groups.setdefault((shared, dist.n_max), []).append(i)
-    # per curve: its trajectory, integrator record and top-rung weight
+    # per curve: its trajectory and integrator record
     records = [(None, {"dt_internal": None, "substeps_total": 0, "evolve_s": 0.0,
-                       "batch_size": 0}, None)] * len(scenarios)
+                       "batch_size": 0})] * len(scenarios)
     for members in groups.values():
         t_evolve = time.perf_counter()
         states = [initial_state(configs[i], dists[i]) for i in members]
         evolved = evolve(states, configs[members[0]])
         evolve_s = time.perf_counter() - t_evolve
-        for i, state, trajectory in zip(members, states, evolved.curves):
+        for i, trajectory in zip(members, evolved.curves):
             worst = int(np.argmax(trajectory.norm_error))
             integrator = {
                 "scheme": "cf4",
@@ -507,11 +507,11 @@ def _compute(
             if configs[i].delta == 0.0:
                 v = trajectory.expectation_V
                 integrator["max_v_drift"] = float(np.max(np.abs(v - v[0])))
-            records[i] = (trajectory, integrator, _edge_weight(state.amplitudes))
+            records[i] = (trajectory, integrator)
 
     curves = []
     for i, (scenario, config, dist) in enumerate(zip(scenarios, configs, dists)):
-        trajectory, integrator, edge_weight = records[i]
+        trajectory, integrator = records[i]
         series: dict[str, PhaseTimeSeries] = {}
         t_series = time.perf_counter()
         deviation = {}
@@ -531,7 +531,7 @@ def _compute(
                 "dropped_tail": dist.dropped_tail,
                 "epsilon_tail": EPSILON_TAIL,
                 "norm_constant": dist.norm_constant,
-                "max_top_rung_population": edge_weight,
+                "max_top_rung_population": _edge_weight(config, dist),
             },
             "integrator": {
                 **integrator,

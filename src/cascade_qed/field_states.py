@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "FieldSpecError",
-    "ZeroFieldError",
     "FieldSpec",
     "PhotonDistribution",
     "coherent_coefficients",
@@ -35,10 +34,6 @@ _MAX_SCAN_WINDOW = 1_000_000
 
 class FieldSpecError(ValueError):
     """Invalid field parameters."""
-
-
-class ZeroFieldError(FieldSpecError):
-    """The requested superposition has zero total weight (alpha=0, r=-1)."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ def normalization_constant(alpha: float, r: float) -> float:
     except OverflowError:
         raise FieldSpecError(f"r={r!r} is too large: (1 + r)^2 overflows") from None
     if B <= 0.0:
-        raise ZeroFieldError(
+        raise FieldSpecError(
             f"superposition with alpha={alpha}, r={r} has zero total weight"
         )
     return B
@@ -164,7 +159,7 @@ def superposed_distribution(spec: FieldSpec) -> PhotonDistribution:
     raw = raw[: n_max + 1] / math.sqrt(B)
     kept = float(np.add.reduce(raw * raw))
     if kept <= 0.0:
-        raise ZeroFieldError(
+        raise FieldSpecError(
             f"superposition with alpha={spec.alpha}, r={spec.r} has zero weight "
             f"on the truncated basis"
         )

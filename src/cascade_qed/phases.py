@@ -78,23 +78,22 @@ def unwrap_with_gaps(phi: np.ndarray) -> np.ndarray:
     """np.unwrap applied independently to each contiguous finite run."""
     phi = np.asarray(phi, dtype=float)
     out = phi.copy()
-    finite = np.isfinite(phi)
-    if not finite.any():
-        return out
-    edges = np.nonzero(np.diff(finite.astype(int)) != 0)[0] + 1
-    bounds = np.concatenate(([0], edges, [len(phi)]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if finite[lo]:
-            out[lo:hi] = np.unwrap(phi[lo:hi])
+    # where finiteness flips, padded with non-finite ends: starts and ends alternate
+    edges = np.flatnonzero(np.diff(np.isfinite(phi), prepend=False, append=False))
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        out[lo:hi] = np.unwrap(phi[lo:hi])
     return out
 
 
 def _phase_columns(x: np.ndarray, y: np.ndarray, phi_dyn: np.ndarray):
     """Pancharatnam, geometric and Eq. 5 series with gaps; the sign of the
-    pi folded off the Eq. 5 phase is phi's, since atan2(-0.0, x < 0) = -pi."""
+    pi folded off the Eq. 5 phase is phi's, since atan2(-0.0, x < 0) = -pi.
+    The geometric phase is a gap too where the rounding of phi_dyn alone
+    spans half a turn, so that it carries no digit."""
     phi = np.where(np.hypot(x, y) > _OVERLAP_FLOOR, np.arctan2(y, x), np.nan)
     phi_eq5 = np.where(x >= 0.0, -phi, np.where(phi > 0.0, phi - math.pi, phi + math.pi))
-    return phi, wrap_angle(phi - phi_dyn), phi_eq5
+    resolved = np.spacing(np.abs(phi_dyn)) < math.pi
+    return phi, np.where(resolved, wrap_angle(phi - phi_dyn), np.nan), phi_eq5
 
 
 def _series(tau, x, y, phi_dyn, rho, norm_error) -> PhaseTimeSeries:

@@ -178,6 +178,16 @@ def initial_state(config: SystemConfig, dist: PhotonDistribution) -> CompositeSt
     return CompositeState(amps)
 
 
+def _edge_weight(config: SystemConfig, dist: PhotonDistribution) -> float:
+    """Weight of ``initial_state(config, dist)`` in the only lanes that reach
+    the top photon column n_max + 2, of which it fills |1, n_max> alone:
+    cos^2(theta) c_{n_max}^2.  Lanes never couple, so no evolution puts more
+    than this in the column.
+    """
+    x = math.cos(config.theta) * float(dist.weights[-1])
+    return x * x
+
+
 def _lanes(n_ph: int):
     """(r, xi, eta) of the lanes j = 0..n_ph of a basis cut at n_ph.
 
@@ -194,15 +204,6 @@ def _lanes(n_ph: int):
 def _abs2(z: np.ndarray, out=None) -> np.ndarray:
     """|z|^2 of a complex array; ``out`` (complex, z's shape) takes the products."""
     return np.multiply(z, np.conjugate(z, out=out), out=out).real
-
-
-def _edge_weight(a: np.ndarray) -> float:
-    """Weight of amplitudes ``a`` (3, n_ph + 1) in the only lanes that reach
-    the top photon column: lanes n_ph - 1 and n_ph and the singleton
-    |1,n_ph>.  Lanes never couple, so no evolution puts more than this in
-    the column; for ``initial_state`` it is cos^2(theta) c_{n_max}^2.
-    """
-    return float(np.add.reduce(_abs2(np.concatenate((a[0, -3:], a[1, -2:], a[2, -1:])))))
 
 
 def _lane_split(a: np.ndarray, xi, eta):

@@ -12,7 +12,9 @@ matrix on the whole (level, photon) rectangle, the second integrates the
 interaction Hamiltonian with its oscillating phases kept.
 ``observables_from_states`` is the reference for the observables ``evolve``
 streams: the formulas series assembly applied to stored states before
-``evolve`` reduced them itself.  ``convergence_probe`` measures the
+``evolve`` reduced them itself.  ``edge_weight`` scans any state for the
+bound on its top photon column that ``system._edge_weight`` gives in closed
+form for the initial state.  ``convergence_probe`` measures the
 evolver's empirical step order under step halving, and ``truncated_at``
 builds a photon distribution cut at a chosen n_max.
 """
@@ -89,6 +91,15 @@ def observables_from_states(states: np.ndarray):
     top_rung = np.add.reduce(prob[:, :, -1], axis=1)
     norms = np.sqrt(np.add.reduce(np.square(np.abs(states).reshape(n, -1)), axis=1))
     return overlap, populations, top_rung, np.abs(norms - 1.0)
+
+
+def edge_weight(a: np.ndarray) -> float:
+    """Weight of amplitudes ``a`` (3, n_ph + 1) in the only lanes that reach
+    the top photon column: lanes n_ph - 1 and n_ph and the singleton
+    |1,n_ph>.  Lanes never couple, so no evolution puts more than this in
+    the column."""
+    edge = np.concatenate((a[0, -3:], a[1, -2:], a[2, -1:]))
+    return float(np.add.reduce(np.abs(edge) ** 2))
 
 
 def embed_lanes(matrices: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from propagators import (
     cf4_planes,
     convergence_probe,
     dense_hamiltonian,
+    edge_weight,
     embed_lanes,
     lab_frame_reference,
     observables_from_states,
@@ -389,7 +390,8 @@ class TestLaneIndependence:
 
 class TestTruncationEdge:
     """Lanes never couple, so the top photon column never holds more than
-    the initial weight of the lanes that reach it, ``system._edge_weight``."""
+    the initial weight of the lanes that reach it, ``edge_weight``; for the
+    initial state ``system._edge_weight`` gives it in closed form."""
 
     @staticmethod
     def top_column(state, cfg):
@@ -403,7 +405,7 @@ class TestTruncationEdge:
         amps = np.zeros((3, 5), dtype=complex)
         amps[0, 2] = 1.0
         state = CompositeState(amps)
-        bound = system._edge_weight(state.amplitudes)
+        bound = edge_weight(state.amplitudes)
         assert bound == 1.0
         still = make_config(motion=Motion.NEGLECTED, tau_max=3.0, n_steps=301)
         assert np.max(self.top_column(state, still)) == pytest.approx(48.0 / 49.0, abs=1e-4)
@@ -415,7 +417,27 @@ class TestTruncationEdge:
         state = random_state(n_ph, seed=1)
         cfg = make_config(delta=7.0, tau_max=3.0, n_steps=301)
         column = self.top_column(state, cfg)
-        assert 0.0 < np.max(column) < system._edge_weight(state.amplitudes)
+        assert 0.0 < np.max(column) < edge_weight(state.amplitudes)
+
+    def test_closed_form_is_the_scan_of_the_initial_state(self):
+        # 240 seeded curves: alpha uniform over [0, 40] and the small 0,
+        # 1e-3, 0.3; r in {0, +-1} or uniform over [-2, 2]; theta over
+        # [-4, 4]; both motions
+        rng = np.random.default_rng(30)
+        alphas = np.concatenate(([0.0, 1e-3, 0.3], rng.uniform(0.0, 40.0, 237)))
+        checked = 0
+        for alpha in alphas:
+            r = float(rng.choice([0.0, 1.0, -1.0, rng.uniform(-2.0, 2.0)]))
+            if alpha == 0.0 and r == -1.0:  # zero weight, refused
+                continue
+            motion = Motion.MOVING if rng.random() < 0.5 else Motion.NEGLECTED
+            cfg = make_config(field=FieldSpec(alpha=float(alpha), r=r),
+                              theta=float(rng.uniform(-4.0, 4.0)), motion=motion)
+            dist = superposed_distribution(cfg.field)
+            closed = system._edge_weight(cfg, dist)
+            assert closed == edge_weight(initial_state(cfg, dist).amplitudes)
+            checked += 1
+        assert checked >= 200
 
 
 class TestConvergence:

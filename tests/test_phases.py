@@ -135,6 +135,9 @@ class TestWrapAndUnwrap:
         out = unwrap_with_gaps(phi)
         assert np.all(np.isnan(out))
 
+    def test_unwrap_empty(self):
+        assert unwrap_with_gaps(np.array([])).shape == (0,)
+
 
 class TestGeometricPhase:
     """The geometric column: total minus dynamical phase, wrapped."""
