@@ -265,14 +265,26 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-_POW10 = np.array([float(10**k) for k in range(21)])  # each an exact double
-_POW10_HI, _POW10_LO = _split(_POW10)
+def _two_product(a, a_hi, a_lo, b, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """fl(a b) and its error a b - fl(a b), exactly (Dekker), from the
+    ``_split`` halves of a and b."""
+    p = a * b
+    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+# 10**k = hi + lo, two exact doubles, each beside its _split halves, shape
+# (3, 46): lo is 0 up to 10**22 and, as 5**k has at most 105 bits, exact up
+# to 10**45
+_POW10_HI, _POW10_LO = (np.stack((x, *_split(x))) for x in (
+    np.array([float(10**k) for k in range(46)]),
+    np.array([float(10**k - int(float(10**k))) for k in range(46)]),
+))
 _CELL = 25  # the longest text, "-2.2250738585072014e-308", and its separator
 # the ASCII digits of 0 .. 99 as one uint16 each, and of 0 .. 9999 as one uint32
 _PAIRS = np.frombuffer("".join("%02d" % i for i in range(100)).encode(), np.uint16)
 _QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np.uint32).ravel()
-# "e-04" .. "e+16" as one uint32 each, by decimal exponent e = -4 .. 16 (entry e + 4)
-_EXPONENTS = np.frombuffer("".join("e%+03d" % e for e in range(-4, 17)).encode(), np.uint32)
+# "e-29" .. "e+16" as one uint32 each, by decimal exponent e = -29 .. 16 (entry e + 29)
+_EXPONENTS = np.frombuffer("".join("e%+03d" % e for e in range(-29, 17)).encode(), np.uint32)
 
 
 def _scientific(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,24 +292,39 @@ def _scientific(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     here, and that text in 24 bytes: the sign or NUL at byte 0, NUL at
     byte 1, then the digits, point and exponent at bytes 2 .. 23.
 
-    A value is a candidate when 1e-4 <= |v| < 1e17, where 10**(16 - e) is an
-    exact double.  With e = floor(log10 |v|), Dekker's error-free product
-    gives t = |v| 10**(16 - e) exactly in float64, as p + err with
-    p = fl(t).  When t >= 1e16 > 2**53, p is an even integer, so
-    D = p + rint(err) is the 17-digit mantissa rounded half to even.  A value
-    is left out if t < 1e16 or D >= 1e17: e is then off by one, or D
-    carries to 18 digits.
+    A value is a candidate when 1e-29 <= |v| < 1e17.  With
+    e = floor(log10 |v|), t = |v| 10**(16 - e) and 10**(16 - e) = hi + lo,
+    two exact doubles, Dekker's error-free product gives |v| hi exactly as
+    p + r with p = fl(|v| hi).  Up to 10**22 lo is 0 and t = p + r.  Below
+    1e-6 the error-free product of |v| and lo joins r through a TwoSum
+    (Ogita, Rump & Oishi), which leaves t - p within the sum's and the
+    product's rounding errors of r.  When t >= 1e16 > 2**53, p is an even
+    integer, so D = p + rint(r) is the 17-digit mantissa rounded half to
+    even.  A value is left out if t < 1e16 or D >= 1e17 (e is then off by
+    one, or D carries to 18 digits), or if r lies within twice those errors
+    of a half; on an exact tie they are 0.  Where D = 1e16, the sign of
+    r - rint(r) settles whether t < 1e16: no double below 1e-6 lies nearer
+    a power of ten than 1.2e-18 of it, so t is at least 0.01 from 1e16.
     """
     a = np.abs(v)
-    candidates = np.flatnonzero((a >= 1e-4) & (a < 1e17))  # NaN and inf compare False
+    candidates = np.flatnonzero((a >= 1e-29) & (a < 1e17))  # NaN and inf compare False
     a = a[candidates]
-    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
-    p = a * _POW10[16 - e]
+    k = 16 - np.clip(np.floor(np.log10(a)), -29, 16).astype(np.intp)
     a_hi, a_lo = _split(a)
-    b_hi, b_lo = _POW10_HI[16 - e], _POW10_LO[16 - e]
-    err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
-    mantissa = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    sure = ((p > 1e16) | ((p == 1e16) & (err >= 0))) & (mantissa < 10**17)
+    p, r = _two_product(a, a_hi, a_lo, *_POW10_HI.take(k, axis=1))
+    band = np.flatnonzero(k > 22)  # where lo is not 0
+    settled = True
+    if band.size:
+        q, q_err = _two_product(a[band], a_hi[band], a_lo[band], *_POW10_LO.take(k[band], axis=1))
+        err = r[band]
+        r[band] = s = err + q  # TwoSum: s + s_err = err + q
+        back = s - err
+        s_err = (err - (s - back)) + (q - back)
+        settled = np.abs(0.5 - np.abs(s - np.rint(s))) >= 2.0 * (np.abs(s_err) + np.abs(q_err))
+    rounded = np.rint(r)
+    mantissa = p.astype(np.int64) + rounded.astype(np.int64)
+    sure = ((mantissa > 10**16) | ((mantissa == 10**16) & (r >= rounded))) & (mantissa < 10**17)
+    sure[band] &= settled
     fast = candidates[sure]
     mantissa = mantissa[sure].astype(np.uint64)
     m = fast.size
@@ -318,7 +345,7 @@ def _scientific(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     upper = halves // 10000
     quads[:, :, 0] = _QUADS[upper]
     quads[:, :, 1] = _QUADS[halves - upper * 10000]
-    words[:, 5] = _EXPONENTS[e[sure] + 4]
+    words[:, 5] = _EXPONENTS[45 - k[sure]]
     return fast, text
 
 
@@ -327,9 +354,10 @@ def _format_block(cols: Sequence[np.ndarray]) -> bytes:
     ``_FORMAT % v``, zero (negative zero too) as "0" and NaN as "", byte for
     byte on every platform.
 
-    Values of 1e-4 <= |v| < 1e17 are formatted in whole-array passes
-    (``_scientific``); the rest, and those whose exponent estimate is off by
-    one, by ``%`` itself.
+    Values of 1e-29 <= |v| < 1e17 are formatted in whole-array passes
+    (``_scientific``); the rest, those whose exponent estimate is off by
+    one and those whose remainder lies within its rounding error of a
+    half, by ``%`` itself.
     """
     rows, width = len(cols[0]), len(cols)
     v = np.array(cols, dtype=np.float64).T.ravel()  # row-major
@@ -394,10 +422,7 @@ def environment_fingerprint() -> dict:
     well as the CPU).  The CSV formatter adds no platform dependence: it
     writes ``"%.16e" % v`` exactly, by the same float64 passes, everywhere.
     """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

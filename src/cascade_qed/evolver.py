@@ -30,7 +30,8 @@ steps at a time: it builds the chunk's substep grid, mode-shape samples
 and plane maps, applies them, and reduces the pairs to <A> and to the
 ``Trajectory`` observables while they are still in cache.  The maps and
 then the reductions' complex products are written into one work buffer,
-allocated once per call.  A chunk holds about a fixed number of lane
+allocated once per call, and every step's operands are made then too, so
+that a step allocates nothing.  A chunk holds about a fixed number of lane
 entries, so memory does not grow with the substep count, nor with the
 basis up to that many lanes; a larger basis takes one step per chunk, and
 memory grows with it.  All reductions use a fixed deterministic order.
@@ -69,10 +70,12 @@ _CF4_SKEW = 1.0 / math.sqrt(3.0)
 # keep one size up to _CHUNK_LANES lanes (alpha about 88).  For the fig4b
 # pair the lane pairs (32 bytes per lane entry and curve) take 520 KiB, and
 # the work buffer, which holds the maps (64 bytes per lane entry) and then
-# the reductions' products, 520 KiB; one warm call, its states built
-# beforehand, peaks at 2.3 MiB (tracemalloc, numpy 2.4).  A larger basis
-# takes one step per chunk, so its arrays grow with the basis: a whole
-# alpha = 137 run, inside the CLI's photon-cutoff ceiling, peaks at 9.4 MB.
+# the reductions' products, 520 KiB.  Each step's operands, views of these
+# and one products buffer of 64 bytes per lane and curve, are made once per
+# call; one warm call, its states built beforehand, peaks at 2.3 MiB
+# (tracemalloc, numpy 2.4).  A larger basis takes one step per chunk, so
+# its arrays grow with the basis: a whole alpha = 137 run, inside the CLI's
+# photon-cutoff ceiling, peaks at 10.7 MB.
 _CHUNK_LANES = 1 << 13
 
 
@@ -149,12 +152,28 @@ def _plane_sums(r, delta: float, dtau):
     return half2, (0.5 * delta) * t, r * t
 
 
-def _step(x, m, out) -> None:
-    """Write [[1 + m00, m01], [m10, m11]] (b, v) into ``out``, with ``m`` of
-    shape (2, 2, lanes) and the lane pairs x = (b, v) of (2, curves, lanes)."""
-    terms = m[:, :, None] * x
-    np.add(terms[:, 0], terms[:, 1], out=out)
-    out[0] += x[0]
+def _step_operands(maps, node) -> list[tuple]:
+    """The operands of ``_steps``, made once: for each step i, map i as
+    (2, 2, 1, lanes), node rows i and i + 1 and their bright rows, and one
+    buffer of the products m[o, i] x[i], shape (2, 2, curves, lanes), with
+    its two input columns.  ``maps`` (n, 2, 2, lanes) is where the maps
+    will be written; ``node`` (n + 1, 2, curves, lanes) holds the lane
+    pairs (b, v) before the first step in row 0."""
+    terms = np.empty((2,) + node.shape[1:], dtype=complex)
+    columns = terms[:, 0], terms[:, 1]
+    rows = [(x, x[0]) for x in node]
+    return [(m[:, :, None], x, out, terms, *columns, out_b, x_b)
+            for m, (x, x_b), (out, out_b) in zip(maps, rows, rows[1:])]
+
+
+def _steps(operands) -> None:
+    """Take the steps of ``_step_operands``: row i + 1 is [[1 + m00, m01],
+    [m10, m11]] (b, v) of row i, by three ufunc calls into the buffers
+    given, the products m[o, i] x[i] in (out, in) order."""
+    for m, x, out, terms, from_b, from_v, out_b, x_b in operands:
+        np.multiply(m, x, out=terms)
+        np.add(from_b, from_v, out=out)
+        np.add(out_b, x_b, out=out_b)
 
 
 def _cf4_amplitudes(t, h, config: SystemConfig) -> np.ndarray:
@@ -171,7 +190,7 @@ def _cf4_amplitudes(t, h, config: SystemConfig) -> np.ndarray:
 def _cf4_planes(lam, sqrt_r, delta: float, half_h, maps):
     """Plane maps of CF4 steps less their phase exp(-i delta h / 2), written
     into ``maps``, shape (n, 2, 2, lanes), and returned; 1 less in the corner
-    as ``_step`` takes them.
+    as ``_steps`` takes them.
 
     ``lam`` (n, 2) holds the effective mode amplitudes of n steps, the factor
     applied first in column 0, and ``half_h`` (n,) half of each step.  The
@@ -274,6 +293,9 @@ def evolve(
     def scratch(shape):
         return work[: math.prod(shape)].reshape(shape)
 
+    # a chunk's maps sit at fixed offsets of work, its pairs at fixed rows of node
+    steps = _step_operands(scratch((len(node) - 1, 2, 2, width)), node)
+
     def observe(ks, pairs, a):
         """Reduce the lane pairs at output nodes ``ks``, shape (len(ks), 2,
         n_curves, width), and their <A>, to the observables.  (u, w) -> (b, d)
@@ -313,10 +335,9 @@ def evolve(
         t = taus[interval] + offset * step_widths[interval]
         h = step_widths[interval[:-1]]
         n = hi - lo
-        maps = _cf4_planes(_cf4_amplitudes(t[:-1], h, config), sqrt_r, delta, 0.5 * h,
-                           scratch((n, 2, 2, width)))
-        for i, step in enumerate(maps):
-            _step(node[i], step, node[i + 1])
+        _cf4_planes(_cf4_amplitudes(t[:-1], h, config), sqrt_r, delta, 0.5 * h,
+                    scratch((n, 2, 2, width)))
+        _steps(steps[:n])
         a = ladder_expectation(sqrt_r, node[: n + 1, 0], node[: n + 1, 1],
                                scratch((n + 1, n_curves, width)))
         ks = np.arange(lo // m + 1, hi // m + 1)  # the output nodes in (lo, hi]

@@ -2,10 +2,10 @@
 tests check them against.
 
 ``cf4_lane_matrices`` runs the code ``evolve`` runs (``_lanes``,
-``_cf4_planes``, through ``cf4_planes``, and ``_step``) on unit-vector
-lanes, each split into its bright, middle and dark amplitudes and rebuilt
-after the step, once the pair has taken the step's phase
-exp(-i delta h / 2) that the maps leave out.
+``_cf4_planes``, through ``cf4_planes``, ``_step_operands`` and ``_steps``)
+on unit-vector lanes, each split into its bright, middle and dark
+amplitudes and rebuilt after the step, once the pair has taken the step's
+phase exp(-i delta h / 2) that the maps leave out.
 ``dense_hamiltonian`` and ``lab_frame_reference`` share no code with the
 evolver: the first writes the rotating-frame Hamiltonian out as a dense
 matrix on the whole (level, photon) rectangle, the second integrates the
@@ -54,10 +54,10 @@ def cf4_lane_matrices(lam, n_ph: int, delta: float, h: float) -> np.ndarray:
     # u[c, j], v[c, j], w[c, j]: lane j started from unit vector c, the
     # three starts taking the place of curves
     u, v, w = np.repeat(np.eye(3, dtype=complex)[:, :, None], n_ph + 1, axis=2).swapaxes(0, 1)
-    pair, dark = np.array([xi * u + eta * w, v]), eta * u - xi * w
-    out = np.empty_like(pair)
-    evolver._step(pair, maps[0], out)
-    b, v = out * np.exp(-0.5j * delta * h)  # the step's phase, which the maps leave out
+    node = np.empty((2, 2) + u.shape, dtype=complex)
+    node[0], dark = (xi * u + eta * w, v), eta * u - xi * w
+    evolver._steps(evolver._step_operands(maps, node))
+    b, v = node[1] * np.exp(-0.5j * delta * h)  # the step's phase, which the maps leave out
     columns = np.stack((xi * b + eta * dark, v, eta * b - xi * dark))
     return columns.transpose(2, 0, 1)
 

@@ -26,6 +26,7 @@ from cascade_qed.cli import (
 import csv_oracle
 from goldens import (
     HASHES_PATH, RUN_SMALL_ARGV, RUN_SMALL_PATH, RUN_SMALL_TOLERANCE, compare_values, read_csv,
+    sha256,
 )
 from propagators import edge_weight, observables_from_states
 
@@ -686,9 +687,9 @@ class TestBatchedCurves:
     # fig4b's two curves' states alone would take 14 MB, and one alpha = 40
     # curve's plane maps for 128 steps about 80 MB; evolved a chunk of a fixed
     # number of lane entries at a time, each run's tracemalloc peak is about
-    # 2.5 MB (2.41-2.44 MB for fig4b, 2.51 MB at alpha = 40, numpy 2.4).  Over
+    # 2.5 MB (2.50 MB for fig4b, 2.63 MB at alpha = 40, numpy 2.4).  Over
     # 8,192 lanes a chunk is one step and grows with the basis: alpha = 137,
-    # inside the photon-cutoff ceiling, peaks at 9.2 MB
+    # inside the photon-cutoff ceiling, peaks at 10.5 MB
     @pytest.mark.parametrize("argv,bound", [
         (["preset", "fig4b"], 6e6),
         (["run", "--alpha", "40", "--delta", "-5", "--tau-max", "1", "--steps", "11"], 6e6),
@@ -802,10 +803,7 @@ class TestDeterminism:
         # baseline); with those disabled, the fingerprint reports none.
         script = """if True:
             import json
-            try:
-                from numpy._core import _multiarray_umath as u
-            except ImportError:  # numpy < 2
-                from numpy.core import _multiarray_umath as u
+            from numpy._core import _multiarray_umath as u
             from cascade_qed.cli import environment_fingerprint
             above = [t for t in u.__cpu_dispatch__
                      if u.__cpu_features__.get(t) and t not in u.__cpu_baseline__]
@@ -871,15 +869,18 @@ def _ties() -> tuple[list[float], list[float]]:
     |v| 10**(16 - e) is a 17-digit tie, and others within 1e-3 of one.
 
     a / 2**(17 - e) with a odd scales to a 5**(16 - e) / 2, a half-integer;
-    it is an exact double while a < 2**53 (e <= 15).  The near ties, up to
-    12 per exponent, are found among consecutive doubles in exact integer
-    arithmetic, so the set is the same on every platform."""
+    it is an exact double while a < 2**53 (e <= 15), and lies in decade e
+    only while 5**(16 - e) < 2e17 (e >= -8).  The first three such a per
+    exponent are taken.  The near ties, up to 12 per exponent, are found
+    among consecutive doubles in exact integer arithmetic, so the set is
+    the same on every platform."""
     exact, near = [], []
-    for e in range(-4, 17):
+    for e in range(-29, 17):
         scale = 2 ** (17 - e)
-        a = math.ceil(Fraction(10) ** e * scale) | 1
-        if a < 2**53:
-            exact.append(a / scale)
+        first = math.ceil(Fraction(10) ** e * scale) | 1
+        for a in range(first, first + 6, 2):
+            if a < 2**53 and Fraction(a, scale) < Fraction(10) ** (e + 1):
+                exact.append(a / scale)
         start = 1.5 * 10.0**e
         within = []
         for v in (start + np.spacing(start) * np.arange(4000)).tolist():
@@ -892,11 +893,36 @@ def _ties() -> tuple[list[float], list[float]]:
 
 
 TIES, NEAR_TIES = _ties()
+
+
+def _band_near_ties() -> list[float]:
+    """Doubles below 1e-6, where 10**(16 - e) is two doubles, whose exact
+    t = |v| 10**(16 - e) lies d 2**s from a half-integer, 0 < |d| <= 8, with
+    2**s the last bit of t.  For v = m 2**E, t = m 5**k 2**s with k = 16 - e
+    and s = k + E, so m is solved by the inverse of 5**k mod 2**-s.  The
+    formatter's TwoSum can round such a remainder onto the half or past it,
+    so some of them must reach ``%``."""
+    out = []
+    for k in range(23, 46):
+        ten = Fraction(10) ** (16 - k)
+        for E in range(math.frexp(float(ten))[1] - 53, math.frexp(float(10 * ten))[1] - 52):
+            mod = 2 ** -(k + E)
+            inv = pow(5**k, -1, mod)
+            for d in range(-8, 9):
+                first = ((mod // 2 + d) * inv) % mod
+                # every 53-bit m congruent to first
+                for m in range(first + -(-(2**52 - first) // mod) * mod, 2**53, mod):
+                    if d and ten <= Fraction(m) * Fraction(2) ** E < 10 * ten:
+                        out.append(math.ldexp(m, E))
+    return out
+
+
+BAND_NEAR_TIES = _band_near_ties()
 # with their neighbours, these hold both edges of the formatter's candidate
-# range, 1e-4 <= |v| < 1e17
-POWERS = 10.0 ** np.arange(-6, 19)
-OUT_OF_RANGE = [1e-6, 9.99999999999999e-5, 1e17, 1.5e17, 1e18, 5e-324, 2.2250738585072014e-308,
-                1e308, math.inf]
+# range, 1e-29 <= |v| < 1e17
+POWERS = np.array([float("1e%d" % k) for k in range(-31, 19)])
+OUT_OF_RANGE = [1e-30, math.nextafter(1e-29, 0.0), 1e-31, 1e17, 1.5e17, 1e18, 5e-324,
+                2.2250738585072014e-308, 1e308, math.inf]
 EDGES = np.concatenate([
     POWERS, np.nextafter(POWERS, 0.0), np.nextafter(POWERS, math.inf),
     [0.0, 1.0, 2.0, 7.0, 10.0, 99.0, 101.0, 12345.0, 2.0**31, 2.0**53 - 1, 2.0**53,
@@ -936,16 +962,26 @@ def _canonical_nan(x: float) -> float:
 
 class TestBlockFormatter:
     def test_edges_match_the_per_value_format_and_reach_the_fallback(self, monkeypatch):
-        assert len(TIES) >= 15 and len(NEAR_TIES) >= 20
+        assert len(TIES) >= 45 and len(NEAR_TIES) >= 200
+        # ties where 10**(16 - e) is two doubles: 1.79e-7 = 3 / 2**24 and 2**-25
+        assert any(v < 1e-6 for v in TIES) and 2.0**-25 in TIES
         spy = _SpyFormat()
         monkeypatch.setattr(cli, "_FORMAT", spy)
+        values = np.concatenate([EDGES, BAND_NEAR_TIES, np.negative(BAND_NEAR_TIES)])
         for width in (1, 3, 11):
-            for cols in _blocks(EDGES, width):
+            for cols in _blocks(values, width):
                 assert _format_block(cols) == csv_oracle.format_block(cols)
         fallback = set(spy.formatted)
         assert fallback >= set(OUT_OF_RANGE) | {-v for v in OUT_OF_RANGE}
         # the exact product settles every tie: none is left to %
         assert not fallback & {s * v for v in TIES + NEAR_TIES for s in (1.0, -1.0)}
+        # a remainder within the TwoSum's error of a half is
+        assert fallback & set(BAND_NEAR_TIES)
+
+    def test_each_power_of_ten_is_two_exact_doubles(self):
+        hi, lo = cli._POW10_HI[0].tolist(), cli._POW10_LO[0].tolist()
+        assert [Fraction(h) + Fraction(x) for h, x in zip(hi, lo)] == [10**k for k in range(46)]
+        assert not any(lo[:23]) and all(lo[23:])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -953,6 +989,7 @@ class TestBlockFormatter:
             st.one_of(
                 st.floats().map(_canonical_nan),
                 st.floats(1e-5, 1e18) | st.floats(-1e18, -1e-5),
+                st.floats(1e-31, 1e-4) | st.floats(-1e-4, -1e-31),
                 st.integers(-10**17, 10**17).map(float),
             ),
             min_size=1, max_size=80,
@@ -966,8 +1003,8 @@ class TestBlockFormatter:
     @pytest.mark.parametrize("shift", [1.0, -1.0, 1e-9])
     def test_a_mis_estimated_exponent_reaches_the_fallback(self, monkeypatch, shift):
         rng = np.random.default_rng(2011)
-        values = np.concatenate([EDGES, 10.0 ** rng.uniform(-5.0, 18.0, 1000),
-                                 -(10.0 ** rng.uniform(-5.0, 18.0, 1000))])
+        values = np.concatenate([EDGES, 10.0 ** rng.uniform(-31.0, 18.0, 1000),
+                                 -(10.0 ** rng.uniform(-31.0, 18.0, 1000))])
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
         spy = _SpyFormat()
@@ -979,10 +1016,10 @@ class TestBlockFormatter:
         # whose exact scaled mantissa t at the estimated exponent is below 1e16
         # or rounds to 1e17
         finite = values[~np.isnan(values) & (values != 0.0)]
-        estimates = np.clip(np.floor(log10(np.abs(finite)) + shift), -4, 16).astype(int)
+        estimates = np.clip(np.floor(log10(np.abs(finite)) + shift), -29, 16).astype(int)
         expected, left_out = [], 0
         for v, e in zip(finite.tolist(), estimates.tolist()):
-            if not 1e-4 <= abs(v) < 1e17:
+            if not 1e-29 <= abs(v) < 1e17:
                 expected.append(v)
                 continue
             num, den = abs(v).as_integer_ratio()
@@ -992,6 +1029,19 @@ class TestBlockFormatter:
                 left_out += 1
         assert left_out >= 30
         assert sorted(spy.formatted) == sorted(expected)
+
+    def test_fig4b_writes_no_value_through_the_fallback(self, tmp_path, capsys, monkeypatch):
+        # 5,613 of its values reached % while the exact path stopped at 1e-4:
+        # most of the norm_error column, and y and the phases near their zeros
+        spy = _SpyFormat()
+        monkeypatch.setattr(cli, "_FORMAT", spy)
+        cp = run_main(capsys, "preset", "fig4b", "--out", str(tmp_path / "fig4b.csv"))
+        assert cp.returncode == 0, cp.stderr
+        assert spy.formatted == []
+        pins = json.loads(HASHES_PATH.read_text())
+        if environment_fingerprint() == pins["fingerprint"]:  # the bytes follow the SIMD level
+            for name in ("fig4b_r0.csv", "fig4b_r1.csv"):
+                assert sha256(tmp_path / name) == pins["sha256"][name]
 
     def test_non_finite_and_extreme_values_raise_no_warning(self):
         col = np.array([math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, math.nan])

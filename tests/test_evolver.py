@@ -40,6 +40,15 @@ def make_config(**kwargs):
     return SystemConfig(**defaults)
 
 
+def stepped(maps, lanes):
+    """The lane pairs ``lanes``, shape (2, curves, lanes), after each of
+    ``maps`` in turn, by the step code ``evolve`` runs."""
+    node = np.empty((len(maps) + 1,) + lanes.shape, dtype=complex)
+    node[0] = lanes
+    evolver._steps(evolver._step_operands(maps, node))
+    return node[-1]
+
+
 def random_state(n_ph, seed=0):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=(3, n_ph + 1)) + 1j * rng.normal(size=(3, n_ph + 1))
@@ -340,11 +349,9 @@ class TestBatch:
         rng = np.random.default_rng(9)
         lanes = rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4))
         maps = cf4_planes(np.zeros((1, 2)), np.arange(4.0), delta, np.array([0.01]))
-        together = np.empty_like(lanes)
-        evolver._step(lanes, maps[0], together)
+        together = stepped(maps, lanes)
         for c in range(2):
-            alone = np.empty_like(lanes[:, c : c + 1])
-            evolver._step(lanes[:, c : c + 1], maps[0], alone)
+            alone = stepped(maps, lanes[:, c : c + 1])
             assert np.max(np.abs(together[:, c] - alone[:, 0])) <= 1e-13
         # the maps leave out the step's phase exp(-i delta h / 2), h = 0.02
         expected = lanes * np.array([1.0, np.exp(-0.02j * delta)])[:, None, None]
@@ -371,19 +378,11 @@ class TestLaneIndependence:
         rng = np.random.default_rng(11)
         # the (bright, middle) pair of each lane, of one curve
         start = rng.normal(size=(2, 1, n_ph + 1)) + 1j * rng.normal(size=(2, 1, n_ph + 1))
-
-        def run(lanes):
-            for step in maps:
-                out = np.empty_like(lanes)
-                evolver._step(lanes, step, out)
-                lanes = out
-            return lanes
-
-        together = run(start.copy())
+        together = stepped(maps, start)
         for k in range(n_ph + 1):
             alone = np.zeros_like(start)
             alone[..., k] = start[..., k]
-            alone = run(alone)
+            alone = stepped(maps, alone)
             assert np.array_equal(alone[..., k], together[..., k])
             assert not np.any(np.delete(alone, k, axis=-1))
 
