@@ -1,4 +1,4 @@
-"""Reference CSV formatter: one ``%`` per value, the bytes ``cli._format_block`` must write.
+"""Reference CSV formatter: one ``%`` per value, the bytes ``output._format_block`` must write.
 
 ``format_block`` is the per-value comprehension of the CSV schema: "" for
 NaN, "0" for zero and negative zero, ``"%.16e" % v`` for every other value,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 # the fingerprint every run sidecar records
-from cascade_qed.cli import environment_fingerprint  # noqa: F401
+from cascade_qed.output import environment_fingerprint  # noqa: F401
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HASHES_PATH = GOLDEN_DIR / "preset_hashes.json"

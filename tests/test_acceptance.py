@@ -29,8 +29,9 @@ from cascade_qed import (
     series_from_trajectory,
     superposed_distribution,
 )
-from cascade_qed.cli import CSV_COLUMNS, ScenarioConfig, list_presets
+from cascade_qed.cli import ScenarioConfig, list_presets
 from cascade_qed.evolver import _cf4_amplitudes
+from cascade_qed.output import CSV_COLUMNS
 
 import goldens
 from propagators import cf4_lane_matrices, convergence_probe, lab_frame_reference, truncated_at

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, CSV schema, exit codes, determinism."""
 
+import ast
 import importlib
 import json
 import math
@@ -18,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_qed
-from cascade_qed import NormDriftError, cli, evolve, initial_state, superposed_distribution, system
-from cascade_qed.cli import (
-    ConfigError, ScenarioConfig, _format_block, environment_fingerprint, list_presets,
-    main, run_scenario,
+from cascade_qed import (
+    NormDriftError, cli, evolve, initial_state, output, scenario, superposed_distribution, system,
 )
+from cascade_qed.cli import ConfigError, ScenarioConfig, list_presets, main, run_scenario
+from cascade_qed.output import _format_block, environment_fingerprint
 import csv_oracle
 from goldens import (
     HASHES_PATH, RUN_SMALL_ARGV, RUN_SMALL_PATH, RUN_SMALL_TOLERANCE, compare_values, read_csv,
@@ -405,10 +406,10 @@ class TestCeilings:
     def test_numeric_alpha_over_photon_ceiling_refused_before_the_scan(
         self, tmp_path: Path, monkeypatch, capsys, r, above
     ):
-        assert cli._MAX_PHOTONS == 2e4
+        assert scenario._MAX_PHOTONS == 2e4
         alpha = math.nextafter(self.ALPHA_EDGE, math.inf) if above else self.ALPHA_EDGE
         n_max = superposed_distribution(cascade_qed.FieldSpec(alpha, r)).n_max
-        assert n_max > cli._MAX_PHOTONS
+        assert n_max > scenario._MAX_PHOTONS
         scanned = []
 
         def scan(spec):
@@ -489,7 +490,7 @@ class TestCeilings:
     ])
     def test_run_over_ceiling_refused(self, tmp_path: Path, monkeypatch, capsys,
                                       ceiling, value, message):
-        monkeypatch.setattr(cli, ceiling, value)
+        monkeypatch.setattr(scenario, ceiling, value)
         monkeypatch.setattr(cli, "evolve", self.refuse_to_evolve)
         out = tmp_path / "x.csv"
         assert main(["run", *QUICK, "--out", str(out)]) == 2
@@ -501,7 +502,7 @@ class TestCeilings:
     ])
     def test_run_at_ceiling_accepted(self, tmp_path: Path, monkeypatch, capsys,
                                      ceiling, value):
-        monkeypatch.setattr(cli, ceiling, value)
+        monkeypatch.setattr(scenario, ceiling, value)
         assert main(["run", *QUICK, "--out", str(tmp_path / "x.csv")]) == 0
         capsys.readouterr()
 
@@ -784,6 +785,40 @@ def test_package_exports_each_module_interface():
     assert not hasattr(cascade_qed, "default_dt_internal")
     assert not hasattr(system, "default_dt_internal")
 
+    # the CLI's three modules: each name is published once, by its own
+    # module, and none by the package
+    front = (cli, output, scenario)
+    assert [m.__all__ for m in front] == [
+        ["RunResult", "run_scenario", "main"],
+        ["CSV_COLUMNS", "write_series_csv", "environment_fingerprint"],
+        ["ConfigError", "ScenarioConfig", "list_presets"],
+    ]
+    for module in front:
+        for name in module.__all__:
+            value = getattr(module, name)
+            if callable(value):
+                assert value.__module__ == module.__name__, name
+            assert not hasattr(cascade_qed, name), name
+
+    # the writer and the scenario import nothing of the CLI, and the
+    # scenario nothing of the writer
+    def imported(module) -> set[str]:
+        found = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                dotted = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ("cascade_qed" if node.level else "", node.module)))
+                dotted = [base, *(f"{base}.{a.name}" for a in node.names)]
+            else:
+                continue
+            found |= {d.split(".")[1] for d in dotted if d.startswith("cascade_qed.")}
+        return found
+
+    assert "phases" in imported(output) and "system" in imported(scenario)
+    assert "cli" not in imported(output)
+    assert not {"cli", "output"} & imported(scenario)
+
 
 class TestDeterminism:
     def test_small_run_matches_golden_file(self, tmp_path: Path, capsys):
@@ -804,7 +839,7 @@ class TestDeterminism:
         script = """if True:
             import json
             from numpy._core import _multiarray_umath as u
-            from cascade_qed.cli import environment_fingerprint
+            from cascade_qed.output import environment_fingerprint
             above = [t for t in u.__cpu_dispatch__
                      if u.__cpu_features__.get(t) and t not in u.__cpu_baseline__]
             print(json.dumps([above, environment_fingerprint()["simd"]]))
@@ -933,7 +968,7 @@ EDGES = np.concatenate([EDGES, -EDGES])
 
 
 class _SpyFormat(str):
-    """The format string ``cli._FORMAT`` with a record of what ``%`` formatted."""
+    """The format string ``output._FORMAT`` with a record of what ``%`` formatted."""
 
     def __new__(cls):
         spy = super().__new__(cls, "%.16e")
@@ -966,7 +1001,7 @@ class TestBlockFormatter:
         # ties where 10**(16 - e) is two doubles: 1.79e-7 = 3 / 2**24 and 2**-25
         assert any(v < 1e-6 for v in TIES) and 2.0**-25 in TIES
         spy = _SpyFormat()
-        monkeypatch.setattr(cli, "_FORMAT", spy)
+        monkeypatch.setattr(output, "_FORMAT", spy)
         values = np.concatenate([EDGES, BAND_NEAR_TIES, np.negative(BAND_NEAR_TIES)])
         for width in (1, 3, 11):
             for cols in _blocks(values, width):
@@ -979,7 +1014,7 @@ class TestBlockFormatter:
         assert fallback & set(BAND_NEAR_TIES)
 
     def test_each_power_of_ten_is_two_exact_doubles(self):
-        hi, lo = cli._POW10_HI[0].tolist(), cli._POW10_LO[0].tolist()
+        hi, lo = output._POW10_HI[0].tolist(), output._POW10_LO[0].tolist()
         assert [Fraction(h) + Fraction(x) for h, x in zip(hi, lo)] == [10**k for k in range(46)]
         assert not any(lo[:23]) and all(lo[23:])
 
@@ -1008,7 +1043,7 @@ class TestBlockFormatter:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
         spy = _SpyFormat()
-        monkeypatch.setattr(cli, "_FORMAT", spy)
+        monkeypatch.setattr(output, "_FORMAT", spy)
         for cols in _blocks(values, 11):
             assert _format_block(cols) == csv_oracle.format_block(cols)
 
@@ -1034,7 +1069,7 @@ class TestBlockFormatter:
         # 5,613 of its values reached % while the exact path stopped at 1e-4:
         # most of the norm_error column, and y and the phases near their zeros
         spy = _SpyFormat()
-        monkeypatch.setattr(cli, "_FORMAT", spy)
+        monkeypatch.setattr(output, "_FORMAT", spy)
         cp = run_main(capsys, "preset", "fig4b", "--out", str(tmp_path / "fig4b.csv"))
         assert cp.returncode == 0, cp.stderr
         assert spy.formatted == []
@@ -1063,7 +1098,7 @@ class TestBlockFormatter:
         written = {}
         for tag in ("block", "per_value"):
             if tag == "per_value":
-                monkeypatch.setattr(cli, "_format_block", csv_oracle.format_block)
+                monkeypatch.setattr(output, "_format_block", csv_oracle.format_block)
             out = tmp_path / tag / "run.csv"
             cp = run_main(capsys, "run", *QUICK, *argv, "--out", str(out))
             assert cp.returncode == 0, cp.stderr
