@@ -31,12 +31,15 @@ and plane maps, applies them, and reduces the pairs to <A> and to the
 ``Trajectory`` observables while they are still in cache.  The maps and
 then the reductions' complex products are written into one work buffer,
 allocated once per call, and every step's operands are made then too, so
-that a step allocates nothing.  A chunk holds about a fixed number of lane
-entries, so memory does not grow with the substep count, nor with the
-basis up to that many lanes; a larger basis takes one step per chunk, and
-memory grows with it.  All reductions use a fixed deterministic order.
-Curves that differ only in their initial state advance together as a
-batch that shares each propagator.
+that a step allocates nothing.  The maps' real intermediates are written
+into a second buffer made once per call, so that building a chunk's maps
+takes no fresh array of the chunk's size, whose pages the allocator would
+hand back to the system and fault in again for the next chunk.  A chunk
+holds about a fixed number of lane entries, so memory does not grow with
+the substep count, nor with the basis up to that many lanes; a larger
+basis takes one step per chunk, and memory grows with it.  All reductions
+use a fixed deterministic order.  Curves that differ only in their
+initial state advance together as a batch that shares each propagator.
 """
 
 from __future__ import annotations
@@ -68,14 +71,16 @@ _CF4_SKEW = 1.0 / math.sqrt(3.0)
 # A chunk of steps is built and applied together: the fewest steps that hold
 # _CHUNK_LANES lane entries (113 for fig4b's 73 lanes), so that its arrays
 # keep one size up to _CHUNK_LANES lanes (alpha about 88).  For the fig4b
-# pair the lane pairs (32 bytes per lane entry and curve) take 520 KiB, and
-# the work buffer, which holds the maps (64 bytes per lane entry) and then
-# the reductions' products, 520 KiB.  Each step's operands, views of these
-# and one products buffer of 64 bytes per lane and curve, are made once per
-# call; one warm call, its states built beforehand, peaks at 2.3 MiB
-# (tracemalloc, numpy 2.4).  A larger basis takes one step per chunk, so
-# its arrays grow with the basis: a whole alpha = 137 run, inside the CLI's
-# photon-cutoff ceiling, peaks at 10.7 MB.
+# pair the lane pairs (32 bytes per lane entry and curve) take 520 KiB, the
+# work buffer, which holds the maps (64 bytes per lane entry) and then the
+# reductions' products, 520 KiB, and the maps' real scratch (80 bytes per
+# lane entry) 644 KiB.  Each step's operands, views of these and one
+# products buffer of 64 bytes per lane and curve, are made once per call;
+# one warm call, its states built beforehand, peaks at 2.32 MiB
+# (tracemalloc, numpy 2.4), as it did with the maps' intermediates made per
+# chunk, which were alive together at the peak.  A larger basis takes one
+# step per chunk, so its arrays grow with the basis: a whole alpha = 137
+# run, inside the CLI's photon-cutoff ceiling, peaks at 10.5 MB.
 _CHUNK_LANES = 1 << 13
 
 
@@ -120,7 +125,7 @@ class TrajectoryBatch:
     curves: tuple[Trajectory, ...]
 
 
-def _plane_sums(r, delta: float, dtau):
+def _plane_sums(r, delta: float, dtau, scratch):
     """exp(-i dtau M) less its phase exp(-i delta dtau / 2) on the plane of
     the bright b = xi u + eta w and the middle v of lanes (u, v, w),
 
@@ -133,23 +138,27 @@ def _plane_sums(r, delta: float, dtau):
 
     Returns the real (sin^2(x / 2), q, w), both sines rational in tan(x / 2)
     (numpy's tan takes a fraction of sin's time), so p^2 + q^2 + w^2 = 1 to
-    rounding whatever tan's error; at s = 0 the identity.  ``r`` and
-    ``dtau`` broadcast.
+    rounding whatever tan's error; at s = 0 the identity.  ``dtau``
+    broadcasts against ``r``.  ``scratch``, five contiguous float arrays of
+    r's shape, holds s, t, sin^2(x / 2), q and w in that order; the last
+    three are returned.  ``r`` may be the w slot, which takes r t in place.
     """
-    # in place, so that a chunk faults fewer fresh pages
-    s = r * r
+    s, t, half2, q, w = scratch
+    np.multiply(r, r, out=s)
     s += 0.25 * delta * delta
     np.sqrt(s, out=s)
-    t = (0.5 * dtau) * s
+    np.multiply(0.5 * dtau, s, out=t)
     np.tan(t, out=t)
-    half2 = t * t
-    inv = half2 + 1.0
+    np.multiply(t, t, out=half2)
+    inv = np.add(half2, 1.0, out=q)  # in the q slot until q is made
     np.reciprocal(inv, out=inv)
     half2 *= inv  # sin^2(x / 2)
     t *= inv
     t *= 2.0
     t /= np.maximum(s, np.finfo(float).tiny, out=s)  # sin(x) / s, 0 at s = 0
-    return half2, (0.5 * delta) * t, r * t
+    np.multiply(0.5 * delta, t, out=q)
+    np.multiply(r, t, out=w)
+    return half2, q, w
 
 
 def _step_operands(maps, node) -> list[tuple]:
@@ -187,7 +196,7 @@ def _cf4_amplitudes(t, h, config: SystemConfig) -> np.ndarray:
     return np.stack((mean + skew, mean - skew), axis=1)
 
 
-def _cf4_planes(lam, sqrt_r, delta: float, half_h, maps):
+def _cf4_planes(lam, sqrt_r, delta: float, half_h, maps, scratch):
     """Plane maps of CF4 steps less their phase exp(-i delta h / 2), written
     into ``maps``, shape (n, 2, 2, lanes), and returned; 1 less in the corner
     as ``_steps`` takes them.
@@ -197,18 +206,38 @@ def _cf4_planes(lam, sqrt_r, delta: float, half_h, maps):
     product of the two ``_plane_sums`` factors is [[1 + c, m], [-conj(m),
     conj(1 + c)]]; with h1, h2 their sin^2(x / 2), c = 4 h1 h2 - 2 (h1 + h2)
     - q2 q1 - w2 w1 + i (p2 q1 + q2 p1) adds like-signed terms for small
-    steps, so nothing cancels.
+    steps, so nothing cancels.  Every intermediate is written into
+    ``scratch``, float (5, 2, n, lanes), factor by factor, as
+    ``_plane_sums`` lays it out: once q and w are made, p1 and p2 take the
+    s slot and two products the t slot.  Each part of the maps is made in a
+    contiguous slot and copied into them, where numpy would buffer a ufunc
+    writing to their strided views.
     """
-    (h1, h2), (q1, q2), (w1, w2) = (x.swapaxes(0, 1) for x in _plane_sums(
-        lam[:, :, None] * sqrt_r, delta, half_h[:, None, None]))
-    p1, p2 = 1.0 - 2.0 * h1, 1.0 - 2.0 * h2
-    corner, off = maps[:, 0, 0], maps[:, 0, 1]
-    corner.real = 4.0 * h1 * h2 - 2.0 * (h1 + h2) - q2 * q1 - w2 * w1
-    corner.imag = p2 * q1 + q2 * p1
-    off.real = q2 * w1 - w2 * q1
-    off.imag = -(p2 * w1 + w2 * p1)
-    np.negative(off.conj(), out=maps[:, 1, 0])
-    np.conjugate(corner + 1.0, out=maps[:, 1, 1])
+    p, (a, b) = scratch[0], scratch[1]
+    r = np.multiply(lam.T[:, :, None], sqrt_r, out=scratch[4])
+    (h1, h2), (q1, q2), (w1, w2) = _plane_sums(r, delta, half_h[:, None], scratch)
+    np.multiply(2.0, scratch[2], out=p)
+    p1, p2 = np.subtract(1.0, p, out=p)
+    corner, off, lower, diagonal = maps[:, 0, 0], maps[:, 0, 1], maps[:, 1, 0], maps[:, 1, 1]
+    # c = 4 h1 h2 - 2 (h1 + h2) - q2 q1 - w2 w1 + i (p2 q1 + q2 p1), and
+    # conj(1 + c), whose imaginary part is -(c.imag + 0.0)
+    np.multiply(4.0, h1, out=a)
+    a *= h2
+    np.add(h1, h2, out=b)
+    np.multiply(2.0, b, out=b)
+    a -= b
+    a -= np.multiply(q2, q1, out=b)
+    a -= np.multiply(w2, w1, out=b)
+    corner.real = a
+    diagonal.real = np.add(a, 1.0, out=a)
+    corner.imag = np.add(np.multiply(p2, q1, out=a), np.multiply(q2, p1, out=b), out=a)
+    np.add(a, 0.0, out=a)
+    diagonal.imag = np.negative(a, out=a)
+    # m = q2 w1 - w2 q1 - i (p2 w1 + w2 p1), and -conj(m)
+    off.real = np.subtract(np.multiply(q2, w1, out=a), np.multiply(w2, q1, out=b), out=a)
+    lower.real = np.negative(a, out=a)
+    np.add(np.multiply(p2, w1, out=a), np.multiply(w2, p1, out=b), out=a)
+    off.imag = lower.imag = np.negative(a, out=a)
     return maps
 
 
@@ -289,6 +318,8 @@ def evolve(
     node = np.empty((min(chunk, n_sub) + 1, 2, n_curves, width), dtype=complex)
     # a chunk's plane maps while its steps are applied, then the reductions' products
     work = np.empty(max((len(node) - 1) * 4 * width, node.size), dtype=complex)
+    # the plane maps' real intermediates: five slots of (2, steps, width)
+    real = np.empty(10 * (len(node) - 1) * width)
 
     def scratch(shape):
         return work[: math.prod(shape)].reshape(shape)
@@ -336,7 +367,7 @@ def evolve(
         h = step_widths[interval[:-1]]
         n = hi - lo
         _cf4_planes(_cf4_amplitudes(t[:-1], h, config), sqrt_r, delta, 0.5 * h,
-                    scratch((n, 2, 2, width)))
+                    scratch((n, 2, 2, width)), real[: 10 * n * width].reshape(5, 2, n, width))
         _steps(steps[:n])
         a = ladder_expectation(sqrt_r, node[: n + 1, 0], node[: n + 1, 1],
                                scratch((n + 1, n_curves, width)))

@@ -61,15 +61,22 @@ def _chebyshev_degree(c):
 def _trig_sums(points: np.ndarray, omega: np.ndarray, terms) -> np.ndarray:
     """sum_n w[n] trig(points omega[n]) for each (trig, w) of ``terms``: a
     (len(terms), points) array.  Each distinct trig runs once per block of
-    points; each sum is reduced pairwise along the ladder axis, so it does
-    not depend on the block size."""
+    points, into ``out=``; each sum is reduced pairwise along the ladder
+    axis, so it does not depend on the block size.  The phases, each trig's
+    values and the weighted terms of a block are arrays made once per call."""
     out = np.empty((len(terms), points.size))
-    rows = max(1, _BLOCK // max(1, omega.size))
+    rows = max(1, min(points.size, _BLOCK // max(1, omega.size)))
+    # one array each, so that none outgrows _BLOCK doubles
+    phase, product = np.empty((rows, omega.size)), np.empty((rows, omega.size))
+    values = {trig: np.empty((rows, omega.size)) for trig, _ in terms}
     for lo in range(0, points.size, rows):
-        phase = np.multiply.outer(points[lo : lo + rows], omega)
-        values = {trig: trig(phase) for trig in {trig for trig, _ in terms}}
+        n = min(rows, points.size - lo)
+        np.multiply.outer(points[lo : lo + n], omega, out=phase[:n])
+        for trig, value in values.items():
+            trig(phase[:n], out=value[:n])
         for k, (trig, w) in enumerate(terms):
-            out[k, lo : lo + rows] = np.add.reduce(values[trig] * w, axis=1)
+            np.add.reduce(np.multiply(values[trig][:n], w, out=product[:n]), axis=1,
+                          out=out[k, lo : lo + n])
     return out
 
 
@@ -77,19 +84,27 @@ def _barycentric(points: np.ndarray, nodes: np.ndarray, values: np.ndarray) -> n
     """The interpolants of the rows of ``values`` at Chebyshev-Lobatto
     ``nodes``, at ``points``: the second barycentric formula, a block of
     points at a time.  A point on a node (or so near one that 1 / (point -
-    node) overflows), where the formula reads nan, takes the node's value."""
+    node) overflows), where the formula reads nan, takes the node's value.
+    A block's q = weight / (point - node) and its products with a row of
+    ``values`` are arrays made once per call."""
     weights = np.ones(nodes.size)
     weights[1::2] = -1.0
     weights[[0, -1]] *= 0.5
     out = np.empty((len(values), points.size))
-    rows = max(1, _BLOCK // nodes.size)
+    rows = max(1, min(points.size, _BLOCK // nodes.size))
+    q, product = np.empty((rows, nodes.size)), np.empty((rows, nodes.size))
+    total = np.empty(rows)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, points.size, rows):
-            q = np.subtract.outer(points[lo : lo + rows], nodes)
-            np.divide(weights, q, out=q)
-            total = np.add.reduce(q, axis=1)
+            n = min(rows, points.size - lo)
+            block, terms, sums = q[:n], product[:n], total[:n]
+            np.subtract.outer(points[lo : lo + n], nodes, out=block)
+            np.divide(weights, block, out=block)
+            np.add.reduce(block, axis=1, out=sums)
             for k, value in enumerate(values):
-                out[k, lo : lo + rows] = np.add.reduce(q * value, axis=1) / total
+                row = out[k, lo : lo + n]
+                np.add.reduce(np.multiply(block, value, out=terms), axis=1, out=row)
+                row /= sums
     hit = np.nonzero(np.isnan(out[0]))[0]
     node = np.argmin(np.abs(np.subtract.outer(points[hit], nodes)), axis=1)
     out[:, hit] = values[:, node]

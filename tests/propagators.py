@@ -6,6 +6,9 @@ tests check them against.
 on unit-vector lanes, each split into its bright, middle and dark
 amplitudes and rebuilt after the step, once the pair has taken the step's
 phase exp(-i delta h / 2) that the maps leave out.
+``allocating_plane_sums`` and ``allocating_cf4_planes`` are the plane maps
+written as expressions that allocate every intermediate, the bits the
+evolver's scratch-writing kernels must reproduce.
 ``dense_hamiltonian`` and ``lab_frame_reference`` share no code with the
 evolver: the first writes the rotating-frame Hamiltonian out as a dense
 matrix on the whole (level, photon) rectangle, the second integrates the
@@ -40,9 +43,47 @@ from cascade_qed import evolver, system
 
 
 def cf4_planes(lam, sqrt_r, delta: float, half_h) -> np.ndarray:
-    """``evolver._cf4_planes`` into maps of its own, shape (n, 2, 2, lanes)."""
+    """``evolver._cf4_planes`` into maps and scratch of its own; the maps,
+    shape (n, 2, 2, lanes)."""
     maps = np.empty((len(lam), 2, 2, sqrt_r.size), dtype=complex)
-    return evolver._cf4_planes(lam, sqrt_r, delta, half_h, maps)
+    scratch = np.empty((5, 2, len(lam), sqrt_r.size))
+    return evolver._cf4_planes(lam, sqrt_r, delta, half_h, maps, scratch)
+
+
+def allocating_plane_sums(r, delta: float, dtau):
+    """Bitwise oracle of ``evolver._plane_sums``: the same operations in the
+    same order, each into an array of its own."""
+    s = r * r
+    s += 0.25 * delta * delta
+    np.sqrt(s, out=s)
+    t = (0.5 * dtau) * s
+    np.tan(t, out=t)
+    half2 = t * t
+    inv = half2 + 1.0
+    np.reciprocal(inv, out=inv)
+    half2 *= inv
+    t *= inv
+    t *= 2.0
+    t /= np.maximum(s, np.finfo(float).tiny, out=s)
+    return half2, (0.5 * delta) * t, r * t
+
+
+def allocating_cf4_planes(lam, sqrt_r, delta: float, half_h) -> np.ndarray:
+    """Bitwise oracle of ``evolver._cf4_planes``: its formulas as
+    expressions, each intermediate an array of its own; the maps, shape
+    (n, 2, 2, lanes)."""
+    maps = np.empty((len(lam), 2, 2, sqrt_r.size), dtype=complex)
+    (h1, h2), (q1, q2), (w1, w2) = (x.swapaxes(0, 1) for x in allocating_plane_sums(
+        lam[:, :, None] * sqrt_r, delta, half_h[:, None, None]))
+    p1, p2 = 1.0 - 2.0 * h1, 1.0 - 2.0 * h2
+    corner, off = maps[:, 0, 0], maps[:, 0, 1]
+    corner.real = 4.0 * h1 * h2 - 2.0 * (h1 + h2) - q2 * q1 - w2 * w1
+    corner.imag = p2 * q1 + q2 * p1
+    off.real = q2 * w1 - w2 * q1
+    off.imag = -(p2 * w1 + w2 * p1)
+    np.negative(off.conj(), out=maps[:, 1, 0])
+    np.conjugate(corner + 1.0, out=maps[:, 1, 1])
+    return maps
 
 
 def cf4_lane_matrices(lam, n_ph: int, delta: float, h: float) -> np.ndarray:

@@ -688,7 +688,7 @@ class TestBatchedCurves:
     # fig4b's two curves' states alone would take 14 MB, and one alpha = 40
     # curve's plane maps for 128 steps about 80 MB; evolved a chunk of a fixed
     # number of lane entries at a time, each run's tracemalloc peak is about
-    # 2.5 MB (2.50 MB for fig4b, 2.63 MB at alpha = 40, numpy 2.4).  Over
+    # 2.5 MB (2.51 MB for fig4b, 2.58 MB at alpha = 40, numpy 2.4).  Over
     # 8,192 lanes a chunk is one step and grows with the basis: alpha = 137,
     # inside the photon-cutoff ceiling, peaks at 10.5 MB
     @pytest.mark.parametrize("argv,bound", [
@@ -1049,10 +1049,11 @@ class TestBlockFormatter:
 
         # what % must format: values outside the candidate range, and those
         # whose exact scaled mantissa t at the estimated exponent is below 1e16
-        # or rounds to 1e17
+        # or rounds to 1e17, unless t < 1e16 and, once more at one exponent
+        # lower, 1e16 <= t and t rounds below 1e17
         finite = values[~np.isnan(values) & (values != 0.0)]
         estimates = np.clip(np.floor(log10(np.abs(finite)) + shift), -29, 16).astype(int)
-        expected, left_out = [], 0
+        expected, mis_estimated = [], 0
         for v, e in zip(finite.tolist(), estimates.tolist()):
             if not 1e-29 <= abs(v) < 1e17:
                 expected.append(v)
@@ -1060,10 +1061,41 @@ class TestBlockFormatter:
             num, den = abs(v).as_integer_ratio()
             t = Fraction(num * 10 ** (16 - e), den)
             if t < 10**16 or round(t) >= 10**17:
+                mis_estimated += 1
+            if t < 10**16 and e > -29:
+                t *= 10
+            if t < 10**16 or round(t) >= 10**17:
                 expected.append(v)
-                left_out += 1
-        assert left_out >= 30
+        assert mis_estimated >= 30
         assert sorted(spy.formatted) == sorted(expected)
+
+    def test_values_just_below_a_power_of_ten_are_settled(self, monkeypatch):
+        # log10 rounds a double just below 10**k up to k, which puts its
+        # exponent one too high; it is taken once more one lower.  Of the
+        # doubles within 30 ulps of each 10**k of the candidate range, two are
+        # left to %: 1e-29, which lies below 10**-29, so that its text's
+        # exponent, -30, is below the formatter's table; and 1e-14, which is
+        # 9.99999999999999998819e-15, whose 17 digits carry to 1.0e-14
+        near = []
+        for k in range(-29, 17):
+            power = float("1e%d" % k)
+            for toward in (0.0, math.inf):
+                x = power
+                for _ in range(30):
+                    x = math.nextafter(x, toward)
+                    near.append(x)
+            near.append(power)
+        values = np.array([v for v in near if 1e-29 <= v < 1e17])
+        values = np.concatenate([values, -values])
+        spy = _SpyFormat()
+        monkeypatch.setattr(output, "_FORMAT", spy)
+        for cols in _blocks(values, 11):
+            assert _format_block(cols) == csv_oracle.format_block(cols)
+        assert sorted(spy.formatted) == [-1e-14, -1e-29, 1e-29, 1e-14]
+        # log10 puts each of these one exponent too high
+        below = np.array([1e-20, 1e-7, math.nextafter(1e15, 0.0)])
+        assert np.all(np.floor(np.log10(below)) == [-20, -7, 15])
+        assert output._scientific(below)[0].tolist() == [0, 1, 2]
 
     def test_fig4b_writes_no_value_through_the_fallback(self, tmp_path, capsys, monkeypatch):
         # 5,613 of its values reached % while the exact path stopped at 1e-4:

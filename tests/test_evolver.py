@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -23,6 +24,8 @@ from cascade_qed import evolver, system
 from cascade_qed.cli import ScenarioConfig, list_presets
 from cascade_qed.evolver import NormDriftError, Trajectory, TrajectoryBatch
 from propagators import (
+    allocating_cf4_planes,
+    allocating_plane_sums,
     cf4_lane_matrices,
     cf4_planes,
     convergence_probe,
@@ -629,3 +632,89 @@ class TestStreamedObservables:
                         assert_same_bits(a, b)
                     else:
                         assert a == b
+
+
+class TestScratchKernels:
+    """The plane maps written into scratch made once per call carry the bits
+    of the same formulas with every intermediate an array of its own
+    (``allocating_plane_sums``, ``allocating_cf4_planes``), and allocate
+    little beside that scratch."""
+
+    @pytest.mark.parametrize("h", [1e-3, 0.0125, 2.0])
+    @pytest.mark.parametrize("n", [1, 113], ids=["one-step", "fig4b-chunk"])
+    @pytest.mark.parametrize("delta", [0.0, 20.0, -20.0])
+    def test_maps_match_the_allocating_oracle(self, delta, n, h):
+        # h = 2 turns the half steps past pi / 2, so p < 0 and signed zeros
+        # reach the maps; lam = 0 with delta = 0 is s = 0.  The scratch and
+        # maps start as nan, so a slot read before it is written shows.
+        sqrt_r = system._lanes(72)[0]
+        rng = np.random.default_rng(34)
+        half_h = 0.5 * h * rng.uniform(0.5, 1.0, n)
+        for lam in (rng.normal(size=(n, 2)), np.zeros((n, 2))):
+            r = lam.T[:, :, None] * sqrt_r  # factor by factor, as evolve lays them out
+            scratch = np.full((5,) + r.shape, np.nan)
+            sums = evolver._plane_sums(r, delta, half_h[:, None], scratch)
+            for ours, theirs in zip(sums, allocating_plane_sums(r, delta, half_h[:, None]),
+                                    strict=True):
+                assert_same_bits(ours, theirs)
+            maps = np.full((n, 2, 2, sqrt_r.size), complex(np.nan, np.nan))
+            scratch[:] = np.nan
+            evolver._cf4_planes(lam, sqrt_r, delta, half_h, maps, scratch)
+            assert_same_bits(maps, allocating_cf4_planes(lam, sqrt_r, delta, half_h))
+
+    @pytest.mark.parametrize("case", ["fig4b", "one-step-chunks", "negative-delta"])
+    def test_evolve_matches_the_allocating_oracle(self, monkeypatch, case):
+        # fig4b takes 17 chunks of 113 steps and a last one of 78
+        states, cfg = fig4b_pair()
+        if case == "one-step-chunks":
+            cfg = replace(cfg, tau_max=2.5, n_steps=201)
+            monkeypatch.setattr(evolver, "_CHUNK_LANES", 1)
+        elif case == "negative-delta":
+            cfg = replace(NEGATIVE_DELTA, tau_max=0.3, n_steps=4)
+            states = [initial_state(cfg, superposed_distribution(cfg.field))]
+        ours = evolve(states, cfg, keep_states=True)
+
+        def allocating(lam, sqrt_r, delta, half_h, maps, scratch):
+            maps[...] = allocating_cf4_planes(lam, sqrt_r, delta, half_h)
+            return maps
+
+        monkeypatch.setattr(evolver, "_cf4_planes", allocating)
+        theirs = evolve(states, cfg, keep_states=True)
+        assert_same_bits(ours.states, theirs.states)
+        for a, b in zip(ours.curves, theirs.curves, strict=True):
+            for field in fields(Trajectory):
+                if isinstance(getattr(a, field.name), np.ndarray):
+                    assert_same_bits(getattr(a, field.name), getattr(b, field.name))
+
+    def test_a_fig4b_chunk_allocates_little_beside_its_scratch(self):
+        # 113 steps of 73 lanes.  With every intermediate an array of its own
+        # the call peaked at 903 KiB; what is left (129 KiB, numpy 2.4) is
+        # numpy's iterator buffers for the operands that broadcast
+        sqrt_r = system._lanes(72)[0]
+        n = 113
+        lam = np.random.default_rng(34).normal(size=(n, 2))
+        half_h = np.full(n, 0.00625)
+        maps = np.empty((n, 2, 2, sqrt_r.size), dtype=complex)
+        scratch = np.empty((5, 2, n, sqrt_r.size))
+        evolver._cf4_planes(lam, sqrt_r, 20.0, half_h, maps, scratch)
+        tracemalloc.start()
+        try:
+            evolver._cf4_planes(lam, sqrt_r, 20.0, half_h, maps, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    def test_warm_fig4b_evolve_peak(self):
+        # the lane pairs, the work buffer and the plane maps' scratch, 1.65
+        # MiB, and the reductions' temporaries: 2.32 MiB (numpy 2.4), as
+        # with the maps' intermediates made per chunk
+        states, cfg = fig4b_pair()
+        evolve(states, cfg)
+        tracemalloc.start()
+        try:
+            evolve(states, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * 2**20
