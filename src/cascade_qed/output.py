@@ -10,6 +10,7 @@ sidecar beside each file.
 from __future__ import annotations
 
 import json
+import math
 import platform
 from collections.abc import Sequence
 from dataclasses import fields
@@ -58,10 +59,41 @@ _QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np
 _EXPONENTS = np.frombuffer("".join("e%+03d" % e for e in range(-29, 17)).encode(), np.uint32)
 
 
-def _digits(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rounded 17-digit mantissas D of t = a 10**k, int64, for 1e-29 <=
-    a < 1e17 and 0 <= k <= 45, with two masks: where D is settled, and where
-    t < 1e16 (the exponent e = 16 - k is one too high)."""
+def _at_least(k: int) -> float:
+    """The least double >= 10**k, by exact integer comparison."""
+    x = float("1e%d" % k)  # the nearest double
+    num, den = x.as_integer_ratio()
+    return x if num * 10 ** max(-k, 0) >= den * 10 ** max(k, 0) else math.nextafter(x, math.inf)
+
+
+# entry i is the least double >= 10**(i - 29), so that a double in
+# _TENS[i] <= a < _TENS[i + 1] lies in the decade 10**(i - 29) exactly
+_TENS = np.array([_at_least(k) for k in range(-29, 18)])
+
+
+def _scientific(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the values of ``v`` whose ``_FORMAT`` text is settled
+    here, and that text in 24 bytes: the sign or NUL at byte 0, NUL at
+    byte 1, then the digits, point and exponent at bytes 2 .. 23.
+
+    A value is a candidate when 10**-29 <= |v| < 1e17 (the double 1e-29
+    lies below 10**-29; its text's exponent is -30).  Its decimal exponent
+    e comes from ``_TENS`` by comparison, exactly, so t = |v| 10**(16 - e)
+    lies in [1e16, 1e17).  With 10**(16 - e) = hi + lo, two exact doubles,
+    Dekker's error-free product gives |v| hi exactly as p + r with
+    p = fl(|v| hi).  Up to 10**22 lo is 0 and t = p + r.  Below 1e-6 the
+    error-free product of |v| and lo joins r through a TwoSum (Ogita, Rump
+    & Oishi), which leaves t - p within the sum's and the product's
+    rounding errors of r.  As t >= 1e16 > 2**53, p is an even integer, so
+    D = p + rint(r) is the 17-digit mantissa rounded half to even.  A value
+    is left out if D carries to 1e17, or if r lies within twice those
+    errors of a half; on an exact tie they are 0.
+    """
+    a = np.abs(v)
+    candidates = np.flatnonzero((a >= _TENS[0]) & (a < _TENS[-1]))  # NaN and inf compare False
+    a = a[candidates]
+    e = np.searchsorted(_TENS, a, side="right") - 30
+    k = 16 - e
     a_hi, a_lo = _split(a)
     p, r = _two_product(a, a_hi, a_lo, *_POW10_HI.take(k, axis=1))
     band = np.flatnonzero(k > 22)  # where lo is not 0
@@ -73,45 +105,9 @@ def _digits(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         back = s - err
         s_err = (err - (s - back)) + (q - back)
         settled = np.abs(0.5 - np.abs(s - np.rint(s))) >= 2.0 * (np.abs(s_err) + np.abs(q_err))
-    rounded = np.rint(r)
-    mantissa = p.astype(np.int64) + rounded.astype(np.int64)
-    low = (mantissa < 10**16) | ((mantissa == 10**16) & (r < rounded))
-    sure = ~low & (mantissa < 10**17)
+    mantissa = p.astype(np.int64) + np.rint(r).astype(np.int64)
+    sure = (mantissa >= 10**16) & (mantissa < 10**17)  # the lower bound holds by _TENS
     sure[band] &= settled
-    return mantissa, sure, low
-
-
-def _scientific(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the values of ``v`` whose ``_FORMAT`` text is settled
-    here, and that text in 24 bytes: the sign or NUL at byte 0, NUL at
-    byte 1, then the digits, point and exponent at bytes 2 .. 23.
-
-    A value is a candidate when 1e-29 <= |v| < 1e17.  With
-    e = floor(log10 |v|), t = |v| 10**(16 - e) and 10**(16 - e) = hi + lo,
-    two exact doubles, Dekker's error-free product gives |v| hi exactly as
-    p + r with p = fl(|v| hi).  Up to 10**22 lo is 0 and t = p + r.  Below
-    1e-6 the error-free product of |v| and lo joins r through a TwoSum
-    (Ogita, Rump & Oishi), which leaves t - p within the sum's and the
-    product's rounding errors of r.  When t >= 1e16 > 2**53, p is an even
-    integer, so D = p + rint(r) is the 17-digit mantissa rounded half to
-    even.  Where t < 1e16, log10 rounded a value just below a power of ten
-    up to it, and the value is taken once more at e - 1.  A value is left
-    out if t is still < 1e16 (1e-29 itself, whose text has the exponent
-    -30) or D >= 1e17 (e is one too low, or D carries to 18 digits), or if
-    r lies within twice those errors of a half; on an exact tie they are 0.
-    Where D = 1e16, the sign of r - rint(r) settles whether t < 1e16: no
-    double below 1e-6 lies nearer a power of ten than 1.2e-18 of it, so t
-    is at least 0.01 from 1e16.
-    """
-    a = np.abs(v)
-    candidates = np.flatnonzero((a >= 1e-29) & (a < 1e17))  # NaN and inf compare False
-    a = a[candidates]
-    k = 16 - np.clip(np.floor(np.log10(a)), -29, 16).astype(np.intp)
-    mantissa, sure, low = _digits(a, k)
-    retry = np.flatnonzero(low & (k < 45))
-    if retry.size:
-        k[retry] += 1
-        mantissa[retry], sure[retry], _ = _digits(a[retry], k[retry])
     fast = candidates[sure]
     mantissa = mantissa[sure].astype(np.uint64)
     m = fast.size
@@ -132,7 +128,7 @@ def _scientific(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     upper = halves // 10000
     quads[:, :, 0] = _QUADS[upper]
     quads[:, :, 1] = _QUADS[halves - upper * 10000]
-    words[:, 5] = _EXPONENTS[45 - k[sure]]
+    words[:, 5] = _EXPONENTS[e[sure] + 29]
     return fast, text
 
 
@@ -141,11 +137,11 @@ def _format_block(cols: Sequence[np.ndarray]) -> bytes:
     ``_FORMAT % v``, zero (negative zero too) as "0" and NaN as "", byte for
     byte on every platform.
 
-    Values of 1e-29 <= |v| < 1e17 are formatted in whole-array passes
-    (``_scientific``); the rest, those whose exponent estimate is too low
-    or, after one more try, still too high, those whose 17 digits carry to
-    18 and those whose remainder lies within its rounding error of a half,
-    by ``%`` itself.
+    Values of 10**-29 <= |v| < 1e17 are formatted in whole-array passes
+    (``_scientific``).  ``%`` itself formats only (a) the values out of
+    that range, (b) those whose 17 digits carry to 18 (±1e-14 among the
+    doubles near a power of ten) and (c) those below 1e-6 whose remainder
+    lies within the TwoSum's error of a half.
     """
     rows, width = len(cols[0]), len(cols)
     v = np.array(cols, dtype=np.float64).T.ravel()  # row-major

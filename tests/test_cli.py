@@ -688,9 +688,10 @@ class TestBatchedCurves:
     # fig4b's two curves' states alone would take 14 MB, and one alpha = 40
     # curve's plane maps for 128 steps about 80 MB; evolved a chunk of a fixed
     # number of lane entries at a time, each run's tracemalloc peak is about
-    # 2.5 MB (2.51 MB for fig4b, 2.58 MB at alpha = 40, numpy 2.4).  Over
-    # 8,192 lanes a chunk is one step and grows with the basis: alpha = 137,
-    # inside the photon-cutoff ceiling, peaks at 10.5 MB
+    # 2.5 MB (in one process, in this order: 2.67 MB for fig4b, 2.48 MB at
+    # alpha = 40, numpy 2.4).  Over 8,192 lanes a chunk is one step and grows
+    # with the basis: alpha = 137, inside the photon-cutoff ceiling, peaks at
+    # 10.46 MB
     @pytest.mark.parametrize("argv,bound", [
         (["preset", "fig4b"], 6e6),
         (["run", "--alpha", "40", "--delta", "-5", "--tau-max", "1", "--steps", "11"], 6e6),
@@ -1018,6 +1019,13 @@ class TestBlockFormatter:
         assert [Fraction(h) + Fraction(x) for h, x in zip(hi, lo)] == [10**k for k in range(46)]
         assert not any(lo[:23]) and all(lo[23:])
 
+    def test_each_decade_starts_at_the_least_double_at_or_above_its_power(self):
+        tens = output._TENS.tolist()
+        assert len(tens) == 47
+        for i, x in enumerate(tens):
+            assert Fraction(x) >= Fraction(10) ** (i - 29)
+            assert Fraction(math.nextafter(x, 0.0)) < Fraction(10) ** (i - 29)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
@@ -1035,47 +1043,41 @@ class TestBlockFormatter:
         for cols in _blocks(np.array(values), width):
             assert _format_block(cols) == csv_oracle.format_block(cols)
 
-    @pytest.mark.parametrize("shift", [1.0, -1.0, 1e-9])
-    def test_a_mis_estimated_exponent_reaches_the_fallback(self, monkeypatch, shift):
+    def test_only_out_of_range_values_and_carries_reach_the_fallback(self, monkeypatch):
         rng = np.random.default_rng(2011)
         values = np.concatenate([EDGES, 10.0 ** rng.uniform(-31.0, 18.0, 1000),
                                  -(10.0 ** rng.uniform(-31.0, 18.0, 1000))])
-        log10 = np.log10
-        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
         spy = _SpyFormat()
         monkeypatch.setattr(output, "_FORMAT", spy)
         for cols in _blocks(values, 11):
             assert _format_block(cols) == csv_oracle.format_block(cols)
 
-        # what % must format: values outside the candidate range, and those
-        # whose exact scaled mantissa t at the estimated exponent is below 1e16
-        # or rounds to 1e17, unless t < 1e16 and, once more at one exponent
-        # lower, 1e16 <= t and t rounds below 1e17
+        # what % must format: values outside 10**-29 <= |v| < 1e17, and those
+        # whose exact scaled mantissa t = |v| 10**(16 - e) rounds to 1e17
         finite = values[~np.isnan(values) & (values != 0.0)]
-        estimates = np.clip(np.floor(log10(np.abs(finite)) + shift), -29, 16).astype(int)
-        expected, mis_estimated = [], 0
-        for v, e in zip(finite.tolist(), estimates.tolist()):
-            if not 1e-29 <= abs(v) < 1e17:
+        expected = []
+        for v in finite.tolist():
+            if math.isinf(v) or not Fraction(1, 10**29) <= Fraction(abs(v)) < 10**17:
                 expected.append(v)
                 continue
-            num, den = abs(v).as_integer_ratio()
-            t = Fraction(num * 10 ** (16 - e), den)
-            if t < 10**16 or round(t) >= 10**17:
-                mis_estimated += 1
-            if t < 10**16 and e > -29:
-                t *= 10
-            if t < 10**16 or round(t) >= 10**17:
+            x = Fraction(abs(v))
+            e = math.floor(math.log10(abs(v)))
+            while Fraction(10) ** e > x:
+                e -= 1
+            while Fraction(10) ** (e + 1) <= x:
+                e += 1
+            if round(x * Fraction(10) ** (16 - e)) >= 10**17:
                 expected.append(v)
-        assert mis_estimated >= 30
+        assert {1e-14, -1e-14, 1e-29, -1e-29} <= set(expected)
         assert sorted(spy.formatted) == sorted(expected)
 
     def test_values_just_below_a_power_of_ten_are_settled(self, monkeypatch):
-        # log10 rounds a double just below 10**k up to k, which puts its
-        # exponent one too high; it is taken once more one lower.  Of the
-        # doubles within 30 ulps of each 10**k of the candidate range, two are
-        # left to %: 1e-29, which lies below 10**-29, so that its text's
-        # exponent, -30, is below the formatter's table; and 1e-14, which is
-        # 9.99999999999999998819e-15, whose 17 digits carry to 1.0e-14
+        # a double just below 10**k lies in the decade below it, however near
+        # it lies.  Of the doubles within 30 ulps of each 10**k of the
+        # candidate range, two are left to %: 1e-29, which lies below
+        # 10**-29, so that its text's exponent, -30, is below the formatter's
+        # table; and 1e-14, which is 9.99999999999999998819e-15, whose 17
+        # digits carry to 1.0e-14
         near = []
         for k in range(-29, 17):
             power = float("1e%d" % k)
@@ -1092,9 +1094,8 @@ class TestBlockFormatter:
         for cols in _blocks(values, 11):
             assert _format_block(cols) == csv_oracle.format_block(cols)
         assert sorted(spy.formatted) == [-1e-14, -1e-29, 1e-29, 1e-14]
-        # log10 puts each of these one exponent too high
+        # each of these lies just below a power of ten
         below = np.array([1e-20, 1e-7, math.nextafter(1e15, 0.0)])
-        assert np.all(np.floor(np.log10(below)) == [-20, -7, 15])
         assert output._scientific(below)[0].tolist() == [0, 1, 2]
 
     def test_fig4b_writes_no_value_through_the_fallback(self, tmp_path, capsys, monkeypatch):
