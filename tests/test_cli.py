@@ -991,6 +991,26 @@ def _blocks(values: np.ndarray, width: int) -> list[list[np.ndarray]]:
     return [[table[lo : lo + 7, j] for j in range(width)] for lo in range(0, rows, 7)]
 
 
+def _exact_fallback(values: np.ndarray) -> list[float]:
+    """The values ``%`` must format, by exact arithmetic: those outside
+    10**-29 <= |v| < 1e17, and those whose scaled mantissa |v| 10**(16 - e),
+    e the exact decimal exponent, rounds to 1e17."""
+    expected = []
+    for v in values[~np.isnan(values) & (values != 0.0)].tolist():
+        if math.isinf(v) or not Fraction(1, 10**29) <= Fraction(abs(v)) < 10**17:
+            expected.append(v)
+            continue
+        x = Fraction(abs(v))
+        e = math.floor(math.log10(abs(v)))
+        while Fraction(10) ** e > x:
+            e -= 1
+        while Fraction(10) ** (e + 1) <= x:
+            e += 1
+        if round(x * Fraction(10) ** (16 - e)) >= 10**17:
+            expected.append(v)
+    return expected
+
+
 def _canonical_nan(x: float) -> float:
     # a signalling NaN raises on arithmetic, which the program never produces
     return math.nan if math.isnan(x) else x
@@ -1051,25 +1071,33 @@ class TestBlockFormatter:
         monkeypatch.setattr(output, "_FORMAT", spy)
         for cols in _blocks(values, 11):
             assert _format_block(cols) == csv_oracle.format_block(cols)
-
-        # what % must format: values outside 10**-29 <= |v| < 1e17, and those
-        # whose exact scaled mantissa t = |v| 10**(16 - e) rounds to 1e17
-        finite = values[~np.isnan(values) & (values != 0.0)]
-        expected = []
-        for v in finite.tolist():
-            if math.isinf(v) or not Fraction(1, 10**29) <= Fraction(abs(v)) < 10**17:
-                expected.append(v)
-                continue
-            x = Fraction(abs(v))
-            e = math.floor(math.log10(abs(v)))
-            while Fraction(10) ** e > x:
-                e -= 1
-            while Fraction(10) ** (e + 1) <= x:
-                e += 1
-            if round(x * Fraction(10) ** (16 - e)) >= 10**17:
-                expected.append(v)
+        expected = _exact_fallback(values)
         assert {1e-14, -1e-14, 1e-29, -1e-29} <= set(expected)
         assert sorted(spy.formatted) == sorted(expected)
+
+    def test_random_mantissas_and_power_neighbours_follow_the_exact_rule(self, monkeypatch):
+        # random 52-bit mantissas at every binary exponent from 2**-100 to
+        # 2**60, and the nearest double to each 10**k, k in [-31, 18], with
+        # the 20 either side: the two edges of the candidate range and every
+        # decade boundary
+        rng = np.random.default_rng(2012)
+        mantissas = rng.integers(0, 2**52, 2000, dtype=np.uint64)
+        exponents = rng.integers(1023 - 100, 1023 + 61, 2000, dtype=np.uint64)
+        random = (exponents << np.uint64(52) | mantissas).view(np.float64)
+        near = POWERS.tolist()
+        for power in POWERS.tolist():
+            for toward in (0.0, math.inf):
+                x = power
+                for _ in range(20):
+                    x = math.nextafter(x, toward)
+                    near.append(x)
+        values = np.concatenate([random, near])
+        values = np.concatenate([values, -values])
+        spy = _SpyFormat()
+        monkeypatch.setattr(output, "_FORMAT", spy)
+        for cols in _blocks(values, 11):
+            assert _format_block(cols) == csv_oracle.format_block(cols)
+        assert sorted(spy.formatted) == sorted(_exact_fallback(values))
 
     def test_values_just_below_a_power_of_ten_are_settled(self, monkeypatch):
         # a double just below 10**k lies in the decade below it, however near
