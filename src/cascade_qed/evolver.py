@@ -80,7 +80,8 @@ _CF4_SKEW = 1.0 / math.sqrt(3.0)
 # (tracemalloc, numpy 2.4), as it did with the maps' intermediates made per
 # chunk, which were alive together at the peak.  A larger basis takes one
 # step per chunk, so its arrays grow with the basis: a whole alpha = 137
-# run, inside the CLI's photon-cutoff ceiling, peaks at 10.5 MB.
+# run, inside the CLI's photon-cutoff ceiling, peaks at 10.47 MB (in one
+# process, after a fig4b and an alpha = 40 run).
 _CHUNK_LANES = 1 << 13
 
 

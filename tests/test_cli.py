@@ -691,7 +691,7 @@ class TestBatchedCurves:
     # 2.5 MB (in one process, in this order: 2.67 MB for fig4b, 2.48 MB at
     # alpha = 40, numpy 2.4).  Over 8,192 lanes a chunk is one step and grows
     # with the basis: alpha = 137, inside the photon-cutoff ceiling, peaks at
-    # 10.46 MB
+    # 10.47 MB
     @pytest.mark.parametrize("argv,bound", [
         (["preset", "fig4b"], 6e6),
         (["run", "--alpha", "40", "--delta", "-5", "--tau-max", "1", "--steps", "11"], 6e6),

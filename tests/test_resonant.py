@@ -227,58 +227,25 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
-def allocating_trig_sums(points, omega, terms):
-    """Bitwise oracle of ``resonant._trig_sums``: each block's phases, trig
-    values and weighted terms in arrays of their own."""
-    out = np.empty((len(terms), points.size))
-    rows = max(1, resonant._BLOCK // max(1, omega.size))
-    for lo in range(0, points.size, rows):
-        phase = np.multiply.outer(points[lo : lo + rows], omega)
-        values = {trig: trig(phase) for trig in {trig for trig, _ in terms}}
-        for k, (trig, w) in enumerate(terms):
-            out[k, lo : lo + rows] = np.add.reduce(values[trig] * w, axis=1)
-    return out
-
-
-def allocating_barycentric(points, nodes, values):
-    """Bitwise oracle of ``resonant._barycentric``: each block's q and
-    products in arrays of their own."""
-    weights = np.ones(nodes.size)
-    weights[1::2] = -1.0
-    weights[[0, -1]] *= 0.5
-    out = np.empty((len(values), points.size))
-    rows = max(1, resonant._BLOCK // nodes.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for lo in range(0, points.size, rows):
-            q = np.subtract.outer(points[lo : lo + rows], nodes)
-            np.divide(weights, q, out=q)
-            total = np.add.reduce(q, axis=1)
-            for k, value in enumerate(values):
-                out[k, lo : lo + rows] = np.add.reduce(q * value, axis=1) / total
-    hit = np.nonzero(np.isnan(out[0]))[0]
-    node = np.argmin(np.abs(np.subtract.outer(points[hit], nodes)), axis=1)
-    out[:, hit] = values[:, node]
-    return out
-
-
-class TestScratchBlocks:
-    """The closed form's blocks, worked in arrays made once per call, carry
-    the bits of blocks that allocate every intermediate."""
+class TestBlocks:
+    """The closed form's blocked sums carry the bits of the same formula
+    taken over all points in one shot."""
 
     @pytest.mark.parametrize("size", [5000, 41, 0],
                              ids=["partial-last-block", "under-one-block", "no-points"])
     @pytest.mark.parametrize("lanes", [100, 0])
-    def test_trig_sums_match_the_allocating_oracle(self, size, lanes):
+    def test_trig_sums_match_the_unblocked_formula(self, size, lanes):
         # 100 lanes make blocks of 81 rows: 5,000 points are 61 blocks and 59 rows
         rng = np.random.default_rng(34)
         points, omega = rng.uniform(0.0, 50.0, size), np.sqrt(2.0 * np.arange(lanes) + 3.0)
         terms = [(trig, rng.normal(size=lanes)) for trig in (np.cos, np.sin, np.cos)]
-        assert_same_bits(resonant._trig_sums(points, omega, terms),
-                         allocating_trig_sums(points, omega, terms))
+        phase = np.multiply.outer(points, omega)
+        expected = np.array([np.add.reduce(trig(phase) * w, axis=1) for trig, w in terms])
+        assert_same_bits(resonant._trig_sums(points, omega, terms), expected)
 
     @pytest.mark.parametrize("size", [5000, 41, 3],
                              ids=["partial-last-block", "under-one-block", "three-points"])
-    def test_barycentric_matches_the_allocating_oracle(self, size):
+    def test_barycentric_matches_the_unblocked_formula(self, size):
         # 101 nodes make blocks of 81 rows.  Two points are nodes and one lies
         # 1e-320 from the node at 0, where 1 / (point - node) overflows: all
         # three take the nan path to their node's value
@@ -287,8 +254,15 @@ class TestScratchBlocks:
         values = np.random.default_rng(34).normal(size=(4, nodes.size))
         points = np.random.default_rng(35).uniform(-1.0, 5.0, size)
         points[:3] = nodes[0], 1e-320, nodes[50]
+        weights = np.ones(nodes.size)
+        weights[1::2] = -1.0
+        weights[[0, -1]] *= 0.5
         ours = resonant._barycentric(points, nodes, values)
-        assert_same_bits(ours, allocating_barycentric(points, nodes, values))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = weights / np.subtract.outer(points, nodes)
+            total = np.add.reduce(q, axis=1)
+            expected = np.array([np.add.reduce(q * value, axis=1) / total for value in values])
+        assert_same_bits(ours[:, 3:], expected[:, 3:])
         assert_same_bits(ours[:, :3], values[:, [0, -1, 50]])
 
 
@@ -377,9 +351,9 @@ class TestInterpolatedSums:
         calls = {np.cos: 0, np.sin: 0}
 
         def counting(trig):
-            def counted(phase, out):
+            def counted(phase):
                 calls[trig] += 1
-                return trig(phase, out=out)
+                return trig(phase)
             return counted
 
         rng = np.random.default_rng(17)
