@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import Field, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from .output import _write_csv, _write_meta, environment_fingerprint, write_seri
 from .phases import PhaseTimeSeries, series_from_closed_form, series_from_trajectory
 from .scenario import (
     _KINDS,
-    _SCENARIO_SCHEMA,
     ConfigError,
     ScenarioConfig,
     _output_path,
@@ -213,16 +212,18 @@ def run_scenario(scenarios: ScenarioConfig | Sequence[ScenarioConfig]) -> RunRes
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _flag_keys(command: str) -> list[str]:
-    """The scenario keys ``command`` takes as flags and in its --config file."""
-    return [key for key, (_, commands, _) in _SCENARIO_SCHEMA.items() if command in commands]
+def _flag_fields(command: str) -> list[Field]:
+    """The ``ScenarioConfig`` fields ``command`` takes as flags and in its
+    --config file."""
+    return [f for f in fields(ScenarioConfig) if command in f.metadata["commands"]]
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser, command: str) -> None:
-    for key in _flag_keys(command):
-        kind, _, help_text = _SCENARIO_SCHEMA[key]
+    for f in _flag_fields(command):
+        kind = f.metadata["kind"]
         parse = dict(choices=kind) if isinstance(kind, tuple) else _KINDS[kind][1]
-        sub.add_argument("--" + key.replace("_", "-"), default=None, help=help_text, **parse)
+        sub.add_argument("--" + f.name.replace("_", "-"), default=None,
+                         help=f.metadata["help"], **parse)
     sub.add_argument("--config", type=str, default=None,
                      help="JSON config file of these flags' keys (flags override it)")
 
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     """Defaults, then config-file values, then explicit CLI flags; the file
     may hold only the keys of the subcommand's flags."""
-    keys = _flag_keys(args.command)
+    keys = [f.name for f in _flag_fields(args.command)]
     merged: dict = {}
     if args.config:
         try:

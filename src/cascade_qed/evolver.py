@@ -77,11 +77,11 @@ _CF4_SKEW = 1.0 / math.sqrt(3.0)
 # lane entry) 644 KiB.  Each step's operands, views of these and one
 # products buffer of 64 bytes per lane and curve, are made once per call;
 # one warm call, its states built beforehand, peaks at 2.32 MiB
-# (tracemalloc, numpy 2.4), as it did with the maps' intermediates made per
-# chunk, which were alive together at the peak.  A larger basis takes one
-# step per chunk, so its arrays grow with the basis: a whole alpha = 137
-# run, inside the CLI's photon-cutoff ceiling, peaks at 10.47 MB (in one
-# process, after a fig4b and an alpha = 40 run).
+# (tracemalloc, numpy 2.4).  None of it is made per chunk: per-chunk arrays
+# of about 132 KB fault their pages in again in every fresh process.
+# A larger basis takes one step per chunk, so its arrays grow with the
+# basis: a whole alpha = 137 run, inside the CLI's photon-cutoff ceiling,
+# peaks at 10.47 MB (in one process, after a fig4b and an alpha = 40 run).
 _CHUNK_LANES = 1 << 13
 
 

@@ -2,8 +2,10 @@
 
 ``ScenarioConfig`` is one scenario, checked as a whole when it is built, and
 ``list_presets`` gives the frozen parameter sets behind the published figure
-panels.  A run over one of the ceilings below, or a closed-form curve whose
-phases would overflow, is refused with ``ConfigError``: the grid and alpha^2
+panels.  The CLI's scenario flags, their help and the keys of a --config
+file come from ``ScenarioConfig``'s fields, each declared by ``_key``.
+A run over one of the ceilings below, or a closed-form curve whose phases
+would overflow, is refused with ``ConfigError``: the grid and alpha^2
 ceilings when the scenario is built, the basis-dependent ones
 (``_preflight``) once its curve is truncated, and all before anything is
 evolved.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .field_states import FieldSpec
@@ -29,26 +31,6 @@ _MAX_OUTPUT_POINTS = 10**6
 _MAX_SUBSTEPS = 10**7
 _MAX_PHOTONS = 2 * 10**4
 
-# ScenarioConfig field -> (accepted type, or the tuple of accepted strings;
-# the subcommands that take it as a flag and in their --config file; the
-# flag's help).  A field whose default is None may also be None.
-_RUN_COMPARE = ("run", "compare")
-_SCENARIO_SCHEMA = {
-    "alpha": (numbers.Real, _RUN_COMPARE, "field amplitude (>= 0)"),
-    "delta": (numbers.Real, _RUN_COMPARE, "detuning in units of g"),
-    "theta": (numbers.Real, _RUN_COMPARE, "atomic superposition angle (rad)"),
-    "r": (numbers.Real, _RUN_COMPARE, "superposition constant (0, +1, -1, ...)"),
-    "p": (numbers.Integral, _RUN_COMPARE, "half-wavelength count of the mode"),
-    "motion": (tuple(m.value for m in Motion), _RUN_COMPARE, "atomic motion model"),
-    "tau_max": (numbers.Real, _RUN_COMPARE, "end of the scaled-time grid"),
-    "steps": (numbers.Integral, _RUN_COMPARE, "output grid size"),
-    "dt": (numbers.Real, _RUN_COMPARE, "integrator substep (scaled time)"),
-    "engine": (("analytic", "numeric", "both"), ("run",), "computation route"),
-    "out": (str, ("run",), "output CSV path"),
-    "emit_unwrapped": (bool, ("run",), "append unwrapped phase columns"),
-    "preset": (str, (), None),
-    "curve": (str, (), None),
-}
 # accepted type -> (what a message asks for, how its flag parses); bool is
 # never taken as a number
 _KINDS = {
@@ -57,6 +39,15 @@ _KINDS = {
     str: ("a string", dict(type=str)),
     bool: ("true or false", dict(action="store_true")),
 }
+
+
+def _key(default, kind, help_text=None, commands=("run", "compare")):
+    """A ``ScenarioConfig`` field: its default; its accepted type, or the
+    tuple of accepted strings; its flag's help; and the subcommands that
+    take it as a flag and in their --config file.  A field whose default is
+    None may also be None."""
+    return field(default=default, metadata={"kind": kind, "help": help_text,
+                                            "commands": commands})
 
 
 class ConfigError(ValueError):
@@ -87,24 +78,24 @@ class ScenarioConfig:
     ``_MAX_OUTPUT_POINTS`` points.  Real-valued fields are stored as floats.
     """
 
-    alpha: float = 5.0
-    delta: float = 0.0
-    theta: float = math.pi / 4.0
-    r: float = 0.0
-    p: int = 1
-    motion: str = "moving"
-    tau_max: float = 8.0 * math.pi
-    steps: int = 2000
-    dt: float | None = None
-    engine: str = "numeric"
-    out: str | None = None
-    emit_unwrapped: bool = False
-    preset: str | None = None
-    curve: str | None = None
+    alpha: float = _key(5.0, numbers.Real, "field amplitude (>= 0)")
+    delta: float = _key(0.0, numbers.Real, "detuning in units of g")
+    theta: float = _key(math.pi / 4.0, numbers.Real, "atomic superposition angle (rad)")
+    r: float = _key(0.0, numbers.Real, "superposition constant (0, +1, -1, ...)")
+    p: int = _key(1, numbers.Integral, "half-wavelength count of the mode")
+    motion: str = _key("moving", tuple(m.value for m in Motion), "atomic motion model")
+    tau_max: float = _key(8.0 * math.pi, numbers.Real, "end of the scaled-time grid")
+    steps: int = _key(2000, numbers.Integral, "output grid size")
+    dt: float | None = _key(None, numbers.Real, "integrator substep (scaled time)")
+    engine: str = _key("numeric", ("analytic", "numeric", "both"), "computation route", ("run",))
+    out: str | None = _key(None, str, "output CSV path", ("run",))
+    emit_unwrapped: bool = _key(False, bool, "append unwrapped phase columns", ("run",))
+    preset: str | None = _key(None, str, commands=())
+    curve: str | None = _key(None, str, commands=())
 
     def __post_init__(self):
         for f in fields(self):
-            kind = _SCENARIO_SCHEMA[f.name][0]
+            kind = f.metadata["kind"]
             value = getattr(self, f.name)
             if value is None and f.default is None:
                 continue

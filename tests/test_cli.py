@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, CSV schema, exit codes, determinism."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -78,6 +79,98 @@ def test_help():
     assert cp.returncode == 0, cp.stderr
     for sub in ("run", "preset", "compare", "list-presets"):
         assert sub in cp.stdout
+
+
+def _subparsers() -> dict:
+    (subs,) = [a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def _surface(sub: argparse.ArgumentParser) -> list[tuple]:
+    """Each action of ``sub`` as (option strings, dest, choices, type or
+    store_true, default, help)."""
+    return [
+        (tuple(a.option_strings), a.dest, a.choices,
+         "store_true" if isinstance(a, argparse._StoreTrueAction) else a.type,
+         a.default, a.help)
+        for a in sub._actions
+    ]
+
+
+_HELP = (("-h", "--help"), "help", None, None, argparse.SUPPRESS,
+         "show this help message and exit")
+_PHYSICS_AND_GRID = [
+    (("--alpha",), "alpha", None, float, None, "field amplitude (>= 0)"),
+    (("--delta",), "delta", None, float, None, "detuning in units of g"),
+    (("--theta",), "theta", None, float, None, "atomic superposition angle (rad)"),
+    (("--r",), "r", None, float, None, "superposition constant (0, +1, -1, ...)"),
+    (("--p",), "p", None, int, None, "half-wavelength count of the mode"),
+    (("--motion",), "motion", ("moving", "neglected"), None, None, "atomic motion model"),
+    (("--tau-max",), "tau_max", None, float, None, "end of the scaled-time grid"),
+    (("--steps",), "steps", None, int, None, "output grid size"),
+    (("--dt",), "dt", None, float, None, "integrator substep (scaled time)"),
+]
+_CONFIG = (("--config",), "config", None, str, None,
+           "JSON config file of these flags' keys (flags override it)")
+
+
+def test_subcommand_flags_keep_their_order_type_default_and_help():
+    # the parser is built from ScenarioConfig's fields; its surface is
+    # compared action by action, since the --help layout differs between
+    # Python versions
+    subs = _subparsers()
+    assert _surface(subs["run"]) == [
+        _HELP,
+        *_PHYSICS_AND_GRID,
+        (("--engine",), "engine", ("analytic", "numeric", "both"), None, None,
+         "computation route"),
+        (("--out",), "out", None, str, None, "output CSV path"),
+        (("--emit-unwrapped",), "emit_unwrapped", None, "store_true", None,
+         "append unwrapped phase columns"),
+        _CONFIG,
+    ]
+    assert _surface(subs["compare"]) == [
+        _HELP,
+        *_PHYSICS_AND_GRID,
+        _CONFIG,
+        (("--tolerance",), "tolerance", None, float, 1e-6,
+         "max allowed |deviation| before exit code 3"),
+    ]
+    assert _surface(subs["preset"]) == [
+        _HELP,
+        ((), "name", ["fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b",
+                      "fig4c", "fig5a", "fig5b"], None, None, None),
+        (("--out",), "out", None, str, None, "output CSV path (default: <name>.csv)"),
+        (("--emit-unwrapped",), "emit_unwrapped", None, "store_true", False, None),
+    ]
+
+
+def _readme_bullet(start: str) -> str:
+    """The README bullet whose first line starts with ``start``, as one line."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith(start))
+    bullet = [lines[first]]
+    for line in lines[first + 1 :]:
+        if not line.startswith("  "):
+            break
+        bullet.append(line)
+    return " ".join(line.strip() for line in bullet)
+
+
+def test_readme_names_every_scenario_flag():
+    def flags(text):
+        return set(re.findall(r"`(--[a-z-]+)`", text))
+
+    def long_options(sub):
+        return {s for a in sub._actions for s in a.option_strings if s.startswith("--")}
+
+    subs = _subparsers()
+    run_flags = long_options(subs["run"]) - {"--help", "--config"}
+    assert flags(_readme_bullet("- `run` takes")) == run_flags
+    (rejected,) = [sentence for sentence in _readme_bullet("- `compare` takes").split(". ")
+                   if "rejected" in sentence]
+    assert flags(rejected) == run_flags - long_options(subs["compare"])
 
 
 def test_console_script_entry_point(capsys):
